@@ -3,8 +3,10 @@
 A window holds monomial bases for degrees 0..N+1 and the differential
 matrices between consecutive degrees; b_N needs the degree-(N+1) piece, so
 the window extends one degree past the request.  All ranks are exact
-(see linalg); representative cocycles come from the reduced-echelon kernel
-basis completed against the boundary space, so reports are reproducible.
+(see linalg).  Representative cocycles come from the reduced-echelon kernel
+basis: each degree puts its boundary vectors into one `linalg.Echelon`, then
+offers the kernel vectors in order and keeps a kernel vector (as it is, not
+its residue) iff it adds a pivot, so reports are reproducible.
 
 Per-degree computations are independent; the report is a deterministic
 reduction over them.
@@ -108,20 +110,14 @@ def betti_of_window(window: DegreeWindowComplex) -> CohomologyReport:
     reps: list[tuple[Element, ...]] = []
     algebra = window.model.algebra
     for n in range(window.max_degree + 1):
-        mat = window.matrix(n)
-        kernel = linalg.kernel_basis(mat, window.dim(n))
-        boundaries = window.boundary_vectors(n)
-        boundary_rank = linalg.rank(boundaries)
-        b_n = len(kernel) - boundary_rank
-        chosen: list[Element] = []
-        span = list(boundaries)
-        current = boundary_rank
-        for vec in kernel:
-            candidate_rank = linalg.rank(span + [vec])
-            if candidate_rank > current:
-                span.append(vec)
-                current = candidate_rank
-                chosen.append(element_from_coordinates(algebra, window.bases[n], vec))
+        kernel = linalg.kernel_basis(window.matrix(n), window.dim(n))
+        span = linalg.Echelon(window.boundary_vectors(n))
+        b_n = len(kernel) - span.rank
+        chosen = [
+            element_from_coordinates(algebra, window.bases[n], vec)
+            for vec in kernel
+            if span.add(vec)
+        ]
         if len(chosen) != b_n or b_n < 0:
             raise AssertionError(f"rank bookkeeping failed in degree {n}")
         numbers.append(b_n)
@@ -207,18 +203,16 @@ def _verdicts(source: _FiniteComplex, target: _FiniteComplex,
         kernel_s = linalg.kernel_basis(source.matrix(n), source.dim(n))
         rank_bs = linalg.rank(source.boundary_vectors(n))
         h_s = len(kernel_s) - rank_bs
-        boundaries_t = target.boundary_vectors(n)
-        rank_bt = linalg.rank(boundaries_t)
-        h_t = (target.dim(n) - linalg.rank(target.matrix(n))) - rank_bt
-        mapped = []
+        span_t = linalg.Echelon(target.boundary_vectors(n))
+        h_t = (target.dim(n) - linalg.rank(target.matrix(n))) - span_t.rank
         m = maps[n] if n < len(maps) else ()
+        rank_h = 0
         for vec in kernel_s:
             image = [
                 sum((m[r][c] * vec[c] for c in range(source.dim(n))), Fraction(0))
                 for r in range(target.dim(n))
             ]
-            mapped.append(image)
-        rank_h = linalg.rank(boundaries_t + mapped) - rank_bt
+            rank_h += span_t.add(image)
         verdicts.append(DegreeVerdict(n, h_s, h_t, rank_h))
     return QuasiIsoReport(tuple(verdicts))
 
@@ -330,15 +324,13 @@ def h_algebra_generator_counts(model: CDGA, max_degree: int,
     counts = [0] * (max_degree + 1)
     for n in range(1, max_degree + 1):
         basis = window.bases[n]
-        span = window.boundary_vectors(n)
-        base_rank = linalg.rank(span)
-        decomposable = list(span)
+        span = linalg.Echelon(window.boundary_vectors(n))
+        dec_rank = 0
         for p in range(1, n):
             for left in report.representatives[p]:
                 for right in report.representatives[n - p]:
                     product = left * right
                     if not product.is_zero():
-                        decomposable.append(element_coordinates(product, basis))
-        dec_rank = linalg.rank(decomposable) - base_rank
+                        dec_rank += span.add(element_coordinates(product, basis))
         counts[n] = report.betti[n] - dec_rank
     return tuple(counts)

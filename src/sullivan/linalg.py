@@ -1,111 +1,135 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra on one incremental sparse integer echelon.
 
-Forward elimination is fraction-free (Bareiss) over arbitrary-precision
-integers with a deterministic first-nonzero pivot rule; reduced echelon
-form normalizes rationally at the end.  Matrices are row-major lists.
+An `Echelon` holds a row space as primitive integer rows keyed by pivot
+column, each row a sparse `{column: int}` dict whose lowest column is its
+pivot.  `add` scales an incoming rational row to integers once, reduces it
+fraction-free (one integer combination per step, as in Bareiss elimination)
+against the stored rows at its lowest column until that column is a new
+pivot or the row vanishes, divides out the gcd, and keeps the row iff a
+residue remains; the return value says whether the rank grew.  `reduce`
+back-substitutes to reduced echelon form, which is unique, so `rref`,
+`kernel_basis` and `solve_particular` do not depend on row order.
+Dense matrices at the interface are row-major lists of Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 Row = list[Fraction]
 Matrix = list[Row]
+SparseRow = dict[int, int]
 
 
-def _integer_rows(rows: Matrix) -> list[list[int]]:
-    out = []
-    for row in rows:
-        scale = lcm(*(c.denominator for c in row)) if row else 1
-        out.append([int(c * scale) for c in row])
-    return out
+def _sparse_integer_row(row: Sequence[Fraction]) -> SparseRow:
+    entries = {j: c for j, c in enumerate(row) if c}
+    scale = lcm(*(c.denominator for c in entries.values())) if entries else 1
+    return {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.  Returns (echelon rows, pivot columns)."""
-    m = [r[:] for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        piv = m[r][c]
-        row_r = m[r]
-        for i in range(r + 1, nr):
-            # the rescale by piv/prev applies to every row, including rows
-            # with a zero pivot-column entry: later exact divisions rely on it
-            mic = m[i][c]
-            row_i = m[i]
-            for j in range(c + 1, nc):
-                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
-        pivots.append(c)
-        prev = piv
-        r += 1
-    return m, pivots
+def _eliminate(row: SparseRow, pivot_row: SparseRow, col: int) -> None:
+    """Clear `row[col]` in place by an integer combination with `pivot_row`."""
+    a, b = pivot_row[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in pivot_row.items():
+        x = row.get(k, 0) - b * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _make_primitive(row: SparseRow, pivot: int) -> None:
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+class Echelon:
+    """Row echelon basis of a growing row space: `rows[pivot_col] = {col: int}`."""
+
+    def __init__(self, rows: Iterable[Sequence[Fraction]] = ()) -> None:
+        self.rows: dict[int, SparseRow] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: Sequence[Fraction]) -> bool:
+        """Reduce `row` against the basis; keep it and return True iff it adds a pivot."""
+        residue = _sparse_integer_row(row)
+        while residue:
+            col = min(residue)
+            pivot_row = self.rows.get(col)
+            if pivot_row is None:
+                _make_primitive(residue, col)
+                self.rows[col] = residue
+                return True
+            _eliminate(residue, pivot_row, col)
+        return False
+
+    def reduce(self) -> None:
+        """Bring the basis to reduced echelon form: each pivot column is zero in the other rows."""
+        for col in sorted(self.rows, reverse=True):
+            row = self.rows[col]
+            above = [k for k in row if k != col and k in self.rows]
+            for k in above:
+                _eliminate(row, self.rows[k], k)
+            if above:
+                _make_primitive(row, col)
+
+    def reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """Reduced echelon form as (pivot, sparse row with a unit pivot), in pivot order."""
+        self.reduce()
+        out = []
+        for col in sorted(self.rows):
+            row = self.rows[col]
+            lead = row[col]
+            out.append((col, {k: Fraction(v, lead) for k, v in row.items()}))
+        return out
 
 
 def rank(rows: Matrix) -> int:
-    if not rows or not rows[0]:
-        return 0
-    _, pivots = _bareiss(_integer_rows(rows))
-    return len(pivots)
+    return Echelon(rows).rank
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over the rationals."""
-    if not rows or not rows[0]:
-        return [], []
-    ech, pivots = _bareiss(_integer_rows(rows))
-    nc = len(rows[0])
+    nc = len(rows[0]) if rows else 0
     reduced: Matrix = []
-    for i, c in enumerate(pivots):
-        piv = Fraction(ech[i][c])
-        reduced.append([Fraction(x) / piv for x in ech[i]])
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        for k in range(i):
-            factor = reduced[k][c]
-            if factor:
-                rk = reduced[k]
-                ri = reduced[i]
-                for j in range(c, nc):
-                    rk[j] -= factor * ri[j]
+    pivots: list[int] = []
+    for col, entries in Echelon(rows).reduced_rows():
+        dense = [Fraction(0)] * nc
+        for k, v in entries.items():
+            dense[k] = v
+        reduced.append(dense)
+        pivots.append(col)
     return reduced, pivots
 
 
 def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
     """Basis of the null space, one vector per free column, ascending."""
-    if ncols == 0:
-        return []
-    if not rows:
-        basis = []
-        for f in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis.append(v)
-        return basis
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
+    reduced = Echelon(rows).reduced_rows()
+    pivot_set = {col for col, _ in reduced}
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivot_set}
+    for f, v in basis.items():
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(v)
-    return basis
+    for p, entries in reduced:
+        for k, v in entries.items():
+            if k != p:
+                basis[k][p] = -v
+    return list(basis.values())
 
 
 def solve_particular(rows: Matrix, rhs: Row) -> Row | None:
@@ -117,19 +141,14 @@ def solve_particular(rows: Matrix, rhs: Row) -> Row | None:
     if not rows:
         return None if any(rhs) else []
     ncols = len(rows[0])
-    augmented = [row + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
+    reduced = Echelon(row + [b] for row, b in zip(rows, rhs)).reduced_rows()
+    if reduced and reduced[-1][0] == ncols:
         return None
     x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][ncols]
+    for p, entries in reduced:
+        x[p] = entries.get(ncols, Fraction(0))
     return x
 
 
 def in_row_span(rows: Matrix, vector: Row) -> bool:
-    if not any(vector):
-        return True
-    if not rows:
-        return False
-    return rank(rows) == rank(rows + [vector])
+    return not Echelon(rows).add(vector)

@@ -213,16 +213,16 @@ def test_criterion_9_mutation_robustness():
     report(9, ok and caught == 20, f"{caught}/20 mutations rejected or detected")
 
 
-def test_criterion_10_deterministic_json():
-    with open("/tmp/sullivan_cp2_acceptance.model", "w", encoding="utf-8") as handle:
+def test_criterion_10_deterministic_json(tmp_path):
+    cp2 = str(tmp_path / "cp2.model")
+    with open(cp2, "w", encoding="utf-8") as handle:
         handle.write("generator v 2\ngenerator w 5\nd w = v^3\n")
-    cp2 = "/tmp/sullivan_cp2_acceptance.model"
     recipe = run_cli(["recipe", "product", "odd-sphere:1", "odd-sphere:1"])
-    with open("/tmp/sullivan_s3s3_acceptance.model", "w", encoding="utf-8") as handle:
+    s3s3 = str(tmp_path / "s3s3.model")
+    with open(s3s3, "w", encoding="utf-8") as handle:
         handle.write(recipe.stdout)
-    s3s3 = "/tmp/sullivan_s3s3_acceptance.model"
-    run_cli(["loop", s3s3, "-o", "/tmp/sullivan_s3s3_loop_acceptance.model"])
-    loop_file = "/tmp/sullivan_s3s3_loop_acceptance.model"
+    loop_file = str(tmp_path / "s3s3_loop.model")
+    run_cli(["loop", s3s3, "-o", loop_file])
 
     commands = [
         ["verify", cp2, "--json"],

@@ -17,8 +17,10 @@ from sullivan.errors import BasisSizeExceeded, NotACocycle
 from sullivan.homology import (
     assemble_window,
     betti,
+    betti_of_window,
     class_is_nontrivial,
     element_coordinates,
+    element_from_coordinates,
     h_algebra_generator_counts,
     quasi_iso_check,
     quasi_iso_via_indecomposables,
@@ -105,6 +107,43 @@ def test_representatives_are_cocycles_and_independent_mod_boundaries():
             assert rep.degree() == n
             stack.append(element_coordinates(rep, window.bases[n]))
         assert linalg.rank(stack) == base_rank + len(classes)
+
+
+def quadratic_rescan_betti(window):
+    """Oracle: keep a kernel vector iff re-ranking the whole span with it grows."""
+    numbers, reps = [], []
+    for n in range(window.max_degree + 1):
+        kernel = linalg.kernel_basis(window.matrix(n), window.dim(n))
+        span = window.boundary_vectors(n)
+        current = linalg.rank(span)
+        numbers.append(len(kernel) - current)
+        chosen = []
+        for vec in kernel:
+            if linalg.rank(span + [vec]) > current:
+                span = span + [vec]
+                current += 1
+                chosen.append(element_from_coordinates(window.model.algebra, window.bases[n], vec))
+        reps.append(chosen)
+    return numbers, reps
+
+
+S2S3 = Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,))))
+
+
+@pytest.mark.parametrize("model, max_degree", [
+    (loop_model(build(S2S3)), 10),
+    (loop_model(s3s3_model()), 12),
+    (cpn_model(2), 10),
+    (loop_model(cpn_model(2)), 10),
+], ids=["loop s2xs3", "loop s3xs3", "cp2", "loop cp2"])
+def test_incremental_selection_matches_quadratic_rescan(model, max_degree):
+    window = assemble_window(model, max_degree)
+    report = betti_of_window(window)
+    numbers, reps = quadratic_rescan_betti(window)
+    assert list(report.betti) == numbers
+    assert [[c.terms for c in classes] for classes in report.representatives] == [
+        [c.terms for c in classes] for classes in reps
+    ]
 
 
 def test_betti_ignores_generator_insertion_order():
