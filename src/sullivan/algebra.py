@@ -68,7 +68,11 @@ class FreeGradedAlgebra:
         self.generators: tuple[Generator, ...] = tuple(gens)
         self._index: dict[str, int] = {g.name: i for i, g in enumerate(self.generators)}
         self._odd: tuple[bool, ...] = tuple(g.is_odd for g in self.generators)
-        self._basis_cache: dict[int, tuple[Word, ...]] = {}
+        # _basis_cache[i][t]: the canonical words over generators i.. of
+        # degree t (the last table is the unit's); _nonempty[i] lists the t
+        # with _basis_cache[i][t] nonempty.  Extended one degree at a time.
+        self._basis_cache: list[list[tuple[Word, ...]]] = [[] for _ in range(len(gens) + 1)]
+        self._nonempty: list[list[int]] = [[] for _ in gens] + [[0]]
 
     # -- generator access ---------------------------------------------------
 
@@ -169,34 +173,36 @@ class FreeGradedAlgebra:
         """
         if n < 0:
             return ()
-        cached = self._basis_cache.get(n)
-        if cached is None:
-            out: list[Word] = []
-            gens = self.generators
-            acc: list[tuple[int, int]] = []
+        while len(self._basis_cache[0]) <= n:
+            self._extend_bases()
+        basis = self._basis_cache[0][n]
+        if cap is not None and len(basis) > cap:
+            raise BasisSizeExceeded(n, len(basis), cap)
+        return basis
 
-            def rec(i: int, remaining: int) -> None:
-                if remaining == 0:
-                    out.append(tuple(acc))
-                    return
-                if i == len(gens):
-                    return
-                d = gens[i].degree
-                rec(i + 1, remaining)
-                max_e = 1 if d % 2 else remaining // d
-                for e in range(1, max_e + 1):
-                    if e * d > remaining:
-                        break
-                    acc.append((i, e))
-                    rec(i + 1, remaining - e * d)
-                    acc.pop()
+    def _extend_bases(self) -> None:
+        """Add the next degree t to the word table of every generator suffix.
 
-            rec(0, n)
-            cached = tuple(out)
-            self._basis_cache[n] = cached
-        if cap is not None and len(cached) > cap:
-            raise BasisSizeExceeded(n, len(cached), cap)
-        return cached
+        The words over generators i.. of degree t are those over i+1.. of
+        degree t, then v_i^e * w for the words w over i+1.. of each nonempty
+        degree m = t - e|v_i| < t, taken in descending m so that e ascends.
+        Apart from that scan of nonempty degrees, the work is the words written.
+        """
+        tables, nonempty = self._basis_cache, self._nonempty
+        t = len(tables[0])
+        tables[-1].append((UNIT_WORD,) if t == 0 else ())
+        for i in range(len(self.generators) - 1, -1, -1):
+            d = self.generators[i].degree
+            words = list(tables[i + 1][t])
+            for m in reversed(nonempty[i + 1]):
+                e, r = divmod(t - m, d)
+                if e > 1 and self._odd[i]:
+                    break
+                if e and not r:
+                    words.extend(((i, e),) + w for w in tables[i + 1][m])
+            tables[i].append(tuple(words))
+            if words:
+                nonempty[i].append(t)
 
     # -- housekeeping ---------------------------------------------------------
 
@@ -312,9 +318,15 @@ class Element:
     def __pow__(self, e: int) -> "Element":
         if e < 0:
             raise ValueError("negative powers are not defined")
+        # repeated squaring: O(log e) products
         result = self.algebra.one()
-        for _ in range(e):
-            result = result * self
+        square = self
+        while e:
+            if e & 1:
+                result = result * square
+            e >>= 1
+            if e:
+                square = square * square
         return result
 
     def __eq__(self, other: object) -> bool:

@@ -1,11 +1,15 @@
 """Differentials, derivations, morphisms and model constructions.
 
 Derivations extend from generator values by the graded Leibniz rule, with an
-optional twist by a morphism (an (f,f)-derivation).  On a word v1...vn of
-degree-k derivation d this is
+optional twist by a morphism f (an (f,f)-derivation).  A degree-k derivation
+d takes a canonical word  prefix * v_i^e * suffix  to the sum over positions i
+of
 
-    d(v1...vn) = sum_i (-1)^(k(|v1|+...+|v_{i-1}|)) f(v1)...f(v_{i-1})
-                 d(v_i) f(v_{i+1})...f(v_n)
+    (-1)^(k|prefix|) * e * F(prefix) * d(v_i) * F(v_i^(e-1) * suffix)
+
+where F is the identity on words, or f when twisted, and both word pieces are
+slices of the canonical word (e = 1 for odd v_i).  A word gives one term per
+distinct generator, whatever its exponents.
 
 Morphisms extend multiplicatively.  Both extensions are unique, which is
 what the differential and chain-map checks exploit: verifying an identity
@@ -110,7 +114,11 @@ class Morphism:
 
 
 class Derivation:
-    """A degree-k derivation given on generators, optionally along a morphism."""
+    """A degree-k derivation given on generators, optionally along a morphism.
+
+    Applied to an element word by word, one Leibniz term per distinct
+    generator of each word (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -147,42 +155,33 @@ class Derivation:
         except KeyError:
             raise IncompleteDerivation(f"no value given for generator {name!r}") from None
 
-    def _image(self, name: str) -> Element:
+    def _along_word(self, word: Word) -> Element:
+        """F(word): the word itself, or its image under the twisting morphism."""
         if self.along is None:
-            return self.target.gen(name)
-        return self.along.image_of_generator(name)
+            return Element(self.target, {word: Fraction(1)})
+        return self.along(Element(self.source, {word: Fraction(1)}))
 
     def __call__(self, e: Element) -> Element:
         if e.algebra != self.source:
             raise AlgebraMismatch("element does not live in the source algebra")
         k = self.degree
         gens = e.algebra.generators
-        out = self.target.zero()
+        acc: dict[Word, Fraction] = {}
         for word, coeff in e.terms.items():
-            if not word:
-                continue
-            # suffix[i] = f(v_i)^{e_i} * ... * f(v_last)^{e_last}
-            images = [self._image(gens[i].name) for i, _ in word]
-            suffix: list[Element] = [self.target.one()] * (len(word) + 1)
-            for pos in range(len(word) - 1, -1, -1):
-                suffix[pos] = images[pos] ** word[pos][1] * suffix[pos + 1]
-            prefix = self.target.one() * coeff
             prefix_degree = 0
             for pos, (i, exp) in enumerate(word):
                 g = gens[i]
                 dv = self.value_on_generator(g.name)
                 if not dv.is_zero():
-                    sign = -1 if (k * prefix_degree) % 2 else 1
-                    if g.is_odd:
-                        contribution = prefix * dv * suffix[pos + 1]
-                    else:
-                        # the e copies of an even generator contribute equal terms
-                        contribution = prefix * dv * images[pos] ** (exp - 1) * suffix[pos + 1]
-                        contribution = contribution * exp
-                    out = out + contribution * sign
-                prefix = prefix * images[pos] ** exp
+                    # word = prefix * v^exp * suffix; the exp copies of an
+                    # even v contribute equal terms, an odd v has exp = 1
+                    rest = word[pos + 1:] if exp == 1 else ((i, exp - 1),) + word[pos + 1:]
+                    scale = coeff * exp if (k * prefix_degree) % 2 == 0 else -coeff * exp
+                    term = self._along_word(word[:pos]) * dv * self._along_word(rest)
+                    for w, c in term.terms.items():
+                        acc[w] = acc.get(w, 0) + c * scale
                 prefix_degree += g.degree * exp
-        return out
+        return Element(self.target, acc)
 
     def __repr__(self) -> str:
         return f"<Derivation degree {self.degree:+d} on {len(self.values)} generators>"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator, monomial, transport
-from sullivan.errors import AlgebraMismatch, UnknownGenerator
+from sullivan.errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator
 
 from helpers import algebra_v2_w3, algebra_v3_sv2, algebra_yz3, brute_force_basis_count
 
@@ -123,6 +123,103 @@ def test_basis_is_duplicate_free_and_graded():
         words = alg.basis_in_degree(n)
         assert len(set(words)) == len(words)
         assert all(alg.word_degree(w) == n for w in words)
+
+
+def _recursive_basis(alg, n, cap=None):
+    """Reference enumerator: recurse over every exponent of every generator."""
+    if n < 0:
+        return ()
+    out = []
+    gens = alg.generators
+    acc = []
+
+    def rec(i, remaining):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if i == len(gens):
+            return
+        d = gens[i].degree
+        rec(i + 1, remaining)
+        max_e = 1 if d % 2 else remaining // d
+        for e in range(1, max_e + 1):
+            if e * d > remaining:
+                break
+            acc.append((i, e))
+            rec(i + 1, remaining - e * d)
+            acc.pop()
+
+    rec(0, n)
+    if cap is not None and len(out) > cap:
+        raise BasisSizeExceeded(n, len(out), cap)
+    return tuple(out)
+
+
+def _window_bases(enumerate_basis, alg, top, cap):
+    """Bases of degrees 0..top in ascending order, as assemble_window asks
+    for them; a cap overflow ends the walk with (degree, size)."""
+    bases = []
+    for n in range(top + 1):
+        try:
+            bases.append(enumerate_basis(alg, n, cap))
+        except BasisSizeExceeded as exc:
+            return bases, (exc.degree, exc.size)
+    return bases, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=7), min_size=0, max_size=6),
+    st.integers(min_value=0, max_value=22),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+)
+def test_basis_matches_recursive_oracle(degrees, top, cap):
+    alg = FreeGradedAlgebra([Generator(f"g{i}", d) for i, d in enumerate(degrees)])
+    oracle = FreeGradedAlgebra(alg.generators)
+    got = _window_bases(lambda a, n, c: a.basis_in_degree(n, cap=c), alg, top, cap)
+    assert got == _window_bases(_recursive_basis, oracle, top, cap)
+    # a later call for any single degree sees the same words and the same cap
+    for n in (top, top // 2, -1):
+        assert alg.basis_in_degree(n) == _recursive_basis(oracle, n)
+
+
+def test_basis_cap_names_lowest_degree_over_cap_before_building_higher():
+    alg = FreeGradedAlgebra([Generator("a", 2), Generator("b", 2), Generator("c", 3)])
+    with pytest.raises(BasisSizeExceeded) as info:
+        [alg.basis_in_degree(n, cap=3) for n in range(40)]
+    expected = next(n for n in range(40) if len(_recursive_basis(alg, n)) > 3)
+    assert (info.value.degree, info.value.size) == (expected, len(_recursive_basis(alg, expected)))
+    assert len(alg._basis_cache[0]) == expected + 1
+
+
+def test_basis_of_even_sphere_to_high_degree():
+    alg = algebra_v2_w3()
+    # v^a w^b with 2a + 3b = n and b <= 1: one word in every degree but 1
+    assert [len(alg.basis_in_degree(n)) for n in range(1002)] == [1, 0] + [1] * 1000
+    assert [alg.word_str(w) for w in alg.basis_in_degree(1001)] == ["v^499*w"]
+
+
+# -- powers ------------------------------------------------------------------------
+
+
+def test_power_equals_repeated_multiplication():
+    alg = FreeGradedAlgebra([Generator("a", 2), Generator("b", 3), Generator("c", 4)])
+    a, b, c = alg.gen("a"), alg.gen("b"), alg.gen("c")
+    for x in (a, a + b, Fraction(3, 2) * a - b + 2 * c, a * b + c, b, a * a - 3 * c + b):
+        product = alg.one()
+        for e in range(9):
+            assert x**e == product
+            product = product * x
+
+
+def test_negative_power_rejected():
+    with pytest.raises(ValueError):
+        algebra_v2_w3().gen("v") ** -1
+
+
+def test_large_power_of_monomial_is_fast():
+    alg = algebra_v2_w3()
+    assert (alg.gen("v") ** 100000000).terms == {((0, 100000000),): 1}
 
 
 # -- wordlength ---------------------------------------------------------------------

@@ -150,6 +150,69 @@ def test_twisted_extension_matches_naive_expansion():
         assert twisted(e) == _naive_derivation_apply(twisted, e)
 
 
+_WORD_ALGEBRA = FreeGradedAlgebra(
+    [Generator("a", 2), Generator("b", 3), Generator("c", 4), Generator("e", 5)]
+)
+
+
+@st.composite
+def elements_of_degree(draw, algebra, n, max_terms=3):
+    """A random element of degree n (zero when the degree is empty)."""
+    basis = algebra.basis_in_degree(n)
+    if not basis:
+        return algebra.zero()
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        word = draw(st.sampled_from(basis))
+        terms[word] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+    return Element(algebra, terms)
+
+
+@st.composite
+def words_of(draw, algebra, max_exp):
+    """A random canonical word as an element: any exponent up to max_exp on
+    even generators, 0 or 1 on odd ones."""
+    word = []
+    for i, g in enumerate(algebra.generators):
+        e = draw(st.integers(min_value=0, max_value=1 if g.is_odd else max_exp))
+        if e:
+            word.append((i, e))
+    coeff = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    return Element(algebra, {tuple(word): coeff})
+
+
+@st.composite
+def random_derivations(draw, source, target=None, along=None):
+    """A derivation of random degree k in -1..2 with random generator values."""
+    target = target if target is not None else source
+    k = draw(st.integers(min_value=-1, max_value=2))
+    values = {g.name: draw(elements_of_degree(target, g.degree + k)) for g in source.generators}
+    return Derivation(source, k, values, target=target, along=along)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_word_derivation_matches_naive_on_large_exponents(data):
+    der = data.draw(random_derivations(_WORD_ALGEBRA))
+    e = data.draw(words_of(_WORD_ALGEBRA, max_exp=40))
+    assert der(e) == _naive_derivation_apply(der, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_twisted_word_derivation_matches_naive(data):
+    target = loop_model(cpn_model(2)).algebra
+    m = Morphism(
+        _WORD_ALGEBRA,
+        target,
+        {g.name: data.draw(elements_of_degree(target, g.degree, max_terms=2))
+         for g in _WORD_ALGEBRA.generators},
+    )
+    der = data.draw(random_derivations(_WORD_ALGEBRA, target=target, along=m))
+    e = data.draw(words_of(_WORD_ALGEBRA, max_exp=6)) + data.draw(words_of(_WORD_ALGEBRA, max_exp=6))
+    assert der(e) == _naive_derivation_apply(der, e)
+
+
 # -- morphism extension ----------------------------------------------------------------
 
 
@@ -538,3 +601,10 @@ def test_leibniz_rule(key, a, b):
     der, k = _DERIVATIONS[key]
     sign = -1 if (k * a.degree()) % 2 else 1
     assert der(a * b) == der(a) * b + sign * (a * der(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_DERIVATIONS)), loop_monomials(max_degree=30))
+def test_word_derivation_matches_naive_on_loop_words(key, e):
+    der, _ = _DERIVATIONS[key]
+    assert der(e) == _naive_derivation_apply(der, e)

@@ -12,7 +12,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 
-def run_cli(args, stdin_text=None):
+def run_cli(args, stdin_text=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -21,6 +21,7 @@ def run_cli(args, stdin_text=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -191,3 +192,22 @@ def test_main_callable_in_process(capsys, cp2_file):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["betti"] == [1, 0, 1, 0, 1, 0, 0]
+
+
+def test_betti_of_even_sphere_to_degree_1000():
+    # closed form: H(S^2) is Q in degrees 0 and 2
+    result = run_cli(["recipe", "even-sphere", "1"])
+    assert result.returncode == 0
+    betti = run_cli(["betti", "--max", "1000", "--json"], stdin_text=result.stdout)
+    assert betti.returncode == 0
+    assert json.loads(betti.stdout)["betti"] == [1, 0, 1] + [0] * 998
+
+
+def test_verify_rejects_huge_exponent_with_structured_error(tmp_path):
+    model = tmp_path / "huge.model"
+    model.write_text("generator v 2\ngenerator w 3\nd w = v^100000000\n")
+    # the timeout only guards against a hang; the check is the exit code
+    result = run_cli(["verify", str(model)], timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "d w has degree 200000000, expected 4" in result.stderr
