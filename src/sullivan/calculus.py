@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import linalg
-from .algebra import Element, FreeGradedAlgebra, Generator, Word, transport, word_length
+from .algebra import Element, FreeGradedAlgebra, Generator, Word, element_of_word, transport, word_length
 from .errors import (
     AlgebraMismatch,
     IncompleteDerivation,
@@ -356,6 +356,23 @@ def rename_generators(model: CDGA, mapping: Mapping[str, str]) -> CDGA:
     return CDGA(new_alg, Derivation(new_alg, 1, values))
 
 
+def _projection(model: CDGA, kill: Iterable[str]) -> tuple[FreeGradedAlgebra, Morphism]:
+    """The algebra on the surviving generators and the map setting killed ones to zero."""
+    kill_set = set(kill)
+    for name in kill_set:
+        model.algebra.generator(name)
+    small = FreeGradedAlgebra([g for g in model.algebra.generators if g.name not in kill_set])
+    pi = Morphism(
+        model.algebra,
+        small,
+        {
+            g.name: (small.zero() if g.name in kill_set else small.gen(g.name))
+            for g in model.algebra.generators
+        },
+    )
+    return small, pi
+
+
 def quotient_by_generators(model: CDGA, kill: Iterable[str]) -> CDGA:
     """Set the given generators to zero and push the differential through.
 
@@ -365,20 +382,8 @@ def quotient_by_generators(model: CDGA, kill: Iterable[str]) -> CDGA:
     the substitution the quotient is by generators rather than by the ideal
     they and their differentials generate; see killed_residues.
     """
-    kill_set = set(kill)
-    for name in kill_set:
-        model.algebra.generator(name)
-    survivors = [g for g in model.algebra.generators if g.name not in kill_set]
-    small = FreeGradedAlgebra(survivors)
-    pi = Morphism(
-        model.algebra,
-        small,
-        {
-            g.name: (small.zero() if g.name in kill_set else small.gen(g.name))
-            for g in model.algebra.generators
-        },
-    )
-    values = {g.name: pi(model.d_of(g.name)) for g in survivors}
+    small, pi = _projection(model, kill)
+    values = {g.name: pi(model.d_of(g.name)) for g in small.generators}
     quotient = CDGA(small, Derivation(small, 1, values))
     failure = check_differential(quotient)
     if failure is not None:
@@ -393,18 +398,7 @@ def killed_residues(model: CDGA, kill: Iterable[str]) -> dict[str, Element]:
     under the differential.
     """
     kill_set = set(kill)
-    for name in kill_set:
-        model.algebra.generator(name)
-    survivors = [g for g in model.algebra.generators if g.name not in kill_set]
-    small = FreeGradedAlgebra(survivors)
-    pi = Morphism(
-        model.algebra,
-        small,
-        {
-            g.name: (small.zero() if g.name in kill_set else small.gen(g.name))
-            for g in model.algebra.generators
-        },
-    )
+    _, pi = _projection(model, kill_set)
     out: dict[str, Element] = {}
     for name in sorted(kill_set):
         residue = pi(model.d_of(name))
@@ -456,16 +450,8 @@ def koszul_model(presentation: CDGA, z: Element, window: int, name: str = "sz") 
     # z is not a zero divisor in the window: a -> z*a injective per degree
     for n in range(window + 1):
         basis = alg.basis_in_degree(n)
-        if not basis:
-            continue
-        target = alg.basis_in_degree(n + degree)
-        index = {w: i for i, w in enumerate(target)}
-        rows = [[Fraction(0)] * len(basis) for _ in target]
-        for col, w in enumerate(basis):
-            product = Element(alg, {w: Fraction(1)}) * z
-            for word, coeff in product.terms.items():
-                rows[index[word]][col] = coeff
-        if linalg.rank(rows) != len(basis):
+        products = ((element_of_word(alg, w) * z).terms for w in basis)
+        if linalg.rank(linalg.matrix_of(products, alg.basis_in_degree(n + degree))) != len(basis):
             raise ZeroDivisor(n, z)
 
     big = FreeGradedAlgebra(list(alg.generators) + [Generator(name, degree - 1)])
@@ -488,14 +474,6 @@ class Indecomposables:
 
     algebra: FreeGradedAlgebra
     linear: dict[str, Element] = field(compare=False)
-
-    def generators_in_degree(self, n: int) -> list[Generator]:
-        return [g for g in self.algebra.generators if g.degree == n]
-
-    @property
-    def max_degree(self) -> int:
-        gens = self.algebra.generators
-        return max((g.degree for g in gens), default=0)
 
 
 def indecomposables(model: CDGA) -> Indecomposables:

@@ -251,8 +251,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_koszul(args) -> int:
     model = _read_model(args.model)
-    parser = modelfile._ExprParser(args.by, 1, 0, model.algebra)
-    cocycle = parser.parse()
+    cocycle = modelfile.parse_element(args.by, model.algebra)
     koszul = koszul_model(model, cocycle, args.max)
     computed = betti(koszul.model, args.max, cap=args.cap)
     matches = tuple(computed.betti) == koszul.quotient_dims
@@ -430,8 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max", type=int, default=16, help="degree window bound (default 16)")
     common.add_argument("--json", action="store_true", help="emit a canonical JSON report")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; outputs are deterministic and ignore it")
     common.add_argument("--cap", type=int, default=200_000,
                         help="per-degree monomial basis cap (default 200000)")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -9,22 +9,52 @@ pivot or the row vanishes, divides out the gcd, and keeps the row iff a
 residue remains; the return value says whether the rank grew.  `reduce`
 back-substitutes to reduced echelon form, which is unique, so `rref`,
 `kernel_basis` and `solve_particular` do not depend on row order.
-Dense matrices at the interface are row-major lists of Fractions.
+
+Every linear map becomes a matrix in one place, `matrix_of`: one sparse
+column `{row: Fraction}` per source element, rows indexed by any hashable
+basis keys.  Rows given to `Echelon`, `rank`, `kernel_basis` and
+`in_row_span` may be dense lists of Fractions or such sparse dicts;
+`_sparse_integer_row` reads both.  `rref` and `solve_particular` take dense
+rows, and every result (RREF rows, kernel vectors, solutions) is dense.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Row = list[Fraction]
 Matrix = list[Row]
+SparseVector = dict[int, Fraction]
+AnyRow = Sequence[Fraction] | SparseVector  # dense, or sparse {col: value}
 SparseRow = dict[int, int]
 
 
-def _sparse_integer_row(row: Sequence[Fraction]) -> SparseRow:
-    entries = {j: c for j, c in enumerate(row) if c}
+def matrix_of(images: Iterable[Mapping[Hashable, Fraction]],
+              target_basis: Sequence[Hashable]) -> list[SparseVector]:
+    """One sparse column per image: `{position of key in target_basis: coefficient}`.
+
+    An image maps basis keys to coefficients (an `Element.terms`, say); a key
+    outside the basis raises KeyError, and zero coefficients are not stored.
+    """
+    index = {key: i for i, key in enumerate(target_basis)}
+    return [{index[key]: c for key, c in image.items() if c} for image in images]
+
+
+def transpose(columns: Iterable[SparseVector], nrows: int) -> list[SparseVector]:
+    """The `nrows` sparse rows of the matrix with the given sparse columns."""
+    rows: list[SparseVector] = [{} for _ in range(nrows)]
+    for c, column in enumerate(columns):
+        for r, v in column.items():
+            rows[r][c] = v
+    return rows
+
+
+def _sparse_integer_row(row: AnyRow) -> SparseRow:
+    """A dense or sparse rational row, scaled to a sparse integer row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    entries = {j: c for j, c in items if c}
     scale = lcm(*(c.denominator for c in entries.values())) if entries else 1
     return {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
 
@@ -57,7 +87,7 @@ def _make_primitive(row: SparseRow, pivot: int) -> None:
 class Echelon:
     """Row echelon basis of a growing row space: `rows[pivot_col] = {col: int}`."""
 
-    def __init__(self, rows: Iterable[Sequence[Fraction]] = ()) -> None:
+    def __init__(self, rows: Iterable[AnyRow] = ()) -> None:
         self.rows: dict[int, SparseRow] = {}
         for row in rows:
             self.add(row)
@@ -66,7 +96,7 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, row: Sequence[Fraction]) -> bool:
+    def add(self, row: AnyRow) -> bool:
         """Reduce `row` against the basis; keep it and return True iff it adds a pivot."""
         residue = _sparse_integer_row(row)
         while residue:
@@ -100,12 +130,12 @@ class Echelon:
         return out
 
 
-def rank(rows: Matrix) -> int:
+def rank(rows: Sequence[AnyRow]) -> int:
     return Echelon(rows).rank
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over the rationals."""
+    """Reduced row echelon form over the rationals, of dense rows."""
     nc = len(rows[0]) if rows else 0
     reduced: Matrix = []
     pivots: list[int] = []
@@ -118,7 +148,7 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return reduced, pivots
 
 
-def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
+def kernel_basis(rows: Sequence[AnyRow], ncols: int) -> Matrix:
     """Basis of the null space, one vector per free column, ascending."""
     reduced = Echelon(rows).reduced_rows()
     pivot_set = {col for col, _ in reduced}
@@ -150,5 +180,5 @@ def solve_particular(rows: Matrix, rhs: Row) -> Row | None:
     return x
 
 
-def in_row_span(rows: Matrix, vector: Row) -> bool:
+def in_row_span(rows: Sequence[AnyRow], vector: AnyRow) -> bool:
     return not Echelon(rows).add(vector)

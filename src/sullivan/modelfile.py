@@ -28,11 +28,19 @@ _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/])|(\S)")
 
 
 class _ExprParser:
-    """Recursive descent over one differential expression."""
+    """Recursive descent over one differential expression.
 
-    def __init__(self, text: str, line: int, offset: int, algebra: FreeGradedAlgebra):
+    With `d_of` naming the generator whose differential this is, a power
+    whose lowest possible degree already exceeds |d_of| + 1 is rejected
+    before it is expanded (every generator has degree >= 1, so products
+    only raise degrees).
+    """
+
+    def __init__(self, text: str, line: int, offset: int, algebra: FreeGradedAlgebra,
+                 d_of: str | None = None):
         self.line = line
         self.algebra = algebra
+        self.d_of = d_of
         self.tokens: list[tuple[str, str, int]] = []  # (kind, text, column)
         pos = 0
         while pos < len(text):
@@ -104,7 +112,15 @@ class _ExprParser:
             kind, text, column = self.take()
             if kind != "int":
                 raise self.error("exponent must be an integer", column)
-            return base ** int(text)
+            exponent = int(text)
+            if self.d_of is not None and not base.is_zero():
+                expected = self.algebra.generator(self.d_of).degree + 1
+                lowest = exponent * min(self.algebra.word_degree(w) for w in base.terms)
+                if lowest > expected:
+                    bound = "" if base.is_homogeneous() else "at least "
+                    message = f"d {self.d_of} has degree {bound}{lowest}, expected {expected}"
+                    raise self.error(message, column)
+            return base ** exponent
         return base
 
     def atom(self) -> Element:
@@ -190,7 +206,7 @@ def parse(text: str, validate: bool = True) -> CDGA:
         if target in seen:
             raise ModelFileError(f"duplicate d line for {target!r}", lineno, 1)
         seen.add(target)
-        value = _ExprParser(expr_text, lineno, offset, algebra).parse()
+        value = _ExprParser(expr_text, lineno, offset, algebra, d_of=target).parse()
         expected = algebra.generator(target).degree + 1
         if not value.is_zero():
             if not value.is_homogeneous():
@@ -209,6 +225,11 @@ def parse(text: str, validate: bool = True) -> CDGA:
     if validate:
         require_valid(model)
     return model
+
+
+def parse_element(text: str, algebra: FreeGradedAlgebra) -> Element:
+    """One expression in the model-file grammar, as an element of the algebra."""
+    return _ExprParser(text, 1, 0, algebra).parse()
 
 
 def parse_path(path: str, validate: bool = True) -> CDGA:

@@ -11,11 +11,10 @@ unbounded loop-space Betti numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .algebra import Element, FreeGradedAlgebra, Generator, transport, word_length
+from .algebra import Element, FreeGradedAlgebra, Generator, element_of_word, transport, word_length
 from .calculus import (
     CDGA,
     Derivation,
@@ -30,7 +29,6 @@ from .calculus import (
     tensor_cdga,
 )
 from .errors import NameClash, NotApplicable, WindowTooSmall
-from .homology import element_coordinates
 
 # -- recipes ----------------------------------------------------------------------
 
@@ -68,10 +66,6 @@ def h_space(degrees: tuple[int, ...]) -> Recipe:
 
 def product(*recipes: Recipe) -> Recipe:
     return Recipe("product", tuple(recipes))
-
-
-def custom(path: str) -> Recipe:
-    return Recipe("custom", (path,))
 
 
 def build(recipe: Recipe) -> CDGA:
@@ -112,11 +106,6 @@ def build(recipe: Recipe) -> CDGA:
         for factor in factors[1:]:
             out = tensor_cdga(out, factor)
         return out
-    if kind == "custom":
-        from . import modelfile
-
-        (path,) = params
-        return modelfile.parse_path(path)
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
@@ -287,23 +276,26 @@ def _solve_gamma(big, target_alg, d_values, phi_values, processed, original_degr
             for i, _ in w
         )
     ]
-    image_basis = big.basis_in_degree(g.degree + 1)
-    phi_basis = target_alg.basis_in_degree(g.degree)
-    rows = [[Fraction(0)] * len(candidates) for _ in range(len(image_basis) + len(phi_basis))]
-    image_index = {w: i for i, w in enumerate(image_basis)}
-    phi_index = {w: i for i, w in enumerate(phi_basis)}
-    for col, w in enumerate(candidates):
-        mono = Element(big, {w: Fraction(1)})
-        for word, coeff in derivation(mono).terms.items():
-            rows[image_index[word]][col] = coeff
-        for word, coeff in phi(mono).terms.items():
-            rows[len(image_basis) + phi_index[word]][col] = coeff
-    rhs_vec = element_coordinates(rhs, image_basis) + [Fraction(0)] * len(phi_basis)
-    solution = linalg.solve_particular(rows, rhs_vec)
-    if solution is None:
+    # A has one row per monomial of D(gamma) = rhs and of phi(gamma) = 0.
+    # x solves A x = rhs iff (x, 1) is in the kernel of [A | -rhs]; when one
+    # does, the last reduced-echelon kernel vector is (x, 1) with x the
+    # reduced-echelon particular solution.
+    keys = [("D", w) for w in big.basis_in_degree(g.degree + 1)]
+    keys += [("phi", w) for w in target_alg.basis_in_degree(g.degree)]
+    images = []
+    for w in candidates:
+        mono = element_of_word(big, w)
+        image = {("D", k): c for k, c in derivation(mono).terms.items()}
+        image.update((("phi", k), c) for k, c in phi(mono).terms.items())
+        images.append(image)
+    images.append({("D", k): -c for k, c in rhs.terms.items()})
+    columns = linalg.matrix_of(images, keys)
+    kernel = linalg.kernel_basis(linalg.transpose(columns, len(keys)), len(columns))
+    if not kernel or not kernel[-1][-1]:
         raise WindowTooSmall(
             f"no decomposable correction of degree {g.degree} for generator {g.name!r}"
         )
+    solution = kernel[-1][:-1]
     out = big.zero()
     for coeff, w in zip(solution, candidates):
         if coeff:
@@ -482,7 +474,6 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
         labels = []
         vectors = []
         cocycles_ok = True
-        basis = s_only_alg.basis_in_degree(degree)
         for i in range(k + 1):
             p = i * period // sy_deg
             q = (k - i) * period // sz_deg
@@ -497,8 +488,9 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
                 cocycles_ok = False
                 pairs.append((p, q))
             labels.append(str(witness))
-            vectors.append(element_coordinates(project(witness), basis))
-        independent = linalg.rank(vectors) == len(vectors)
+            vectors.append(project(witness).terms)
+        basis = s_only_alg.basis_in_degree(degree)
+        independent = linalg.rank(linalg.matrix_of(vectors, basis)) == len(vectors)
         entries.append(
             WitnessEntry(k, degree, tuple(pairs), tuple(labels), cocycles_ok, independent)
         )

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.algebra import Element, FreeGradedAlgebra, Generator, transport
+from sullivan import linalg
+from sullivan.algebra import Element, FreeGradedAlgebra, Generator, element_of_word, transport
 from sullivan.calculus import (
     CDGA,
     Derivation,
@@ -32,7 +33,7 @@ from sullivan.errors import (
     SuspensionDegreeError,
     ZeroDivisor,
 )
-from sullivan.homology import betti
+from sullivan.homology import betti, element_coordinates
 from sullivan.models import Recipe, build
 
 from helpers import builtin_models, cpn_model, even_sphere_model, random_monomial, s3_model, s3s3_model
@@ -608,3 +609,61 @@ def test_leibniz_rule(key, a, b):
 def test_word_derivation_matches_naive_on_loop_words(key, e):
     der, _ = _DERIVATIONS[key]
     assert der(e) == _naive_derivation_apply(der, e)
+
+
+# -- matrix_of against applying the map word by word --------------------------------
+
+
+def _naive_morphism_apply(m, e):
+    """Reference implementation: multiply generator images one factor at a time."""
+    out = m.target.zero()
+    for word, coeff in e.terms.items():
+        term = m.target.one() * coeff
+        for i, exp in word:
+            for _ in range(exp):
+                term = term * m.image_of_generator(e.algebra.generators[i].name)
+        out = out + term
+    return out
+
+
+@st.composite
+def maps_on_words(draw):
+    """A random derivation, twisted derivation or morphism out of _WORD_ALGEBRA,
+    with its degree shift."""
+    kind = draw(st.sampled_from(["derivation", "twisted", "morphism"]))
+    if kind == "derivation":
+        der = draw(random_derivations(_WORD_ALGEBRA))
+        return der, der.degree
+    target = loop_model(cpn_model(2)).algebra
+    m = Morphism(
+        _WORD_ALGEBRA,
+        target,
+        {g.name: draw(elements_of_degree(target, g.degree, max_terms=2))
+         for g in _WORD_ALGEBRA.generators},
+    )
+    if kind == "morphism":
+        return m, 0
+    der = draw(random_derivations(_WORD_ALGEBRA, target=target, along=m))
+    return der, der.degree
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_matrix_of_columns_are_coordinates_of_images(data):
+    f, shift = data.draw(maps_on_words())
+    words = [next(iter(data.draw(words_of(_WORD_ALGEBRA, max_exp=6)).terms))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    degrees = sorted({_WORD_ALGEBRA.word_degree(w) + shift for w in words})
+    target = [w for n in degrees for w in f.target.basis_in_degree(n)]
+    images = [f(element_of_word(_WORD_ALGEBRA, w)) for w in words]
+    columns = linalg.matrix_of((image.terms for image in images), target)
+    assert len(columns) == len(words)
+    for word, column, image in zip(words, columns, images):
+        assert 0 not in column.values()  # no stored zeros
+        assert [column.get(i, Fraction(0)) for i in range(len(target))] == \
+            element_coordinates(image, target)
+        # independent of both: the coefficients of the naive expansion
+        naive = _naive_morphism_apply if isinstance(f, Morphism) else _naive_derivation_apply
+        expected = naive(f, element_of_word(_WORD_ALGEBRA, word))
+        assert [expected.coefficient(w) for w in target] == \
+            [column.get(i, Fraction(0)) for i in range(len(target))]

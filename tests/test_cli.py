@@ -194,6 +194,13 @@ def test_main_callable_in_process(capsys, cp2_file):
     assert json.loads(out)["betti"] == [1, 0, 1, 0, 1, 0, 0]
 
 
+def test_removed_seed_option_is_rejected(capsys, cp2_file):
+    with pytest.raises(SystemExit) as info:
+        main(["betti", cp2_file, "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_betti_of_even_sphere_to_degree_1000():
     # closed form: H(S^2) is Q in degrees 0 and 2
     result = run_cli(["recipe", "even-sphere", "1"])
@@ -211,3 +218,12 @@ def test_verify_rejects_huge_exponent_with_structured_error(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert "d w has degree 200000000, expected 4" in result.stderr
+
+
+def test_verify_rejects_multi_term_power_before_expanding(tmp_path):
+    model = tmp_path / "huge.model"
+    model.write_text("generator v 2\ngenerator u 2\ngenerator w 3\nd w = (v+u)^100000\n")
+    # the timeout only guards against a hang; the check is the exit code
+    result = run_cli(["verify", str(model)], timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == "error: line 4, column 13: d w has degree 200000, expected 4\n"

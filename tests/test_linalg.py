@@ -218,3 +218,33 @@ def test_rank_and_kernel_match_sympy(rows):
     assert linalg.rank(rows) == m.rank()
     expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
     assert linalg.kernel_basis(rows, ncols) == expected
+
+
+@settings(max_examples=150)
+@given(any_matrix)
+def test_sparse_columns_and_rows_give_the_dense_results(rows):
+    nrows, ncols = len(rows), len(rows[0])
+    # matrix_of with the dense entries as images: zeros dropped, keys are row numbers
+    columns = linalg.matrix_of(({r: row[c] for r, row in enumerate(rows)} for c in range(ncols)),
+                               range(nrows))
+    assert all(0 not in column.values() for column in columns)
+    sparse = linalg.transpose(columns, nrows)
+    assert sparse == [{c: x for c, x in enumerate(row) if x} for row in rows]
+    assert linalg.rank(sparse) == linalg.rank(columns) == naive_rank(rows)
+    assert linalg.kernel_basis(sparse, ncols) == oracle_kernel(rows, ncols)
+    for row in rows:
+        assert linalg.in_row_span(sparse, row)
+
+
+@settings(max_examples=150)
+@given(any_matrix, st.data())
+def test_particular_solution_is_the_last_kernel_vector_of_the_augmented_matrix(rows, data):
+    # x solves rows @ x = rhs iff (x, 1) is in the kernel of [rows | -rhs];
+    # the multiplication model solves its correction equations this way
+    rhs = data.draw(
+        st.lists(st.sampled_from((0, 0, 1, -1, 2)).map(Fraction),
+                 min_size=len(rows), max_size=len(rows))
+    )
+    kernel = linalg.kernel_basis([row + [-b] for row, b in zip(rows, rhs)], len(rows[0]) + 1)
+    solution = kernel[-1][:-1] if kernel and kernel[-1][-1] else None
+    assert solution == linalg.solve_particular(rows, rhs)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sullivan.algebra import FreeGradedAlgebra, Generator
 from sullivan.calculus import loop_model, make_cdga
 from sullivan.errors import InvalidDifferential, ModelFileError
-from sullivan.modelfile import emit, parse
+from sullivan.modelfile import emit, parse, parse_element, parse_path
 
 from helpers import builtin_models, cpn_model
 
@@ -118,6 +118,35 @@ def test_emit_orders_generators_canonically():
     model = parse("generator w 5\ngenerator v 2\nd w = v^3\n")
     text = emit(model)
     assert text.index("generator v 2") < text.index("generator w 5")
+
+
+def test_parse_path_reads_model_file(tmp_path):
+    path = tmp_path / "cp2.model"
+    path.write_text("generator v 2\ngenerator w 5\nd w = v^3\n")
+    assert parse_path(str(path)) == cpn_model(2)
+
+
+def test_parse_element_reads_one_expression():
+    alg = FreeGradedAlgebra([Generator("x", 2), Generator("y", 3)])
+    x, y = alg.gen("x"), alg.gen("y")
+    assert parse_element("x^3 - 1/2*(x*y + 2)", alg) == x ** 3 - Fraction(1, 2) * (x * y) - alg.one()
+    with pytest.raises(ModelFileError) as info:
+        parse_element("x + z", alg)
+    assert (info.value.line, info.value.column) == (1, 5)
+
+
+@pytest.mark.parametrize("expr, message, column", [
+    ("(v+u)^100000", "d w has degree 200000, expected 4", 13),
+    ("(v+u*v)^3", "d w has degree at least 6, expected 4", 15),
+    # a too-high power is rejected even where it would cancel
+    ("v^3 - v^3", "d w has degree 6, expected 4", 9),
+])
+def test_power_above_the_required_degree_is_rejected_before_expansion(expr, message, column):
+    text = f"generator v 2\ngenerator u 2\ngenerator w 3\nd w = {expr}\n"
+    with pytest.raises(ModelFileError) as info:
+        parse(text)
+    assert message in str(info.value)
+    assert (info.value.line, info.value.column) == (4, column)
 
 
 def test_empty_model_rejected():

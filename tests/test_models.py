@@ -79,12 +79,6 @@ def test_recipe_specs_round_trip():
     )
 
 
-def test_custom_recipe_reads_model_file(tmp_path):
-    path = tmp_path / "cp2.model"
-    path.write_text("generator v 2\ngenerator w 5\nd w = v^3\n")
-    assert build(Recipe("custom", (str(path),))) == cpn_model(2)
-
-
 # -- multiplication model ----------------------------------------------------------------
 
 
