@@ -4,60 +4,10 @@ Free graded-commutative algebras with differentials, their cohomology in a
 degree window, free-loop-space models, the relative model of the
 multiplication, Koszul models, Poincare series, and witness-cocycle
 families for unbounded loop-space Betti numbers.
+
+Import names from the submodules (`sullivan.algebra`, `sullivan.calculus`,
+`sullivan.homology`, `sullivan.models`, `sullivan.series`, ...); importing
+the package itself loads none of them.
 """
-
-from .algebra import Element, FreeGradedAlgebra, Generator, monomial, transport
-from .calculus import (
-    CDGA,
-    Derivation,
-    Indecomposables,
-    KoszulModel,
-    Morphism,
-    check_chain_map,
-    check_differential,
-    indecomposables,
-    killed_residues,
-    koszul_model,
-    loop_model,
-    make_cdga,
-    minimality_check,
-    quotient_by_generators,
-    rename_generators,
-    suspension,
-    tensor_cdga,
-)
-from .homology import (
-    CohomologyReport,
-    DegreeWindowComplex,
-    assemble_window,
-    betti,
-    class_is_nontrivial,
-    h_algebra_generator_counts,
-    quasi_iso_check,
-    quasi_iso_via_indecomposables,
-)
-from .models import (
-    ClosedFormLoopCohomology,
-    MultiplicationModel,
-    Recipe,
-    WitnessReport,
-    build,
-    collapse_multiplication_model,
-    first_odd_witnesses,
-    loop_cohomology_closed_form,
-    multiplication_model,
-    vps_witnesses,
-    vps_witnesses_for_model,
-)
-from .series import (
-    RationalFunctionForm,
-    TruncatedSeries,
-    expand_rational,
-    multiply_series,
-    parse_rational,
-    series_from_report,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

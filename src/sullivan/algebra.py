@@ -12,11 +12,10 @@ All values are immutable after construction and may be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator
+from .errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator, read_only
 
 # A canonical word: ((generator_index, exponent), ...), indices strictly
 # increasing, exponents >= 1, odd generators with exponent exactly 1.
@@ -25,16 +24,31 @@ Word = tuple[tuple[int, int], ...]
 UNIT_WORD: Word = ()
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    degree: int
+    """A named symbol of positive degree; immutable, equal by (name, degree)."""
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    __slots__ = ("name", "degree")
+
+    def __init__(self, name: str, degree: int) -> None:
+        if not name:
             raise ValueError("generator name must be non-empty")
-        if self.degree < 1:
-            raise ValueError(f"generator {self.name!r} must have degree >= 1, got {self.degree}")
+        if degree < 1:
+            raise ValueError(f"generator {name!r} must have degree >= 1, got {degree}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __reduce__(self):
+        return Generator, (self.name, self.degree)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return self.name == other.name and self.degree == other.degree
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.degree))
 
     @property
     def is_odd(self) -> bool:

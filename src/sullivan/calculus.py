@@ -21,11 +21,9 @@ Constructions are pure; a validated model is immutable and shareable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from . import linalg
 from .algebra import Element, FreeGradedAlgebra, Generator, Word, element_of_word, transport, word_length
 from .errors import (
     AlgebraMismatch,
@@ -37,6 +35,7 @@ from .errors import (
     ParityError,
     SuspensionDegreeError,
     ZeroDivisor,
+    read_only,
 )
 
 
@@ -187,22 +186,28 @@ class Derivation:
         return f"<Derivation degree {self.degree:+d} on {len(self.values)} generators>"
 
 
-@dataclass(frozen=True)
 class CDGA:
     """A free graded-commutative algebra with a degree +1 differential.
 
     Construction does not validate; run check_differential to certify
-    that the differential squares to zero.
+    that the differential squares to zero.  Immutable; equal when the
+    algebras and the values of d on generators are.
     """
 
-    algebra: FreeGradedAlgebra
-    differential: Derivation
+    __slots__ = ("algebra", "differential")
 
-    def __post_init__(self) -> None:
-        if self.differential.source != self.algebra or self.differential.target != self.algebra:
+    def __init__(self, algebra: FreeGradedAlgebra, differential: Derivation) -> None:
+        if differential.source != algebra or differential.target != algebra:
             raise AlgebraMismatch("differential must act on the carrier algebra")
-        if self.differential.degree != 1:
+        if differential.degree != 1:
             raise ValueError("a differential has degree +1")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "differential", differential)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __reduce__(self):
+        return CDGA, (self.algebra, self.differential)
 
     def d(self, e: Element) -> Element:
         return self.differential(e)
@@ -218,6 +223,12 @@ class CDGA:
         return all(
             self.d_of(g.name) == other.d_of(g.name) for g in self.algebra.generators
         )
+
+    def __hash__(self) -> int:
+        return hash(self.algebra)
+
+    def __repr__(self) -> str:
+        return f"CDGA(algebra={self.algebra!r}, differential={self.differential!r})"
 
 
 def make_cdga(generators: Iterable[Generator], values: Mapping[str, Element] | None = None,
@@ -410,8 +421,7 @@ def killed_residues(model: CDGA, kill: Iterable[str]) -> dict[str, Element]:
 # -- Koszul models ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KoszulModel:
+class KoszulModel(NamedTuple):
     """A one-variable Koszul model together with its quotient dimension oracle.
 
     H of the model equals the degreewise dimensions of A/zA; the
@@ -431,6 +441,8 @@ def koszul_model(presentation: CDGA, z: Element, window: int, name: str = "sz") 
     multiplication by z is checked degreewise up to the window via the
     multiplication matrix.
     """
+    from . import linalg  # imported here so that loading calculus does not load linalg
+
     alg = presentation.algebra
     for g in alg.generators:
         if not presentation.d_of(g.name).is_zero():
@@ -468,12 +480,33 @@ def koszul_model(presentation: CDGA, z: Element, window: int, name: str = "sz") 
 # -- indecomposables and minimality ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class Indecomposables:
-    """Generator span with the wordlength-one part of the differential."""
+    """Generator span with the wordlength-one part of the differential.
 
-    algebra: FreeGradedAlgebra
-    linear: dict[str, Element] = field(compare=False)
+    Immutable; equality and hash read the algebra only, not `linear`.
+    """
+
+    __slots__ = ("algebra", "linear")
+
+    def __init__(self, algebra: FreeGradedAlgebra, linear: dict[str, Element]) -> None:
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "linear", linear)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __reduce__(self):
+        return Indecomposables, (self.algebra, self.linear)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Indecomposables:
+            return NotImplemented
+        return self.algebra == other.algebra
+
+    def __hash__(self) -> int:
+        return hash(self.algebra)
+
+    def __repr__(self) -> str:
+        return f"Indecomposables(algebra={self.algebra!r}, linear={self.linear!r})"
 
 
 def indecomposables(model: CDGA) -> Indecomposables:

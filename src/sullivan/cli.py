@@ -4,6 +4,9 @@ Commands parse model files (or stdin), orchestrate the constructions and
 report as deterministic text or canonical JSON: sorted keys, compact
 separators, integers beyond 2^53 rendered as decimal strings.  Exit codes:
 0 success, 1 verification or comparison failure, 2 input errors.
+
+`homology`, `models` and `series` are imported inside the commands that use
+them, so each command loads only the code it runs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import hashlib
 import json
 import sys
 
-from . import modelfile, models, series as series_mod
+from . import modelfile
 from .calculus import (
     CDGA,
     check_chain_map,
@@ -25,18 +28,13 @@ from .calculus import (
     rename_generators,
     koszul_model,
     suspended_name,
+    tensor_cdga,
 )
 from .errors import (
     InvalidDifferential,
     NotDifferentialIdeal,
     SullivanError,
     ZeroDivisor,
-)
-from .homology import (
-    CohomologyReport,
-    betti,
-    h_algebra_generator_counts,
-    quasi_iso_via_indecomposables,
 )
 
 _MATH_FAILURES = (InvalidDifferential, NotDifferentialIdeal, ZeroDivisor)
@@ -79,7 +77,7 @@ def _report(command: str, **fields) -> dict:
     return base
 
 
-def _serialize_representatives(report: CohomologyReport) -> list:
+def _serialize_representatives(report: "homology.CohomologyReport") -> list:
     out = []
     for classes in report.representatives:
         degree_entry = []
@@ -111,6 +109,21 @@ def _finish(args, report: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _write_model_file(args, text: str) -> None:
+    """Write the model to `-o FILE`; with `--json`, `-o -` leaves stdout to the report."""
+    if args.output is not None and not (args.json and args.output == "-"):
+        _emit_output(text, args.output)
+
+
+def _finish_model(args, report: dict, text: str) -> None:
+    """Without `--json` the model text is the output; with it, the report is."""
+    if args.json:
+        _write_model_file(args, text)
+        sys.stdout.write(canonical_json(report))
+    else:
+        _emit_output(text, args.output)
 
 
 # -- commands -------------------------------------------------------------------
@@ -155,7 +168,9 @@ def cmd_verify(args) -> int:
     return 0 if failure is None else 1
 
 
-def _betti_report(command: str, model: CDGA, computed_on: CDGA, args) -> tuple[dict, list[str], CohomologyReport]:
+def _betti_report(command: str, model: CDGA, computed_on: CDGA, args) -> tuple[dict, list[str], "homology.CohomologyReport"]:
+    from .homology import betti
+
     result = betti(computed_on, args.max, cap=args.cap)
     report = _report(
         command,
@@ -193,10 +208,7 @@ def cmd_loop(args) -> int:
         "loop", model_hash=model_hash(model), model_file=text,
         verdicts={"d_squared_zero": True},
     )
-    if args.json:
-        sys.stdout.write(canonical_json(report))
-    else:
-        _emit_output(text, args.output)
+    _finish_model(args, report, text)
     return 0
 
 
@@ -211,15 +223,10 @@ def cmd_loop_betti(args) -> int:
 def cmd_tensor(args) -> int:
     left = _read_model(args.left)
     right = _read_model(args.right)
-    from .calculus import tensor_cdga
-
     result = tensor_cdga(left, right)
     text = modelfile.emit(result)
     report = _report("tensor", model_hash=model_hash(result), model_file=text)
-    if args.json:
-        sys.stdout.write(canonical_json(report))
-    else:
-        _emit_output(text, args.output)
+    _finish_model(args, report, text)
     return 0
 
 
@@ -242,14 +249,13 @@ def cmd_quotient(args) -> int:
         verdicts={"differential_ideal": not residues},
         details={"residues": {name: str(value) for name, value in sorted(residues.items())}},
     )
-    if args.json:
-        sys.stdout.write(canonical_json(report))
-    else:
-        _emit_output(text, args.output)
+    _finish_model(args, report, text)
     return 0
 
 
 def cmd_koszul(args) -> int:
+    from .homology import betti
+
     model = _read_model(args.model)
     cocycle = modelfile.parse_element(args.by, model.algebra)
     koszul = koszul_model(model, cocycle, args.max)
@@ -274,13 +280,15 @@ def cmd_koszul(args) -> int:
         "quotient dims  " + ",".join(str(d) for d in koszul.quotient_dims),
         f"verdict {'EQUAL' if matches else 'DIFFER'}",
     ]
-    if args.output:
-        _emit_output(modelfile.emit(koszul.model), args.output)
+    _write_model_file(args, report["model_file"])
     _finish(args, report, lines)
     return 0 if matches else 1
 
 
 def cmd_mult_model(args) -> int:
+    from . import models
+    from .homology import quasi_iso_via_indecomposables
+
     model = _read_model(args.model)
     mm = models.multiplication_model(model, args.max)
     d2 = check_differential(mm.model) is None
@@ -315,13 +323,15 @@ def cmd_mult_model(args) -> int:
         lines.append(f"D({s}) = {mm.model.d_of(s)}")
     for key in sorted(verdicts):
         lines.append(f"{key}: {'ok' if verdicts[key] else 'FAIL'}")
-    if args.output:
-        _emit_output(text, args.output)
+    _write_model_file(args, text)
     _finish(args, report, lines)
     return 0 if all(verdicts.values()) else 1
 
 
 def cmd_witness(args) -> int:
+    from . import models
+    from .homology import betti, h_algebra_generator_counts
+
     model = _read_model(args.model)
     witness_report = models.vps_witnesses_for_model(model, args.k_max)
     loop = loop_model(model)
@@ -377,6 +387,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import series as series_mod
+
     form = series_mod.parse_rational(args.rational)
     expansion = series_mod.expand_rational(form, args.max)
     verdicts = {}
@@ -384,6 +396,8 @@ def cmd_series(args) -> int:
     hash_value = None
     equal = True
     if args.betti_of is not None:
+        from .homology import betti
+
         model = _read_model(args.betti_of)
         hash_value = model_hash(model)
         result = betti(model, args.max, cap=args.cap)
@@ -407,14 +421,13 @@ def cmd_series(args) -> int:
 
 
 def cmd_recipe(args) -> int:
+    from . import models
+
     recipe = models.recipe_from_args(args.name, args.params)
     model = models.build(recipe)
     text = modelfile.emit(model, header=(f"recipe {recipe}",))
     report = _report("recipe", model_hash=model_hash(model), model_file=text)
-    if args.json:
-        sys.stdout.write(canonical_json(report))
-    else:
-        _emit_output(text, args.output)
+    _finish_model(args, report, text)
     return 0
 
 

@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def read_only(self, *args) -> None:
+    """`__setattr__` and `__delattr__` of the immutable value classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class SullivanError(Exception):
     """Base class for all structured errors raised by this package."""
 

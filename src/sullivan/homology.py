@@ -18,8 +18,8 @@ reduction over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import Element, FreeGradedAlgebra, Word, element_of_word
@@ -46,8 +46,7 @@ def element_from_coordinates(
     return Element(algebra, {w: c for w, c in zip(basis, coords) if c})
 
 
-@dataclass(frozen=True)
-class DegreeWindowComplex:
+class DegreeWindowComplex(NamedTuple):
     """Bases for degrees 0..max_degree+1 and each d^n as sparse columns.
 
     `columns[n][c]` is the differential of the c-th degree-n basis word, as
@@ -104,8 +103,7 @@ def assemble_window(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) 
     return DegreeWindowComplex(model, max_degree, bases, columns)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Betti numbers with cocycle representatives for degrees 0..window_valid_to."""
 
     betti: tuple[int, ...]
@@ -155,8 +153,7 @@ def class_is_nontrivial(model: CDGA, cocycle: Element, cap: int = DEFAULT_BASIS_
 # -- quasi-isomorphism verdicts -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
+class DegreeVerdict(NamedTuple):
     degree: int
     dim_h_source: int
     dim_h_target: int
@@ -175,8 +172,7 @@ class DegreeVerdict:
         return self.injective and self.surjective
 
 
-@dataclass(frozen=True)
-class QuasiIsoReport:
+class QuasiIsoReport(NamedTuple):
     per_degree: tuple[DegreeVerdict, ...]
 
     @property

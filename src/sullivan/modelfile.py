@@ -31,9 +31,12 @@ class _ExprParser:
     """Recursive descent over one differential expression.
 
     With `d_of` naming the generator whose differential this is, a power
-    whose lowest possible degree already exceeds |d_of| + 1 is rejected
-    before it is expanded (every generator has degree >= 1, so products
-    only raise degrees).
+    e^n is rejected before it is expanded when n times the highest term
+    degree of e exceeds |d_of| + 1: such a power has a term above the
+    required degree (every generator has degree >= 1, so products only
+    raise degrees) unless terms cancel.  This also stops a base that mixes
+    a constant with terms of positive degree, such as (1+v)^n; a constant
+    alone, such as 2^n, has highest degree 0 and is not guarded.
     """
 
     def __init__(self, text: str, line: int, offset: int, algebra: FreeGradedAlgebra,
@@ -115,10 +118,14 @@ class _ExprParser:
             exponent = int(text)
             if self.d_of is not None and not base.is_zero():
                 expected = self.algebra.generator(self.d_of).degree + 1
-                lowest = exponent * min(self.algebra.word_degree(w) for w in base.terms)
+                degrees = [self.algebra.word_degree(w) for w in base.terms]
+                lowest, highest = exponent * min(degrees), exponent * max(degrees)
                 if lowest > expected:
                     bound = "" if base.is_homogeneous() else "at least "
                     message = f"d {self.d_of} has degree {bound}{lowest}, expected {expected}"
+                    raise self.error(message, column)
+                if highest > expected:
+                    message = f"d {self.d_of} has terms up to degree {highest}, expected {expected}"
                     raise self.error(message, column)
             return base ** exponent
         return base

@@ -10,8 +10,8 @@ unbounded loop-space Betti numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import Element, FreeGradedAlgebra, Generator, element_of_word, transport, word_length
@@ -33,8 +33,7 @@ from .errors import NameClash, NotApplicable, WindowTooSmall
 # -- recipes ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(NamedTuple):
     kind: str
     params: tuple
 
@@ -164,8 +163,7 @@ def _nonneg_int(text: str) -> int:
 # -- relative model of the multiplication -----------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplicationModel:
+class MultiplicationModel(NamedTuple):
     """Relative model of the multiplication map of a minimal model.
 
     The carrier holds two renamed copies of every generator plus one
@@ -330,8 +328,7 @@ def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:
 # -- closed-form loop cohomology for truncated polynomial spaces -------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormLoopCohomology:
+class ClosedFormLoopCohomology(NamedTuple):
     """Basis labels with degrees, and the induced dimension vector."""
 
     d: int
@@ -390,8 +387,7 @@ def loop_cohomology_closed_form(d: int, n: int, max_degree: int) -> ClosedFormLo
 # -- witness families ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+class WitnessEntry(NamedTuple):
     k: int
     degree: int
     exponent_pairs: tuple[tuple[int, int], ...]
@@ -404,8 +400,7 @@ class WitnessEntry:
         return len(self.exponent_pairs)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     even_gens: tuple[str, ...]
     y: str
     z: str

@@ -8,16 +8,36 @@ that every coefficient comes out integral.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import PoleAtZero, RationalFormError
+from .errors import PoleAtZero, RationalFormError, read_only
 
 Poly = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    coefficients: tuple[int, ...]
+    """Coefficients c_0..c_N of a power series; immutable, indexable."""
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __reduce__(self):
+        return TruncatedSeries, (self.coefficients,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TruncatedSeries:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(coefficients={self.coefficients!r})"
 
     @property
     def truncation(self) -> int:
@@ -35,8 +55,7 @@ class TruncatedSeries:
         return ",".join(str(c) for c in self.coefficients)
 
 
-@dataclass(frozen=True)
-class RationalFunctionForm:
+class RationalFunctionForm(NamedTuple):
     numerator: Poly
     denominator: Poly
 

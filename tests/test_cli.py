@@ -227,3 +227,35 @@ def test_verify_rejects_multi_term_power_before_expanding(tmp_path):
     result = run_cli(["verify", str(model)], timeout=60)
     assert result.returncode == 2
     assert result.stderr == "error: line 4, column 13: d w has degree 200000, expected 4\n"
+
+
+def test_verify_rejects_power_with_constant_term_before_expanding(tmp_path):
+    model = tmp_path / "huge.model"
+    model.write_text("generator v 2\ngenerator w 3\nd w = (1+v)^100000\n")
+    # the timeout only guards against a hang; the check is the exit code
+    result = run_cli(["verify", str(model)], timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == "error: line 3, column 13: d w has terms up to degree 200000, expected 4\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["loop", "{cp2}"],
+    ["tensor", "{cp2}", "{x2}"],
+    ["quotient", "{cp2}", "--kill", "w"],
+    ["koszul", "{x2}", "--by", "x^3", "--max", "6"],
+    ["mult-model", "{cp2}", "--max", "6"],
+    ["recipe", "cpn", "2"],
+])
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+def test_json_with_output_file_writes_the_model_file(argv, to_stdout, cp2_file, tmp_path, capsys):
+    x2 = tmp_path / "x2.model"
+    x2.write_text("generator x 2\n")
+    out = tmp_path / "out.model"
+    output = "-" if to_stdout else str(out)
+    argv = [a.format(cp2=cp2_file, x2=x2) for a in argv] + ["--json", "-o", output]
+    assert main(argv) == 0
+    # with `-o -` stdout still holds the report alone
+    report = json.loads(capsys.readouterr().out)
+    assert report["model_file"]
+    if not to_stdout:
+        assert out.read_text() == report["model_file"]

@@ -138,6 +138,9 @@ def test_parse_element_reads_one_expression():
 @pytest.mark.parametrize("expr, message, column", [
     ("(v+u)^100000", "d w has degree 200000, expected 4", 13),
     ("(v+u*v)^3", "d w has degree at least 6, expected 4", 15),
+    # a constant term keeps the lowest degree at 0; the highest decides
+    ("(1+v)^100000", "d w has terms up to degree 200000, expected 4", 13),
+    ("(1+v)^3", "d w has terms up to degree 6, expected 4", 13),
     # a too-high power is rejected even where it would cancel
     ("v^3 - v^3", "d w has degree 6, expected 4", 9),
 ])

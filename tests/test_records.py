@@ -1,0 +1,127 @@
+"""The package's value records: construction checks, equality and immutability."""
+
+import copy
+import pickle
+
+import pytest
+
+from sullivan.algebra import FreeGradedAlgebra, Generator
+from sullivan.calculus import CDGA, Derivation, Morphism, indecomposables, koszul_model, make_cdga
+from sullivan.errors import AlgebraMismatch
+from sullivan.homology import assemble_window, betti, quasi_iso_check
+from sullivan.models import (
+    Recipe,
+    build,
+    cpn,
+    loop_cohomology_closed_form,
+    multiplication_model,
+    odd_sphere,
+    product,
+    vps_witnesses_for_model,
+)
+from sullivan.series import TruncatedSeries, parse_rational
+
+from helpers import cpn_model, s3_model, s3s3_model
+
+
+def one_of_each_record():
+    s3, cp2 = s3_model(), cpn_model(2)
+    presentation = make_cdga([Generator("x", 2)])
+    quasi = quasi_iso_check(s3, s3, Morphism.identity(s3.algebra), 3)
+    witnesses = vps_witnesses_for_model(s3s3_model(), 1)
+    return [  # (record, one of its fields)
+        (Generator("v", 2), "name"),
+        (cp2, "algebra"),
+        (koszul_model(presentation, presentation.algebra.gen("x") ** 2, 4), "model"),
+        (indecomposables(cp2), "linear"),
+        (assemble_window(s3, 3), "bases"),
+        (betti(s3, 3), "betti"),
+        (quasi.per_degree[0], "degree"),
+        (quasi, "per_degree"),
+        (cpn(2), "kind"),
+        (multiplication_model(s3), "phi"),
+        (loop_cohomology_closed_form(2, 1, 6), "dims"),
+        (witnesses.entries[0], "labels"),
+        (witnesses, "entries"),
+        (TruncatedSeries((1, 0, 1)), "coefficients"),
+        (parse_rational("1/(1-z^2)"), "numerator"),
+    ]
+
+
+RECORDS = one_of_each_record()
+
+
+def test_every_record_type_is_covered():
+    assert len({type(record) for record, _ in RECORDS}) == 15
+
+
+@pytest.mark.parametrize("record, field", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_reject_assignment_and_deletion(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    getattr(record, field)  # still there
+
+
+@pytest.mark.parametrize("record, field", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_survive_copy_and_pickle(record, field):
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record
+        assert getattr(clone, field) == getattr(record, field)
+
+
+def test_generator_checks_its_name_and_degree():
+    with pytest.raises(ValueError, match="non-empty"):
+        Generator("", 2)
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            Generator("x", degree)
+    assert Generator(name="x", degree=2) == Generator("x", 2)
+    assert Generator("x", 2) != Generator("x", 3)
+    assert hash(Generator("x", 2)) == hash(Generator("x", 2))
+    assert repr(Generator("x", 2)) == "Generator('x', 2)"
+
+
+def test_cdga_checks_its_differential():
+    a = FreeGradedAlgebra([Generator("x", 2)])
+    b = FreeGradedAlgebra([Generator("y", 2)])
+    with pytest.raises(AlgebraMismatch):
+        CDGA(a, Derivation(b, 1, {"y": b.zero()}))
+    with pytest.raises(ValueError, match="degree"):
+        CDGA(a, Derivation(a, 2, {"x": a.zero()}))
+    same = CDGA(a, Derivation(a, 1, {"x": a.zero()}))
+    other = CDGA(a, Derivation(a, 1, {"x": a.zero()}))
+    assert same == other and hash(same) == hash(other)
+    assert repr(same) == f"CDGA(algebra={a!r}, differential={same.differential!r})"
+
+
+def test_indecomposables_equality_ignores_the_linear_part():
+    model = cpn_model(2)
+    q = indecomposables(model)
+    other = type(q)(model.algebra, {})
+    assert q == other and hash(q) == hash(other)
+    assert q != indecomposables(s3_model())
+
+
+def test_recipe_keeps_its_equality_and_str():
+    assert odd_sphere(1) == Recipe("odd_sphere", (1,))
+    assert odd_sphere(1) != Recipe("even_sphere", (1,))
+    assert hash(odd_sphere(1)) == hash(Recipe("odd_sphere", (1,)))
+    recipe = product(odd_sphere(1), cpn(2))
+    assert str(recipe) == "product(odd_sphere(1), truncated_poly(2, 2))"
+    assert repr(odd_sphere(1)) == "Recipe(kind='odd_sphere', params=(1,))"
+    assert build(recipe) == build(product(odd_sphere(1), cpn(2)))
+
+
+def test_truncated_series_keeps_indexing():
+    series = TruncatedSeries((1, 0, 2, 5))
+    assert (series[0], series[2], series[-1]) == (1, 2, 5)
+    with pytest.raises(IndexError):
+        series[4]
+    assert series.truncation == 3
+    assert series == TruncatedSeries((1, 0, 2, 5)) != TruncatedSeries((1, 0, 2))
+    assert hash(series) == hash(TruncatedSeries((1, 0, 2, 5)))
+    assert repr(series) == "TruncatedSeries(coefficients=(1, 0, 2, 5))"
