@@ -5,12 +5,14 @@ d^n as the sparse columns `linalg.matrix_of` builds, from assembly on;
 b_N needs the degree-(N+1) piece, so the window extends one degree past
 the request.  `DegreeWindowComplex` is the one complex type: Betti numbers
 and quasi-isomorphism verdicts (on full windows, or on indecomposables as a
-window over one-letter generator words) all read it; only `matrix(n)`
-makes a differential dense.  All ranks are exact (see linalg).  Representative
-cocycles come from the reduced-echelon kernel basis: each degree puts its
-boundary vectors into one `linalg.Echelon`, then offers the kernel vectors
-in order and keeps a kernel vector (as it is, not its residue) iff it adds
-a pivot, so reports are reproducible.
+window over one-letter generator words) all read it.  Kernels and
+representatives are sparse; no result is dense except `matrix(n)`, which
+writes a differential out for inspection.  All ranks are exact (see
+linalg).  Representative cocycles come from the reduced-echelon kernel
+basis: each degree puts its boundary vectors into one `linalg.Echelon`,
+then offers the sparse kernel vectors in order and keeps a kernel vector
+(as it is, not its residue) iff it adds a pivot, so reports are
+reproducible.
 
 Per-degree computations are independent; the report is a deterministic
 reduction over them.
@@ -35,17 +37,6 @@ from .errors import NotACocycle
 DEFAULT_BASIS_CAP = 200_000
 
 
-def element_coordinates(e: Element, basis: tuple[Word, ...]) -> list[Fraction]:
-    (column,) = linalg.matrix_of([e.terms], basis)
-    return [column.get(i, Fraction(0)) for i in range(len(basis))]
-
-
-def element_from_coordinates(
-    algebra: FreeGradedAlgebra, basis: tuple[Word, ...], coords: list[Fraction]
-) -> Element:
-    return Element(algebra, {w: c for w, c in zip(basis, coords) if c})
-
-
 class DegreeWindowComplex(NamedTuple):
     """Bases for degrees 0..max_degree+1 and each d^n as sparse columns.
 
@@ -64,7 +55,7 @@ class DegreeWindowComplex(NamedTuple):
             return len(self.bases[n])
         return 0
 
-    def matrix(self, n: int) -> linalg.Matrix:
+    def matrix(self, n: int) -> list[list[Fraction]]:
         """d^n as dense rows (degree n+1 rows by degree n columns)."""
         if 0 <= n <= self.max_degree:
             return [[col.get(r, Fraction(0)) for col in self.columns[n]]
@@ -77,8 +68,8 @@ class DegreeWindowComplex(NamedTuple):
             return list(self.columns[n - 1])
         return []
 
-    def kernel(self, n: int) -> linalg.Matrix:
-        """The reduced-echelon basis of the degree-n cocycles, as dense vectors."""
+    def kernel(self, n: int) -> list[linalg.SparseVector]:
+        """The reduced-echelon basis of the degree-n cocycles, as sparse vectors."""
         return linalg.kernel_basis(linalg.transpose(self.columns[n], self.dim(n + 1)), self.dim(n))
 
 
@@ -122,10 +113,11 @@ def betti_of_window(window: DegreeWindowComplex) -> CohomologyReport:
     algebra = window.model.algebra
     for n in range(window.max_degree + 1):
         kernel = window.kernel(n)
+        basis = window.bases[n]
         span = linalg.Echelon(window.boundary_vectors(n))
         b_n = len(kernel) - span.rank
         chosen = [
-            element_from_coordinates(algebra, window.bases[n], vec)
+            Element(algebra, {basis[c]: vec[c] for c in sorted(vec)})
             for vec in kernel
             if span.add(vec)
         ]
@@ -192,10 +184,9 @@ def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex,
         rank_h = 0
         for vec in kernel_s:
             image: linalg.SparseVector = {}
-            for x, column in zip(vec, maps[n]):
-                if x:
-                    for r, v in column.items():
-                        image[r] = image.get(r, 0) + x * v
+            for c, x in vec.items():
+                for r, v in maps[n][c].items():
+                    image[r] = image.get(r, 0) + x * v
             rank_h += span_t.add(image)
         verdicts.append(DegreeVerdict(n, h_s, h_t, rank_h))
     return QuasiIsoReport(tuple(verdicts))

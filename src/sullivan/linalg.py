@@ -7,15 +7,16 @@ fraction-free (one integer combination per step, as in Bareiss elimination)
 against the stored rows at its lowest column until that column is a new
 pivot or the row vanishes, divides out the gcd, and keeps the row iff a
 residue remains; the return value says whether the rank grew.  `reduce`
-back-substitutes to reduced echelon form, which is unique, so `rref`,
-`kernel_basis` and `solve_particular` do not depend on row order.
+back-substitutes to reduced echelon form, which is unique, so
+`reduced_rows` and `kernel_basis` do not depend on row order.
 
-Every linear map becomes a matrix in one place, `matrix_of`: one sparse
-column `{row: Fraction}` per source element, rows indexed by any hashable
-basis keys.  Rows given to `Echelon`, `rank`, `kernel_basis` and
-`in_row_span` may be dense lists of Fractions or such sparse dicts;
-`_sparse_integer_row` reads both.  `rref` and `solve_particular` take dense
-rows, and every result (RREF rows, kernel vectors, solutions) is dense.
+The one vector type is the sparse `{column: Fraction}` dict, zeros not
+stored.  Every linear map becomes a matrix in one place, `matrix_of`: one
+sparse column per source element, rows indexed by any hashable basis keys.
+`Echelon`, `rank`, `kernel_basis` and `in_row_span` take such sparse rows,
+and every result (reduced rows, kernel vectors) is sparse.  A linear system
+A x = b is solved as the last kernel vector of [A | -b], which holds a 1 in
+its last column iff the system is consistent.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-Row = list[Fraction]
-Matrix = list[Row]
 SparseVector = dict[int, Fraction]
-AnyRow = Sequence[Fraction] | SparseVector  # dense, or sparse {col: value}
 SparseRow = dict[int, int]
 
 
@@ -51,10 +49,9 @@ def transpose(columns: Iterable[SparseVector], nrows: int) -> list[SparseVector]
     return rows
 
 
-def _sparse_integer_row(row: AnyRow) -> SparseRow:
-    """A dense or sparse rational row, scaled to a sparse integer row."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    entries = {j: c for j, c in items if c}
+def _sparse_integer_row(row: SparseVector) -> SparseRow:
+    """A sparse rational row, scaled to a sparse integer row without zeros."""
+    entries = {j: c for j, c in row.items() if c}
     scale = lcm(*(c.denominator for c in entries.values())) if entries else 1
     return {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
 
@@ -87,7 +84,7 @@ def _make_primitive(row: SparseRow, pivot: int) -> None:
 class Echelon:
     """Row echelon basis of a growing row space: `rows[pivot_col] = {col: int}`."""
 
-    def __init__(self, rows: Iterable[AnyRow] = ()) -> None:
+    def __init__(self, rows: Iterable[SparseVector] = ()) -> None:
         self.rows: dict[int, SparseRow] = {}
         for row in rows:
             self.add(row)
@@ -96,7 +93,7 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, row: AnyRow) -> bool:
+    def add(self, row: SparseVector) -> bool:
         """Reduce `row` against the basis; keep it and return True iff it adds a pivot."""
         residue = _sparse_integer_row(row)
         while residue:
@@ -119,7 +116,7 @@ class Echelon:
             if above:
                 _make_primitive(row, col)
 
-    def reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
+    def reduced_rows(self) -> list[tuple[int, SparseVector]]:
         """Reduced echelon form as (pivot, sparse row with a unit pivot), in pivot order."""
         self.reduce()
         out = []
@@ -130,31 +127,19 @@ class Echelon:
         return out
 
 
-def rank(rows: Sequence[AnyRow]) -> int:
+def rank(rows: Sequence[SparseVector]) -> int:
     return Echelon(rows).rank
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over the rationals, of dense rows."""
-    nc = len(rows[0]) if rows else 0
-    reduced: Matrix = []
-    pivots: list[int] = []
-    for col, entries in Echelon(rows).reduced_rows():
-        dense = [Fraction(0)] * nc
-        for k, v in entries.items():
-            dense[k] = v
-        reduced.append(dense)
-        pivots.append(col)
-    return reduced, pivots
+def kernel_basis(rows: Sequence[SparseVector], ncols: int) -> list[SparseVector]:
+    """Basis of the null space, one sparse vector per free column, ascending.
 
-
-def kernel_basis(rows: Sequence[AnyRow], ncols: int) -> Matrix:
-    """Basis of the null space, one vector per free column, ascending."""
+    The vector of free column f holds 1 at f and -v at each pivot p whose
+    reduced row has v at f; it is zero at every other free column.
+    """
     reduced = Echelon(rows).reduced_rows()
     pivot_set = {col for col, _ in reduced}
-    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivot_set}
-    for f, v in basis.items():
-        v[f] = Fraction(1)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
     for p, entries in reduced:
         for k, v in entries.items():
             if k != p:
@@ -162,23 +147,5 @@ def kernel_basis(rows: Sequence[AnyRow], ncols: int) -> Matrix:
     return list(basis.values())
 
 
-def solve_particular(rows: Matrix, rhs: Row) -> Row | None:
-    """One solution of rows @ x = rhs with free variables set to zero.
-
-    Returns None when the system is inconsistent.  The solution is the
-    deterministic reduced-echelon particular solution.
-    """
-    if not rows:
-        return None if any(rhs) else []
-    ncols = len(rows[0])
-    reduced = Echelon(row + [b] for row, b in zip(rows, rhs)).reduced_rows()
-    if reduced and reduced[-1][0] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for p, entries in reduced:
-        x[p] = entries.get(ncols, Fraction(0))
-    return x
-
-
-def in_row_span(rows: Sequence[AnyRow], vector: AnyRow) -> bool:
+def in_row_span(rows: Sequence[SparseVector], vector: SparseVector) -> bool:
     return not Echelon(rows).add(vector)

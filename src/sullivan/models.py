@@ -289,16 +289,12 @@ def _solve_gamma(big, target_alg, d_values, phi_values, processed, original_degr
     images.append({("D", k): -c for k, c in rhs.terms.items()})
     columns = linalg.matrix_of(images, keys)
     kernel = linalg.kernel_basis(linalg.transpose(columns, len(keys)), len(columns))
-    if not kernel or not kernel[-1][-1]:
+    last = len(candidates)
+    if not kernel or kernel[-1].get(last) != 1:
         raise WindowTooSmall(
             f"no decomposable correction of degree {g.degree} for generator {g.name!r}"
         )
-    solution = kernel[-1][:-1]
-    out = big.zero()
-    for coeff, w in zip(solution, candidates):
-        if coeff:
-            out = out + Element(big, {w: coeff})
-    return out
+    return Element(big, {candidates[c]: x for c, x in sorted(kernel[-1].items()) if c != last})
 
 
 def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:
@@ -501,29 +497,3 @@ def vps_witnesses_for_model(model: CDGA, k_max: int) -> WitnessReport:
         )
     even = [g.name for g in model.algebra.generators if g.degree % 2 == 0]
     return vps_witnesses(loop_model(model), even, odd[0], odd[1], k_max)
-
-
-def first_odd_witnesses(model: CDGA, p_max: int) -> list[tuple[int, int, Element]]:
-    """Cocycles sx_1...sx_m (sy)^p in the full loop model, for p <= p_max.
-
-    x_1..x_m are the generators preceding the first odd generator y in
-    canonical order.  Each returned element is a loop-model cocycle.
-    """
-    odd = [g for g in model.algebra.generators if g.degree % 2]
-    if not odd:
-        raise NotApplicable("no odd generator")
-    y = odd[0]
-    loop = loop_model(model)
-    prefix = loop.algebra.one()
-    prefix_degree = 0
-    for g in model.algebra.generators:
-        if g.name == y.name:
-            break
-        prefix = prefix * loop.algebra.gen(suspended_name(g.name))
-        prefix_degree += g.degree - 1
-    sy = loop.algebra.gen(suspended_name(y.name))
-    out = []
-    for p in range(p_max + 1):
-        witness = prefix * sy**p
-        out.append((p, prefix_degree + p * (y.degree - 1), witness))
-    return out

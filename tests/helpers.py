@@ -5,8 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
-from sullivan.algebra import Element, FreeGradedAlgebra, Generator
+from sullivan.algebra import Element, FreeGradedAlgebra, Generator, Word
 from sullivan.calculus import CDGA
 from sullivan.models import Recipe, build
 
@@ -88,3 +89,77 @@ def random_element(rng: random.Random, algebra: FreeGradedAlgebra, degree: int,
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         out = out + Element(algebra, {word: coeff})
     return out
+
+
+# -- dense test-only oracles, independent of `sullivan.linalg` --------------------------
+
+
+def sparse(rows: list[list[Fraction]]) -> list[dict[int, Fraction]]:
+    """Dense rows as the sparse `{column: value}` rows that `linalg` takes."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def element_coordinates(e: Element, basis: tuple[Word, ...]) -> list[Fraction]:
+    """Dense coordinates of `e` over `basis`; every term of `e` must be a basis word."""
+    assert set(e.terms) <= set(basis), "element has a term outside the basis"
+    return [e.coefficient(w) for w in basis]
+
+
+def element_from_coordinates(algebra: FreeGradedAlgebra, basis: tuple[Word, ...],
+                             coords: list[Fraction]) -> Element:
+    return Element(algebra, {w: c for w, c in zip(basis, coords) if c})
+
+
+def dense_bareiss_rref(rows):
+    """Oracle: dense fraction-free (Bareiss) forward elimination with a
+    first-nonzero pivot rule, then rational back-substitution."""
+    if not rows or not rows[0]:
+        return [], []
+    m = []
+    for row in rows:
+        scale = lcm(*(c.denominator for c in row))
+        m.append([int(c * scale) for c in row])
+    nr, nc = len(m), len(m[0])
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, nr):
+            # the rescale by piv/prev applies to every row, including rows
+            # with a zero pivot-column entry: later exact divisions rely on it
+            mic = m[i][c]
+            for j in range(c + 1, nc):
+                m[i][j] = (piv * m[i][j] - mic * m[r][j]) // prev
+            m[i][c] = 0
+        pivots.append(c)
+        prev = piv
+        r += 1
+    reduced = [[Fraction(x) / m[i][c] for x in m[i]] for i, c in enumerate(pivots)]
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        for k in range(i):
+            factor = reduced[k][c]
+            reduced[k] = [x - factor * y for x, y in zip(reduced[k], reduced[i])]
+    return reduced, pivots
+
+
+def oracle_kernel(rows, ncols):
+    """Dense reduced-echelon kernel basis, one vector per free column, from `dense_bareiss_rref`."""
+    reduced, pivots = dense_bareiss_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        basis.append(v)
+    return basis

@@ -33,10 +33,18 @@ from sullivan.errors import (
     SuspensionDegreeError,
     ZeroDivisor,
 )
-from sullivan.homology import betti, element_coordinates
+from sullivan.homology import betti
 from sullivan.models import Recipe, build
 
-from helpers import builtin_models, cpn_model, even_sphere_model, random_monomial, s3_model, s3s3_model
+from helpers import (
+    builtin_models,
+    cpn_model,
+    element_coordinates,
+    even_sphere_model,
+    random_monomial,
+    s3_model,
+    s3s3_model,
+)
 
 
 # -- derivation extension ------------------------------------------------------------

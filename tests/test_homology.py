@@ -19,15 +19,23 @@ from sullivan.homology import (
     betti,
     betti_of_window,
     class_is_nontrivial,
-    element_coordinates,
-    element_from_coordinates,
     h_algebra_generator_counts,
     quasi_iso_check,
     quasi_iso_via_indecomposables,
 )
 from sullivan.models import Recipe, build
 
-from helpers import builtin_models, cpn_model, even_sphere_model, s3_model, s3s3_model
+from helpers import (
+    builtin_models,
+    cpn_model,
+    element_coordinates,
+    element_from_coordinates,
+    even_sphere_model,
+    oracle_kernel,
+    s3_model,
+    s3s3_model,
+    sparse,
+)
 
 
 # -- window assembly ----------------------------------------------------------------
@@ -105,22 +113,27 @@ def test_representatives_are_cocycles_and_independent_mod_boundaries():
         for rep in classes:
             assert model.d(rep).is_zero()
             assert rep.degree() == n
-            stack.append(element_coordinates(rep, window.bases[n]))
+            stack += sparse([element_coordinates(rep, window.bases[n])])
         assert linalg.rank(stack) == base_rank + len(classes)
 
 
 def quadratic_rescan_betti(window):
-    """Oracle: keep a kernel vector iff re-ranking the whole span with it grows."""
+    """Oracle: keep a kernel vector iff re-ranking the whole span with it grows.
+
+    The kernel comes from the dense matrix through the test-only Bareiss
+    oracle, not from `linalg.kernel_basis`.
+    """
     numbers, reps = [], []
     for n in range(window.max_degree + 1):
-        kernel = linalg.kernel_basis(window.matrix(n), window.dim(n))
+        kernel = oracle_kernel(window.matrix(n), window.dim(n))
         span = window.boundary_vectors(n)
         current = linalg.rank(span)
         numbers.append(len(kernel) - current)
         chosen = []
         for vec in kernel:
-            if linalg.rank(span + [vec]) > current:
-                span = span + [vec]
+            grown = span + sparse([vec])
+            if linalg.rank(grown) > current:
+                span = grown
                 current += 1
                 chosen.append(element_from_coordinates(window.model.algebra, window.bases[n], vec))
         reps.append(chosen)
@@ -128,6 +141,7 @@ def quadratic_rescan_betti(window):
 
 
 S2S3 = Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,))))
+CP2CP2 = Recipe("product", (Recipe("truncated_poly", (2, 2)), Recipe("truncated_poly", (2, 2))))
 
 
 @pytest.mark.parametrize("model, max_degree", [
@@ -135,7 +149,8 @@ S2S3 = Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,)
     (loop_model(s3s3_model()), 12),
     (cpn_model(2), 10),
     (loop_model(cpn_model(2)), 10),
-], ids=["loop s2xs3", "loop s3xs3", "cp2", "loop cp2"])
+    (loop_model(build(CP2CP2)), 12),
+], ids=["loop s2xs3", "loop s3xs3", "cp2", "loop cp2", "loop cp2xcp2"])
 def test_incremental_selection_matches_quadratic_rescan(model, max_degree):
     window = assemble_window(model, max_degree)
     report = betti_of_window(window)
@@ -165,8 +180,8 @@ def test_dimension_count_two_ways():
         window = assemble_window(model, 10)
         report = betti(model, 10)
         for n in range(11):
-            r_here = linalg.rank(window.matrix(n))
-            r_prev = linalg.rank(window.matrix(n - 1)) if n else 0
+            r_here = linalg.rank(sparse(window.matrix(n)))
+            r_prev = linalg.rank(sparse(window.matrix(n - 1))) if n else 0
             assert window.dim(n) == report.betti[n] + r_here + r_prev, (name, n)
 
 

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan import linalg
+
+from helpers import dense_bareiss_rref, oracle_kernel, sparse
 
 
 def naive_rank(rows):
@@ -26,60 +27,6 @@ def naive_rank(rows):
     return rank
 
 
-def dense_bareiss_rref(rows):
-    """Oracle: dense fraction-free (Bareiss) forward elimination with a
-    first-nonzero pivot rule, then rational back-substitution."""
-    if not rows or not rows[0]:
-        return [], []
-    m = []
-    for row in rows:
-        scale = lcm(*(c.denominator for c in row))
-        m.append([int(c * scale) for c in row])
-    nr, nc = len(m), len(m[0])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nr):
-            # the rescale by piv/prev applies to every row, including rows
-            # with a zero pivot-column entry: later exact divisions rely on it
-            mic = m[i][c]
-            for j in range(c + 1, nc):
-                m[i][j] = (piv * m[i][j] - mic * m[r][j]) // prev
-            m[i][c] = 0
-        pivots.append(c)
-        prev = piv
-        r += 1
-    reduced = [[Fraction(x) / m[i][c] for x in m[i]] for i, c in enumerate(pivots)]
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        for k in range(i):
-            factor = reduced[k][c]
-            reduced[k] = [x - factor * y for x, y in zip(reduced[k], reduced[i])]
-    return reduced, pivots
-
-
-def oracle_kernel(rows, ncols):
-    reduced, pivots = dense_bareiss_rref(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(v)
-    return basis
-
-
 def oracle_solve(rows, rhs):
     ncols = len(rows[0])
     reduced, pivots = dense_bareiss_rref([row + [b] for row, b in zip(rows, rhs)])
@@ -89,6 +36,17 @@ def oracle_solve(rows, rhs):
     for i, p in enumerate(pivots):
         x[p] = reduced[i][ncols]
     return x
+
+
+def solve_by_kernel(rows, rhs):
+    """x with rows @ x = rhs, read as the multiplication model reads it: (x, 1)
+    is the last kernel vector of [rows | -rhs], or the system is inconsistent
+    and None is returned."""
+    ncols = len(rows[0])
+    kernel = linalg.kernel_basis(sparse([row + [-b] for row, b in zip(rows, rhs)]), ncols + 1)
+    if not kernel or kernel[-1].get(ncols) != 1:
+        return None
+    return [kernel[-1].get(c, Fraction(0)) for c in range(ncols)]
 
 
 matrices = st.integers(1, 5).flatmap(
@@ -115,18 +73,24 @@ any_matrix = st.one_of(matrices, sign_matrices)
 @settings(max_examples=150)
 @given(matrices)
 def test_bareiss_rank_matches_naive_elimination(rows):
-    assert linalg.rank(rows) == naive_rank(rows)
+    assert linalg.rank(sparse(rows)) == naive_rank(rows)
 
 
 @settings(max_examples=100)
 @given(matrices)
 def test_kernel_vectors_are_killed(rows):
     ncols = len(rows[0])
-    kernel = linalg.kernel_basis(rows, ncols)
-    assert len(kernel) == ncols - linalg.rank(rows)
-    for vec in kernel:
+    kernel = linalg.kernel_basis(sparse(rows), ncols)
+    assert len(kernel) == ncols - naive_rank(rows)
+    _, pivots = dense_bareiss_rref(rows)
+    free = [f for f in range(ncols) if f not in pivots]
+    assert len(kernel) == len(free)
+    for f, vec in zip(free, kernel):
+        assert 0 not in vec.values()  # no stored zeros
+        assert vec[f] == 1
+        assert [c for c in free if c in vec] == [f]  # no other free column
         for row in rows:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
+            assert sum(row[c] * x for c, x in vec.items()) == 0
 
 
 @settings(max_examples=100)
@@ -138,7 +102,7 @@ def test_solve_recovers_consistent_systems(rows, data):
                  min_size=ncols, max_size=ncols)
     )
     rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-    solution = linalg.solve_particular(rows, rhs)
+    solution = solve_by_kernel(rows, rhs)
     assert solution is not None
     for row, b in zip(rows, rhs):
         assert sum(a * s for a, s in zip(row, solution)) == b
@@ -146,7 +110,8 @@ def test_solve_recovers_consistent_systems(rows, data):
 
 def test_solve_detects_inconsistency():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert linalg.solve_particular(rows, [Fraction(1), Fraction(3)]) is None
+    assert solve_by_kernel(rows, [Fraction(1), Fraction(3)]) is None
+    assert oracle_solve(rows, [Fraction(1), Fraction(3)]) is None
 
 
 def test_rref_shape():
@@ -155,30 +120,29 @@ def test_rref_shape():
         [Fraction(1), Fraction(1), Fraction(1)],
         [Fraction(1), Fraction(3), Fraction(5)],
     ]
-    reduced, pivots = linalg.rref(rows)
-    assert pivots == [0, 1]
-    assert reduced[0][:2] == [Fraction(1), Fraction(0)]
-    assert reduced[1][:2] == [Fraction(0), Fraction(1)]
+    reduced = linalg.Echelon(sparse(rows)).reduced_rows()
+    assert reduced == [(0, {0: Fraction(1), 2: Fraction(-1)}), (1, {1: Fraction(1), 2: Fraction(2)})]
 
 
 def test_in_row_span():
-    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert linalg.in_row_span(rows, [Fraction(3), Fraction(7)])
-    assert not linalg.in_row_span([rows[0]], [Fraction(0), Fraction(1)])
-    assert linalg.in_row_span([], [Fraction(0), Fraction(0)])
+    rows = [{0: Fraction(1)}, {1: Fraction(1)}]
+    assert linalg.in_row_span(rows, {0: Fraction(3), 1: Fraction(7)})
+    assert not linalg.in_row_span([rows[0]], {1: Fraction(1)})
+    assert linalg.in_row_span([], {})
 
 
 @settings(max_examples=150)
 @given(any_matrix)
 def test_rref_matches_dense_bareiss_oracle(rows):
-    assert linalg.rref(rows) == dense_bareiss_rref(rows)
+    reduced, pivots = dense_bareiss_rref(rows)
+    assert linalg.Echelon(sparse(rows)).reduced_rows() == list(zip(pivots, sparse(reduced)))
 
 
 @settings(max_examples=150)
 @given(any_matrix)
 def test_kernel_basis_matches_dense_bareiss_oracle(rows):
     ncols = len(rows[0])
-    assert linalg.kernel_basis(rows, ncols) == oracle_kernel(rows, ncols)
+    assert linalg.kernel_basis(sparse(rows), ncols) == sparse(oracle_kernel(rows, ncols))
 
 
 @settings(max_examples=150)
@@ -188,24 +152,24 @@ def test_solve_particular_matches_dense_bareiss_oracle(rows, data):
         st.lists(st.sampled_from((0, 0, 1, -1, 2)).map(Fraction),
                  min_size=len(rows), max_size=len(rows))
     )
-    assert linalg.solve_particular(rows, rhs) == oracle_solve(rows, rhs)
+    assert solve_by_kernel(rows, rhs) == oracle_solve(rows, rhs)
 
 
 @settings(max_examples=150)
 @given(any_matrix)
 def test_echelon_add_reports_rank_growth(rows):
     echelon = linalg.Echelon()
-    for i, row in enumerate(rows):
-        grew = naive_rank(rows[: i + 1]) > naive_rank(rows[:i]) if i else any(row)
+    for i, row in enumerate(sparse(rows)):
+        grew = naive_rank(rows[: i + 1]) > naive_rank(rows[:i]) if i else bool(row)
         assert echelon.add(row) == grew
     assert echelon.rank == naive_rank(rows)
 
 
 def test_echelon_add_refuses_vectors_in_the_span():
     # a vector already in the span is refused, a new direction is kept
-    echelon = linalg.Echelon([[Fraction(2), Fraction(4), Fraction(0)]])
-    assert not echelon.add([Fraction(-1), Fraction(-2), Fraction(0)])
-    assert echelon.add([Fraction(1), Fraction(2), Fraction(1, 3)])
+    echelon = linalg.Echelon([{0: Fraction(2), 1: Fraction(4)}])
+    assert not echelon.add({0: Fraction(-1), 1: Fraction(-2)})
+    assert echelon.add({0: Fraction(1), 1: Fraction(2), 2: Fraction(1, 3)})
     assert sorted(echelon.rows) == [0, 2]
 
 
@@ -215,9 +179,9 @@ def test_rank_and_kernel_match_sympy(rows):
     sympy = pytest.importorskip("sympy")
     ncols = len(rows[0])
     m = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
-    assert linalg.rank(rows) == m.rank()
+    assert linalg.rank(sparse(rows)) == m.rank()
     expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
-    assert linalg.kernel_basis(rows, ncols) == expected
+    assert linalg.kernel_basis(sparse(rows), ncols) == sparse(expected)
 
 
 @settings(max_examples=150)
@@ -228,23 +192,31 @@ def test_sparse_columns_and_rows_give_the_dense_results(rows):
     columns = linalg.matrix_of(({r: row[c] for r, row in enumerate(rows)} for c in range(ncols)),
                                range(nrows))
     assert all(0 not in column.values() for column in columns)
-    sparse = linalg.transpose(columns, nrows)
-    assert sparse == [{c: x for c, x in enumerate(row) if x} for row in rows]
-    assert linalg.rank(sparse) == linalg.rank(columns) == naive_rank(rows)
-    assert linalg.kernel_basis(sparse, ncols) == oracle_kernel(rows, ncols)
-    for row in rows:
-        assert linalg.in_row_span(sparse, row)
+    sparse_rows = linalg.transpose(columns, nrows)
+    assert sparse_rows == sparse(rows)
+    assert linalg.rank(sparse_rows) == linalg.rank(columns) == naive_rank(rows)
+    assert linalg.kernel_basis(sparse_rows, ncols) == sparse(oracle_kernel(rows, ncols))
+    for row in sparse_rows:
+        assert linalg.in_row_span(sparse_rows, row)
 
 
 @settings(max_examples=150)
 @given(any_matrix, st.data())
 def test_particular_solution_is_the_last_kernel_vector_of_the_augmented_matrix(rows, data):
     # x solves rows @ x = rhs iff (x, 1) is in the kernel of [rows | -rhs];
-    # the multiplication model solves its correction equations this way
+    # the multiplication model solves its correction equations this way.
+    # Independent of the Bareiss oracle: the system is consistent iff the
+    # augmented rank equals the rank, and the solution is zero at every free
+    # column of rows (the reduced-echelon particular solution).
     rhs = data.draw(
         st.lists(st.sampled_from((0, 0, 1, -1, 2)).map(Fraction),
                  min_size=len(rows), max_size=len(rows))
     )
-    kernel = linalg.kernel_basis([row + [-b] for row, b in zip(rows, rhs)], len(rows[0]) + 1)
-    solution = kernel[-1][:-1] if kernel and kernel[-1][-1] else None
-    assert solution == linalg.solve_particular(rows, rhs)
+    solution = solve_by_kernel(rows, rhs)
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    assert (solution is not None) == (naive_rank(augmented) == naive_rank(rows))
+    if solution is not None:
+        for row, b in zip(rows, rhs):
+            assert sum(a * x for a, x in zip(row, solution)) == b
+        pivots = set(linalg.Echelon(sparse(rows)).rows)
+        assert all(not x for c, x in enumerate(solution) if c not in pivots)

@@ -14,7 +14,6 @@ from sullivan.models import (
     Recipe,
     build,
     collapse_multiplication_model,
-    first_odd_witnesses,
     loop_cohomology_closed_form,
     multiplication_model,
     recipe_from_args,
@@ -188,9 +187,11 @@ def test_free_loops_of_product_satisfy_kunneth():
     # Betti series is the product of the factor series
     from sullivan.series import multiply_series, series_from_report
 
+    cp2 = Recipe("truncated_poly", (2, 2))
     pairs = [
         (Recipe("odd_sphere", (1,)), Recipe("odd_sphere", (2,))),
         (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,))),
+        (cp2, cp2),
     ]
     for left, right in pairs:
         combined = betti(loop_model(build(Recipe("product", (left, right)))), 10)
@@ -199,6 +200,8 @@ def test_free_loops_of_product_satisfy_kunneth():
         assert series_from_report(combined) == multiply_series(
             series_from_report(factor_l), series_from_report(factor_r)
         )
+    # every Betti number of LCP^2 is 1, so Kunneth gives b_n = n + 1 on L(CP^2 x CP^2)
+    assert list(combined.betti) == [n + 1 for n in range(11)]
 
 
 def test_monogenic_models_have_bounded_loop_betti():
@@ -259,12 +262,14 @@ def test_k_zero_is_single_class():
 
 
 def test_first_odd_witness_family_is_nontrivial():
-    # the q-free special case: sx1...sxm (sy)^p, certified nontrivial
-    model = build(Recipe("even_sphere", (1,)))
-    loop = loop_model(model)
-    for p, degree, witness in first_odd_witnesses(model, 4):
+    # the q-free special case: sx1...sxm (sy)^p, certified nontrivial; on the
+    # even sphere Lambda(v2, w3) the first odd generator is y = w, so m = 1, x1 = v
+    loop = loop_model(build(Recipe("even_sphere", (1,))))
+    sv, sw = loop.algebra.gen("sv"), loop.algebra.gen("sw")
+    for p in range(5):
+        witness = sv * sw**p
         assert loop.d(witness).is_zero()
-        assert witness.degree() == degree
+        assert witness.degree() == 1 + 2 * p
         assert class_is_nontrivial(loop, witness)
 
 
