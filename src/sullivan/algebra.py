@@ -13,7 +13,8 @@ All values are immutable after construction and may be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from math import gcd
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator, read_only
 
@@ -82,11 +83,19 @@ class FreeGradedAlgebra:
         self.generators: tuple[Generator, ...] = tuple(gens)
         self._index: dict[str, int] = {g.name: i for i, g in enumerate(self.generators)}
         self._odd: tuple[bool, ...] = tuple(g.is_odd for g in self.generators)
-        # _basis_cache[i][t]: the canonical words over generators i.. of
-        # degree t (the last table is the unit's); _nonempty[i] lists the t
-        # with _basis_cache[i][t] nonempty.  Extended one degree at a time.
-        self._basis_cache: list[list[tuple[Word, ...]]] = [[] for _ in range(len(gens) + 1)]
-        self._nonempty: list[list[int]] = [[] for _ in gens] + [[0]]
+        # _words[i, t]: the canonical words over generators i.. of degree t,
+        # built on demand (see _fill_words).  _reach[i] is (step, top) for
+        # the suffix i..: every degree its words have is a multiple of step,
+        # and at most top when all its generators are odd (top is None when
+        # one is even).
+        self._words: dict[tuple[int, int], tuple[Word, ...]] = {}
+        reach: list[tuple[int, int | None]] = [(1, 0)]  # the unit's suffix
+        step, top = 0, 0
+        for g in reversed(gens):
+            step = gcd(step, g.degree)
+            top = top + g.degree if g.is_odd and top is not None else None
+            reach.append((step, top))
+        self._reach = reach[::-1]
 
     # -- generator access ---------------------------------------------------
 
@@ -181,42 +190,70 @@ class FreeGradedAlgebra:
         out.extend(wb[b:])
         return tuple(out), sign
 
+    def multiply_terms(self, a: Mapping[Word, Fraction], b: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
+        """Product of two term maps (word -> coefficient), without zero coefficients."""
+        acc: dict[Word, Fraction] = {}
+        multiply = self.multiply_words
+        for wa, ca in a.items():
+            for wb, cb in b.items():
+                prod = multiply(wa, wb)
+                if prod is None:
+                    continue
+                w, sign = prod
+                c = ca * cb if sign > 0 else -(ca * cb)
+                acc[w] = acc[w] + c if w in acc else c
+        return {w: c for w, c in acc.items() if c}
+
     def basis_in_degree(self, n: int, cap: int | None = None) -> tuple[Word, ...]:
         """All canonical monomials of total degree n, lexicographically ordered
         by exponent vector.  Complete and duplicate-free; degree 0 gives (1,).
         """
         if n < 0:
             return ()
-        while len(self._basis_cache[0]) <= n:
-            self._extend_bases()
-        basis = self._basis_cache[0][n]
+        if (0, n) not in self._words:
+            self._fill_words(n)
+        basis = self._words[0, n]
         if cap is not None and len(basis) > cap:
             raise BasisSizeExceeded(n, len(basis), cap)
         return basis
 
-    def _extend_bases(self) -> None:
-        """Add the next degree t to the word table of every generator suffix.
-
-        The words over generators i.. of degree t are those over i+1.. of
-        degree t, then v_i^e * w for the words w over i+1.. of each nonempty
-        degree m = t - e|v_i| < t, taken in descending m so that e ascends.
-        Apart from that scan of nonempty degrees, the work is the words written.
+    def _fill_words(self, n: int) -> None:
+        """Memoize the words over generators i.. of degree t that the degree-n
+        basis needs: v_i^e * w for e ascending from 0 (at most 1 for odd v_i)
+        and w over i+1.. of a degree r = t - e|v_i| that suffix can reach.
+        One pass lists each missing (i, t)'s (e, r), suffix by suffix; a
+        second builds the words from the last suffix back, with no recursion.
         """
-        tables, nonempty = self._basis_cache, self._nonempty
-        t = len(tables[0])
-        tables[-1].append((UNIT_WORD,) if t == 0 else ())
-        for i in range(len(self.generators) - 1, -1, -1):
+        memo, count = self._words, len(self.generators)
+        levels: list[dict[int, list[tuple[int, int]]]] = [{n: []}]
+        while levels[-1] and len(levels) <= count:
+            i = len(levels) - 1
             d = self.generators[i].degree
-            words = list(tables[i + 1][t])
-            for m in reversed(nonempty[i + 1]):
-                e, r = divmod(t - m, d)
-                if e > 1 and self._odd[i]:
-                    break
-                if e and not r:
-                    words.extend(((i, e),) + w for w in tables[i + 1][m])
-            tables[i].append(tuple(words))
-            if words:
-                nonempty[i].append(t)
+            step, top = self._reach[i + 1]
+            below: dict[int, list[tuple[int, int]]] = {}
+            for t, exponents in levels[i].items():
+                low = 0 if top is None else max(0, -(-(t - top) // d))
+                high = min(1, t // d) if self._odd[i] else t // d
+                for e in range(low, high + 1):
+                    r = t - e * d
+                    if r % step == 0:
+                        exponents.append((e, r))
+                        if (i + 1, r) not in memo:
+                            below[r] = []
+            levels.append(below)
+        for i in range(len(levels) - 1, -1, -1):
+            for t, exponents in levels[i].items():
+                if i == count:
+                    memo[i, t] = (UNIT_WORD,) if t == 0 else ()
+                    continue
+                words: list[Word] = []
+                for e, r in exponents:
+                    if e:
+                        head = ((i, e),)
+                        words += [head + w for w in memo[i + 1, r]]
+                    else:
+                        words += memo[i + 1, r]
+                memo[i, t] = tuple(words)
 
     # -- housekeeping ---------------------------------------------------------
 
@@ -314,15 +351,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
-        acc: dict[Word, Fraction] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                prod = self.algebra.multiply_words(wa, wb)
-                if prod is None:
-                    continue
-                w, sign = prod
-                acc[w] = acc.get(w, Fraction(0)) + ca * cb * sign
-        return Element(self.algebra, acc)
+        return Element(self.algebra, self.algebra.multiply_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -333,15 +362,16 @@ class Element:
         if e < 0:
             raise ValueError("negative powers are not defined")
         # repeated squaring: O(log e) products
-        result = self.algebra.one()
-        square = self
+        multiply = self.algebra.multiply_terms
+        result: dict[Word, Fraction] = {UNIT_WORD: Fraction(1)}
+        square = self.terms
         while e:
             if e & 1:
-                result = result * square
+                result = multiply(result, square)
             e >>= 1
             if e:
-                square = square * square
-        return result
+                square = multiply(square, square)
+        return Element(self.algebra, result)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):

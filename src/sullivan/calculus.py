@@ -1,19 +1,21 @@
 """Differentials, derivations, morphisms and model constructions.
 
 Derivations extend from generator values by the graded Leibniz rule, with an
-optional twist by a morphism f (an (f,f)-derivation).  A degree-k derivation
-d takes a canonical word  prefix * v_i^e * suffix  to the sum over positions i
-of
+optional twist by a morphism f (an (f,f)-derivation).  `Derivation.on_word`
+is the one Leibniz implementation: a degree-k derivation d takes a canonical
+word  prefix * v_i^e * suffix  to the sum over its distinct letters v_i of
 
-    (-1)^(k|prefix|) * e * F(prefix) * d(v_i) * F(v_i^(e-1) * suffix)
+    (-1)^(k|prefix|) e F(prefix) d(v_i) F(v_i^(e-1) suffix)
+      = (-1)^(|v_i||prefix|) e d(v_i) F(base)
 
-where F is the identity on words, or f when twisted, and both word pieces are
-slices of the canonical word (e = 1 for odd v_i).  A word gives one term per
-distinct generator, whatever its exponents.
-
-Morphisms extend multiplicatively.  Both extensions are unique, which is
-what the differential and chain-map checks exploit: verifying an identity
-of derivations (or of (m,m)-derivations) on generators verifies it
+where F is the identity, or f when twisted, and base is the word with one
+v_i removed (F keeps degrees and |d(v_i)| = |v_i| + k).  Untwisted, each term
+is one `multiply_words`; twisted, one `multiply_terms` with f(base).
+`Morphism.on_word` multiplies cached powers f(v_i)^e.  For both, `__call__`
+sums `on_word` over an element's terms, and assembly feeds `on_word` to
+`linalg.matrix_of`, with no `Element` per word.  Both extensions are unique,
+which is what the differential and chain-map checks exploit: verifying an
+identity of derivations (or of (m,m)-derivations) on generators verifies it
 everywhere.
 
 Constructions are pure; a validated model is immutable and shareable.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .algebra import Element, FreeGradedAlgebra, Generator, Word, element_of_word, transport, word_length
+from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator, Word, transport, word_length
 from .errors import (
     AlgebraMismatch,
     IncompleteDerivation,
@@ -37,6 +39,18 @@ from .errors import (
     ZeroDivisor,
     read_only,
 )
+
+
+_ONE = Fraction(1)
+
+
+def _sum_over_words(on_word, terms: dict[Word, Fraction]) -> dict[Word, Fraction]:
+    """The linear extension of a map on words to an element's terms."""
+    acc: dict[Word, Fraction] = {}
+    for word, coeff in terms.items():
+        for w, c in on_word(word).items():
+            acc[w] = acc.get(w, 0) + coeff * c
+    return acc
 
 
 class Morphism:
@@ -60,6 +74,7 @@ class Morphism:
                     f"image of {name!r} must be homogeneous of degree {g.degree}, got {value}"
                 )
             self.values[name] = value
+        self._powers: dict[tuple[int, int], dict[Word, Fraction]] = {}  # (i, e) -> f(v_i)^e
 
     @classmethod
     def identity(cls, algebra: FreeGradedAlgebra) -> "Morphism":
@@ -75,19 +90,24 @@ class Morphism:
         except KeyError:
             raise IncompleteMorphism(f"no image given for generator {name!r}") from None
 
+    def on_word(self, word: Word) -> dict[Word, Fraction]:
+        """The image of one canonical word as terms: the product over its
+        letters v_i^e of the terms of f(v_i)^e, each power computed once."""
+        out = {UNIT_WORD: _ONE}
+        for i, exp in word:
+            power = self._powers.get((i, exp))
+            if power is None:
+                image = self.image_of_generator(self.source.generators[i].name)
+                power = self._powers[i, exp] = (image**exp).terms
+            out = self.target.multiply_terms(out, power)
+            if not out:
+                break
+        return out
+
     def __call__(self, e: Element) -> Element:
         if e.algebra != self.source:
             raise AlgebraMismatch("element does not live in the source algebra")
-        out = self.target.zero()
-        for word, coeff in e.terms.items():
-            term = self.target.one() * coeff
-            for i, exp in word:
-                img = self.image_of_generator(e.algebra.generators[i].name)
-                term = term * img**exp
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        return Element(self.target, _sum_over_words(self.on_word, e.terms))
 
     def then(self, other: "Morphism") -> "Morphism":
         """Composite self followed by other."""
@@ -115,8 +135,8 @@ class Morphism:
 class Derivation:
     """A degree-k derivation given on generators, optionally along a morphism.
 
-    Applied to an element word by word, one Leibniz term per distinct
-    generator of each word (see the module docstring).
+    Applied to an element word by word through `on_word`, one Leibniz term
+    per distinct generator of each word (see the module docstring).
     """
 
     def __init__(
@@ -147,6 +167,11 @@ class Derivation:
                     f"{g.degree + degree}, got degree {value.degree()}"
                 )
             self.values[name] = value
+        # _value_terms[i]: the terms of the value on generator i, None when none is given
+        self._value_terms: tuple[dict[Word, Fraction] | None, ...] = tuple(
+            self.values[g.name].terms if g.name in self.values else None
+            for g in source.generators
+        )
 
     def value_on_generator(self, name: str) -> Element:
         try:
@@ -154,33 +179,42 @@ class Derivation:
         except KeyError:
             raise IncompleteDerivation(f"no value given for generator {name!r}") from None
 
-    def _along_word(self, word: Word) -> Element:
-        """F(word): the word itself, or its image under the twisting morphism."""
-        if self.along is None:
-            return Element(self.target, {word: Fraction(1)})
-        return self.along(Element(self.source, {word: Fraction(1)}))
+    def on_word(self, word: Word) -> dict[Word, Fraction]:
+        """The derivation on one canonical word, as terms without zeros: the
+        Leibniz sum of the module docstring, one term per distinct letter."""
+        gens, odd = self.source.generators, self.source._odd
+        multiply = self.target.multiply_words
+        acc: dict[Word, Fraction] = {}
+        prefix_odd = False
+        for pos, (i, exp) in enumerate(word):
+            value = self._value_terms[i]
+            if value is None:
+                self.value_on_generator(gens[i].name)  # raises IncompleteDerivation
+            if value:
+                # base = prefix * v_i^(exp-1) * suffix, still canonical
+                head = word[:pos] + ((i, exp - 1),) if exp > 1 else word[:pos]
+                base = head + word[pos + 1:]
+                scale = -exp if odd[i] and prefix_odd else exp
+                if self.along is None:
+                    image = {}
+                    for t, c in value.items():
+                        prod = multiply(t, base)
+                        if prod is not None:
+                            image[prod[0]] = c if prod[1] > 0 else -c
+                else:
+                    image = self.target.multiply_terms(value, self.along.on_word(base))
+                for w, c in image.items():
+                    if scale != 1:
+                        c = c * scale
+                    acc[w] = acc[w] + c if w in acc else c
+            if odd[i]:
+                prefix_odd = not prefix_odd
+        return {w: c for w, c in acc.items() if c}
 
     def __call__(self, e: Element) -> Element:
         if e.algebra != self.source:
             raise AlgebraMismatch("element does not live in the source algebra")
-        k = self.degree
-        gens = e.algebra.generators
-        acc: dict[Word, Fraction] = {}
-        for word, coeff in e.terms.items():
-            prefix_degree = 0
-            for pos, (i, exp) in enumerate(word):
-                g = gens[i]
-                dv = self.value_on_generator(g.name)
-                if not dv.is_zero():
-                    # word = prefix * v^exp * suffix; the exp copies of an
-                    # even v contribute equal terms, an odd v has exp = 1
-                    rest = word[pos + 1:] if exp == 1 else ((i, exp - 1),) + word[pos + 1:]
-                    scale = coeff * exp if (k * prefix_degree) % 2 == 0 else -coeff * exp
-                    term = self._along_word(word[:pos]) * dv * self._along_word(rest)
-                    for w, c in term.terms.items():
-                        acc[w] = acc.get(w, 0) + c * scale
-                prefix_degree += g.degree * exp
-        return Element(self.target, acc)
+        return Element(self.target, _sum_over_words(self.on_word, e.terms))
 
     def __repr__(self) -> str:
         return f"<Derivation degree {self.degree:+d} on {len(self.values)} generators>"
@@ -462,7 +496,7 @@ def koszul_model(presentation: CDGA, z: Element, window: int, name: str = "sz") 
     # z is not a zero divisor in the window: a -> z*a injective per degree
     for n in range(window + 1):
         basis = alg.basis_in_degree(n)
-        products = ((element_of_word(alg, w) * z).terms for w in basis)
+        products = (alg.multiply_terms({w: _ONE}, z.terms) for w in basis)
         if linalg.rank(linalg.matrix_of(products, alg.basis_in_degree(n + degree))) != len(basis):
             raise ZeroDivisor(n, z)
 

@@ -1,7 +1,9 @@
 """Exact rational cohomology of a model in a degree window.
 
 A window holds monomial bases for degrees 0..N+1 and each differential
-d^n as the sparse columns `linalg.matrix_of` builds, from assembly on;
+d^n as the sparse columns `linalg.matrix_of` builds, from assembly on.
+Assembly feeds `on_word` of the differential (or of a chain map) straight to
+`matrix_of`, so no `Element` stands between d and a matrix column.
 b_N needs the degree-(N+1) piece, so the window extends one degree past
 the request.  `DegreeWindowComplex` is the one complex type: Betti numbers
 and quasi-isomorphism verdicts (on full windows, or on indecomposables as a
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import Element, FreeGradedAlgebra, Word, element_of_word
+from .algebra import Element, FreeGradedAlgebra, Word
 from .calculus import (
     CDGA,
     Morphism,
@@ -73,11 +75,6 @@ class DegreeWindowComplex(NamedTuple):
         return linalg.kernel_basis(linalg.transpose(self.columns[n], self.dim(n + 1)), self.dim(n))
 
 
-def _on_words(f, algebra: FreeGradedAlgebra):
-    """word -> terms of f applied to that word."""
-    return lambda word: f(element_of_word(algebra, word)).terms
-
-
 def _degreewise(image, sources, targets) -> tuple[tuple[linalg.SparseVector, ...], ...]:
     """`matrix_of` in each degree: the image of every source word over the target basis."""
     return tuple(
@@ -90,7 +87,7 @@ def assemble_window(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) 
     """Monomial bases and differential matrices for degrees 0..max_degree+1."""
     algebra = model.algebra
     bases = tuple(algebra.basis_in_degree(n, cap=cap) for n in range(max_degree + 2))
-    columns = _degreewise(_on_words(model.d, algebra), bases, bases[1:])
+    columns = _degreewise(model.differential.on_word, bases, bases[1:])
     return DegreeWindowComplex(model, max_degree, bases, columns)
 
 
@@ -137,7 +134,7 @@ def class_is_nontrivial(model: CDGA, cocycle: Element, cap: int = DEFAULT_BASIS_
         raise NotACocycle(f"d({cocycle}) != 0")
     basis = model.algebra.basis_in_degree(degree, cap=cap)
     below = model.algebra.basis_in_degree(degree - 1, cap=cap)
-    boundaries = linalg.matrix_of(map(_on_words(model.d, model.algebra), below), basis)
+    boundaries = linalg.matrix_of(map(model.differential.on_word, below), basis)
     (vector,) = linalg.matrix_of([cocycle.terms], basis)
     return not linalg.in_row_span(boundaries, vector)
 
@@ -204,7 +201,7 @@ def quasi_iso_check(source: CDGA, target: CDGA, m: Morphism, max_degree: int,
     _require_chain_map(source, target, m)
     ws = assemble_window(source, max_degree, cap=cap)
     wt = assemble_window(target, max_degree, cap=cap)
-    maps = _degreewise(_on_words(m, source.algebra), ws.bases[:max_degree + 1], wt.bases)
+    maps = _degreewise(m.on_word, ws.bases[:max_degree + 1], wt.bases)
     return _verdicts(ws, wt, maps, max_degree)
 
 
@@ -263,11 +260,12 @@ def h_algebra_generator_counts(model: CDGA, max_degree: int,
     """
     window = assemble_window(model, max_degree, cap=cap)
     report = betti_of_window(window)
+    algebra = model.algebra
     counts = [0] * (max_degree + 1)
     reps = report.representatives
     for n in range(1, max_degree + 1):
         span = linalg.Echelon(window.boundary_vectors(n))
-        products = ((left * right).terms
+        products = (algebra.multiply_terms(left.terms, right.terms)
                     for p in range(1, n) for left in reps[p] for right in reps[n - p])
         dec_rank = sum(span.add(v) for v in linalg.matrix_of(products, window.bases[n]))
         counts[n] = report.betti[n] - dec_rank

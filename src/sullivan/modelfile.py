@@ -17,11 +17,17 @@ must be homogeneous of degree |generator| + 1.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .algebra import Element, FreeGradedAlgebra, Generator
+from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator
 from .calculus import CDGA, Derivation, require_valid
 from .errors import ModelFileError
+
+# The most decimal digits a coefficient's numerator or denominator may have:
+# the interpreter's integer-to-string limit, past which no report can write
+# it (4300 by default, and where the interpreter has no limit or it is off).
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/])|(\S)")
@@ -35,8 +41,11 @@ class _ExprParser:
     degree of e exceeds |d_of| + 1: such a power has a term above the
     required degree (every generator has degree >= 1, so products only
     raise degrees) unless terms cancel.  This also stops a base that mixes
-    a constant with terms of positive degree, such as (1+v)^n; a constant
-    alone, such as 2^n, has highest degree 0 and is not guarded.
+    a constant with terms of positive degree, such as (1+v)^n.  A power of
+    a constant alone, such as 7^n, is rejected before it is expanded, with
+    or without `d_of`, when its numerator or denominator would have more
+    digits than a report can write (see `_DIGIT_LIMIT`), even where a later
+    factor would cancel it.
     """
 
     def __init__(self, text: str, line: int, offset: int, algebra: FreeGradedAlgebra,
@@ -116,6 +125,12 @@ class _ExprParser:
             if kind != "int":
                 raise self.error("exponent must be an integer", column)
             exponent = int(text)
+            if list(base.terms) == [UNIT_WORD]:
+                c = base.terms[UNIT_WORD]
+                if _too_many_digits(c.numerator, exponent) or _too_many_digits(c.denominator, exponent):
+                    shown = c if c.denominator == 1 and c > 0 else f"({c})"
+                    message = f"coefficient {shown}^{exponent} has more than {_DIGIT_LIMIT} digits"
+                    raise self.error(message, column)
             if self.d_of is not None and not base.is_zero():
                 expected = self.algebra.generator(self.d_of).degree + 1
                 degrees = [self.algebra.word_degree(w) for w in base.terms]
@@ -156,6 +171,16 @@ class _ExprParser:
         if kind == "op" and text == "/":
             raise self.error("'/' is only allowed after an integer coefficient", column)
         raise self.error(f"unexpected {text!r}", column)
+
+
+def _too_many_digits(base: int, exponent: int) -> bool:
+    """Whether |base|^exponent has more than _DIGIT_LIMIT decimal digits."""
+    base = abs(base)
+    if base < 2:
+        return False
+    if exponent * (base.bit_length() - 1) > 4 * _DIGIT_LIMIT:
+        return True  # it is at least 2^(4 * limit) > 10^limit
+    return base**exponent >= 10**_DIGIT_LIMIT
 
 
 def _split_statement(raw: str) -> str:
@@ -242,10 +267,6 @@ def parse_element(text: str, algebra: FreeGradedAlgebra) -> Element:
 def parse_path(path: str, validate: bool = True) -> CDGA:
     with open(path, "r", encoding="utf-8") as handle:
         return parse(handle.read(), validate=validate)
-
-
-def _coefficient_prefix(coeff: Fraction) -> str:
-    return "" if coeff == 1 else f"{coeff}*"
 
 
 def emit(model: CDGA, header: tuple[str, ...] = ()) -> str:

@@ -14,7 +14,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import Element, FreeGradedAlgebra, Generator, element_of_word, transport, word_length
+from .algebra import Element, FreeGradedAlgebra, Generator, transport, word_length
 from .calculus import (
     CDGA,
     Derivation,
@@ -274,21 +274,18 @@ def _solve_gamma(big, target_alg, d_values, phi_values, processed, original_degr
             for i, _ in w
         )
     ]
-    # A has one row per monomial of D(gamma) = rhs and of phi(gamma) = 0.
-    # x solves A x = rhs iff (x, 1) is in the kernel of [A | -rhs]; when one
+    # A stacks the rows of D(gamma) = rhs, one per degree-(|g|+1) word, over
+    # those of phi(gamma) = 0, one per degree-|g| word of the target.  x
+    # solves A x = rhs iff (x, 1) is in the kernel of [A | -rhs]; when one
     # does, the last reduced-echelon kernel vector is (x, 1) with x the
     # reduced-echelon particular solution.
-    keys = [("D", w) for w in big.basis_in_degree(g.degree + 1)]
-    keys += [("phi", w) for w in target_alg.basis_in_degree(g.degree)]
-    images = []
-    for w in candidates:
-        mono = element_of_word(big, w)
-        image = {("D", k): c for k, c in derivation(mono).terms.items()}
-        image.update((("phi", k), c) for k, c in phi(mono).terms.items())
-        images.append(image)
-    images.append({("D", k): -c for k, c in rhs.terms.items()})
-    columns = linalg.matrix_of(images, keys)
-    kernel = linalg.kernel_basis(linalg.transpose(columns, len(keys)), len(columns))
+    d_rows = big.basis_in_degree(g.degree + 1)
+    phi_rows = target_alg.basis_in_degree(g.degree)
+    columns = linalg.matrix_of(map(derivation.on_word, candidates), d_rows)
+    for column, image in zip(columns, linalg.matrix_of(map(phi.on_word, candidates), phi_rows)):
+        column.update((len(d_rows) + r, c) for r, c in image.items())
+    columns += linalg.matrix_of([{w: -c for w, c in rhs.terms.items()}], d_rows)
+    kernel = linalg.kernel_basis(linalg.transpose(columns, len(d_rows) + len(phi_rows)), len(columns))
     last = len(candidates)
     if not kernel or kernel[-1].get(last) != 1:
         raise WindowTooSmall(

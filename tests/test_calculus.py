@@ -675,3 +675,74 @@ def test_matrix_of_columns_are_coordinates_of_images(data):
         expected = naive(f, element_of_word(_WORD_ALGEBRA, word))
         assert [expected.coefficient(w) for w in target] == \
             [column.get(i, Fraction(0)) for i in range(len(target))]
+
+
+# -- on_word: the one word-level map behind __call__ and matrix assembly -------------
+
+
+def _naive_product(algebra, a, b):
+    """Reference product of two term maps: spell out both words letter by letter
+    and sort the concatenation with `normalize_monomial`'s inversion count."""
+    def letters(word):
+        return [algebra.generators[i] for i, e in word for _ in range(e)]
+
+    out = algebra.zero()
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            norm = algebra.normalize_monomial(letters(wa) + letters(wb))
+            if norm is not None:
+                out = out + Element(algebra, {norm[0]: ca * cb * norm[1]})
+    return out.terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_on_word_matches_naive_expansion_without_stored_zeros(data):
+    f, _ = data.draw(maps_on_words())
+    naive = _naive_morphism_apply if isinstance(f, Morphism) else _naive_derivation_apply
+    words = [next(iter(data.draw(words_of(_WORD_ALGEBRA, max_exp=6)).terms)) for _ in range(2)]
+    expected = [naive(f, element_of_word(_WORD_ALGEBRA, w)).terms for w in words]
+    for word, terms in zip(words, expected):
+        image = f.on_word(word)
+        assert image == terms
+        assert 0 not in image.values()
+    # the products the naive expansions are made of, against an independent product
+    product = f.target.multiply_terms(*expected)
+    assert product == _naive_product(f.target, *expected)
+    assert product == (Element(f.target, expected[0]) * Element(f.target, expected[1])).terms
+    assert 0 not in product.values()
+
+
+def test_on_word_raises_on_a_generator_without_a_value():
+    alg = FreeGradedAlgebra([Generator("v", 2), Generator("w", 3)])
+    v2w = ((0, 2), (1, 1))
+    partial = Derivation(alg, 1, {"w": alg.gen("v") ** 2})
+    assert partial.on_word(((1, 1),)) == {((0, 2),): 1}
+    with pytest.raises(IncompleteDerivation):
+        partial.on_word(v2w)
+    m = Morphism(alg, alg, {"w": alg.gen("w")})
+    with pytest.raises(IncompleteMorphism):
+        m.on_word(v2w)
+    twisted = Derivation(alg, 1, {"v": alg.zero(), "w": alg.gen("v") ** 2}, along=m)
+    with pytest.raises(IncompleteMorphism):
+        twisted.on_word(v2w)  # the twist is needed on v^2 at the term of w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_morphisms_on_one_algebra_never_share_cached_powers(data):
+    target = loop_model(cpn_model(2)).algebra
+
+    def draw_morphism():
+        return Morphism(
+            _WORD_ALGEBRA,
+            target,
+            {g.name: data.draw(elements_of_degree(target, g.degree, max_terms=2))
+             for g in _WORD_ALGEBRA.generators},
+        )
+
+    first, second = draw_morphism(), draw_morphism()
+    words = [next(iter(data.draw(words_of(_WORD_ALGEBRA, max_exp=5)).terms)) for _ in range(3)]
+    for word in words + words[::-1]:
+        for m in (first, second):
+            assert m.on_word(word) == _naive_morphism_apply(m, element_of_word(_WORD_ALGEBRA, word)).terms

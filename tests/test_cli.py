@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from sullivan.cli import main
+from sullivan.modelfile import _DIGIT_LIMIT
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -236,6 +238,28 @@ def test_verify_rejects_power_with_constant_term_before_expanding(tmp_path):
     result = run_cli(["verify", str(model)], timeout=60)
     assert result.returncode == 2
     assert result.stderr == "error: line 3, column 13: d w has terms up to degree 200000, expected 4\n"
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["verify", "{model}"], 9),
+    (["koszul", "{x2}", "--by", "7^100000000"], 3),
+])
+def test_huge_power_of_a_constant_exits_two_at_once(argv, column, tmp_path, capsys):
+    model = tmp_path / "huge.model"
+    model.write_text("generator v 2\ngenerator w 3\nd w = 7^100000000\n")
+    x2 = tmp_path / "x2.model"
+    x2.write_text("generator x 2\n")
+    argv = [a.format(model=model, x2=x2) for a in argv]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    line = 3 if argv[0] == "verify" else 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}, column {column}: coefficient 7^100000000 has more than "
+        f"{_DIGIT_LIMIT} digits\n"
+    )
+    # the timeout only guards against a hang; the check is the exit code
+    assert run_cli(argv, timeout=60).returncode == 2
 
 
 @pytest.mark.parametrize("argv", [

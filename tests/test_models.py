@@ -7,13 +7,18 @@ from sullivan.calculus import (
     make_cdga,
     minimality_check,
 )
-from sullivan.algebra import Generator
+from sullivan import linalg
+from sullivan.algebra import Element, Generator
 from sullivan.errors import NotApplicable
-from sullivan.homology import betti, class_is_nontrivial, quasi_iso_via_indecomposables
+from sullivan.homology import assemble_window, betti, class_is_nontrivial, quasi_iso_via_indecomposables
 from sullivan.models import (
     Recipe,
     build,
     collapse_multiplication_model,
+    cpn,
+    even_sphere,
+    odd_sphere,
+    product,
     loop_cohomology_closed_form,
     multiplication_model,
     recipe_from_args,
@@ -279,3 +284,42 @@ def test_witness_counts_bound_betti_from_below():
     for entry in report.entries:
         if entry.degree <= 12:
             assert entry.count <= loop_betti[entry.degree]
+
+
+# -- assembly builds no elements ------------------------------------------------------
+
+
+def _count_element_constructions(monkeypatch) -> list[int]:
+    count = [0]
+    construct = Element.__init__
+
+    def counted(self, algebra, terms):
+        count[0] += 1
+        construct(self, algebra, terms)
+
+    monkeypatch.setattr(Element, "__init__", counted)
+    return count
+
+
+def test_assembly_builds_no_elements(monkeypatch):
+    loop = loop_model(build(product(even_sphere(1), odd_sphere(1))))
+    count = _count_element_constructions(monkeypatch)
+    window = assemble_window(loop, 14)
+    assert count[0] == 0
+    assert sum(len(b) for b in window.bases) > 500  # the window is not trivial
+
+
+def test_multiplication_model_builds_fewer_elements_than_it_maps_words(monkeypatch):
+    model = build(product(cpn(3), cpn(2), even_sphere(1)))
+    solve = linalg.kernel_basis
+    mapped = [0]
+
+    def counted_solve(rows, ncols):
+        mapped[0] += ncols - 1  # one column per candidate word, then the right-hand side
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted_solve)
+    count = _count_element_constructions(monkeypatch)
+    mm = multiplication_model(model)
+    assert mapped[0] > 0 and count[0] < mapped[0], (count[0], mapped[0])
+    assert len(mm.model.algebra.generators) == 18
