@@ -60,7 +60,7 @@ def main() -> None:
     s3s3 = build(Recipe("product", (Recipe("odd_sphere", (1,)), Recipe("odd_sphere", (1,)))))
     report = betti(loop_model(s3s3), WINDOW)
     print("betti:    ", ",".join(str(b) for b in report.betti))
-    expansion = expand_rational(parse_rational("(1+z^3)^2/(1-z^2)^2"), WINDOW)
+    expansion = expand_rational(parse_rational("(1+z^3)^2/(1-z^2)^2", WINDOW), WINDOW)
     print("series:   ", expansion)
     print("agree:    ", series_from_report(report).agrees_with(expansion))
 

@@ -304,12 +304,6 @@ class Element:
             raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def wordlength_split(self, k: int) -> "Element":
-        """The part of this element of wordlength exactly k."""
-        return Element(
-            self.algebra, {w: c for w, c in self.terms.items() if word_length(w) == k}
-        )
-
     def coefficient(self, word: Word) -> Fraction:
         return self.terms.get(word, Fraction(0))
 

@@ -1,22 +1,22 @@
 """Differentials, derivations, morphisms and model constructions.
 
-Derivations extend from generator values by the graded Leibniz rule, with an
-optional twist by a morphism f (an (f,f)-derivation).  `Derivation.on_word`
-is the one Leibniz implementation: a degree-k derivation d takes a canonical
-word  prefix * v_i^e * suffix  to the sum over its distinct letters v_i of
+A derivation acts on one free algebra and extends from its generator
+values by the graded Leibniz rule.  `Derivation.on_word` is the one Leibniz
+implementation: a degree-k derivation d takes a canonical word
+prefix * v_i^e * suffix  to the sum over its distinct letters v_i of
 
-    (-1)^(k|prefix|) e F(prefix) d(v_i) F(v_i^(e-1) suffix)
-      = (-1)^(|v_i||prefix|) e d(v_i) F(base)
+    (-1)^(k|prefix|) e prefix d(v_i) v_i^(e-1) suffix
+      = (-1)^(|v_i||prefix|) e d(v_i) base
 
-where F is the identity, or f when twisted, and base is the word with one
-v_i removed (F keeps degrees and |d(v_i)| = |v_i| + k).  Untwisted, each term
-is one `multiply_words`; twisted, one `multiply_terms` with f(base).
-`Morphism.on_word` multiplies cached powers f(v_i)^e.  For both, `__call__`
-sums `on_word` over an element's terms, and assembly feeds `on_word` to
-`linalg.matrix_of`, with no `Element` per word.  Both extensions are unique,
-which is what the differential and chain-map checks exploit: verifying an
-identity of derivations (or of (m,m)-derivations) on generators verifies it
-everywhere.
+where base is the word with one v_i removed (|d(v_i)| = |v_i| + k), so each
+term is one `multiply_words`.  `Morphism.on_word` multiplies cached powers
+f(v_i)^e.  For both, `__call__` sums `on_word` over an element's terms, and
+assembly feeds `on_word` to `linalg.matrix_of`, with no `Element` per word;
+on one-letter words, the one-letter part of `on_word` is the linear part
+that `homology` reads the indecomposables from.  Both extensions are
+unique, which is what the differential and chain-map checks exploit:
+verifying an identity of derivations (or of (m,m)-derivations) on
+generators verifies it everywhere.
 
 Constructions are pure; a validated model is immutable and shareable.
 """
@@ -133,33 +133,19 @@ class Morphism:
 
 
 class Derivation:
-    """A degree-k derivation given on generators, optionally along a morphism.
+    """A degree-k derivation of one free graded algebra, given on generators.
 
     Applied to an element word by word through `on_word`, one Leibniz term
     per distinct generator of each word (see the module docstring).
     """
 
-    def __init__(
-        self,
-        source: FreeGradedAlgebra,
-        degree: int,
-        values: Mapping[str, Element],
-        target: FreeGradedAlgebra | None = None,
-        along: Morphism | None = None,
-    ):
+    def __init__(self, source: FreeGradedAlgebra, degree: int, values: Mapping[str, Element]):
         self.source = source
-        self.target = target if target is not None else source
         self.degree = degree
-        self.along = along
-        if along is not None:
-            if along.source != source or along.target != self.target:
-                raise AlgebraMismatch("twisting morphism endpoints do not match")
-        elif self.target != self.source:
-            raise AlgebraMismatch("a derivation onto a different algebra needs a morphism")
         self.values: dict[str, Element] = {}
         for name, value in values.items():
             g = source.generator(name)
-            if value.algebra != self.target:
+            if value.algebra != source:
                 raise AlgebraMismatch(f"value of {name!r} lives in the wrong algebra")
             if not value.is_zero() and value.degree() != g.degree + degree:
                 raise ValueError(
@@ -183,7 +169,7 @@ class Derivation:
         """The derivation on one canonical word, as terms without zeros: the
         Leibniz sum of the module docstring, one term per distinct letter."""
         gens, odd = self.source.generators, self.source._odd
-        multiply = self.target.multiply_words
+        multiply = self.source.multiply_words
         acc: dict[Word, Fraction] = {}
         prefix_odd = False
         for pos, (i, exp) in enumerate(word):
@@ -195,14 +181,11 @@ class Derivation:
                 head = word[:pos] + ((i, exp - 1),) if exp > 1 else word[:pos]
                 base = head + word[pos + 1:]
                 scale = -exp if odd[i] and prefix_odd else exp
-                if self.along is None:
-                    image = {}
-                    for t, c in value.items():
-                        prod = multiply(t, base)
-                        if prod is not None:
-                            image[prod[0]] = c if prod[1] > 0 else -c
-                else:
-                    image = self.target.multiply_terms(value, self.along.on_word(base))
+                image = {}
+                for t, c in value.items():
+                    prod = multiply(t, base)
+                    if prod is not None:
+                        image[prod[0]] = c if prod[1] > 0 else -c
                 for w, c in image.items():
                     if scale != 1:
                         c = c * scale
@@ -214,7 +197,7 @@ class Derivation:
     def __call__(self, e: Element) -> Element:
         if e.algebra != self.source:
             raise AlgebraMismatch("element does not live in the source algebra")
-        return Element(self.target, _sum_over_words(self.on_word, e.terms))
+        return Element(self.source, _sum_over_words(self.on_word, e.terms))
 
     def __repr__(self) -> str:
         return f"<Derivation degree {self.degree:+d} on {len(self.values)} generators>"
@@ -231,7 +214,7 @@ class CDGA:
     __slots__ = ("algebra", "differential")
 
     def __init__(self, algebra: FreeGradedAlgebra, differential: Derivation) -> None:
-        if differential.source != algebra or differential.target != algebra:
+        if differential.source != algebra:
             raise AlgebraMismatch("differential must act on the carrier algebra")
         if differential.degree != 1:
             raise ValueError("a differential has degree +1")
@@ -511,52 +494,7 @@ def koszul_model(presentation: CDGA, z: Element, window: int, name: str = "sz") 
     return KoszulModel(model, z, tuple(dims), window)
 
 
-# -- indecomposables and minimality ----------------------------------------------
-
-
-class Indecomposables:
-    """Generator span with the wordlength-one part of the differential.
-
-    Immutable; equality and hash read the algebra only, not `linear`.
-    """
-
-    __slots__ = ("algebra", "linear")
-
-    def __init__(self, algebra: FreeGradedAlgebra, linear: dict[str, Element]) -> None:
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "linear", linear)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __reduce__(self):
-        return Indecomposables, (self.algebra, self.linear)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Indecomposables:
-            return NotImplemented
-        return self.algebra == other.algebra
-
-    def __hash__(self) -> int:
-        return hash(self.algebra)
-
-    def __repr__(self) -> str:
-        return f"Indecomposables(algebra={self.algebra!r}, linear={self.linear!r})"
-
-
-def indecomposables(model: CDGA) -> Indecomposables:
-    """The complex A+/(A+ . A+): generators with the linear part of d."""
-    linear = {
-        g.name: model.d_of(g.name).wordlength_split(1) for g in model.algebra.generators
-    }
-    return Indecomposables(model.algebra, linear)
-
-
-def linear_part_of_morphism(m: Morphism) -> dict[str, Element]:
-    """The induced map on indecomposables, generator by generator."""
-    return {
-        g.name: m.image_of_generator(g.name).wordlength_split(1)
-        for g in m.source.generators
-    }
+# -- minimality -------------------------------------------------------------------
 
 
 def minimality_check(model: CDGA, base: Iterable[str] = ()) -> tuple[Generator, Element] | None:

@@ -389,7 +389,7 @@ def cmd_witness(args) -> int:
 def cmd_series(args) -> int:
     from . import series as series_mod
 
-    form = series_mod.parse_rational(args.rational)
+    form = series_mod.parse_rational(args.rational, args.max)
     expansion = series_mod.expand_rational(form, args.max)
     verdicts = {}
     betti_list = None

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the digit limit on inputs."""
+
+import sys
+
+# The most decimal digits an integer literal or a computed coefficient may
+# have: the interpreter's integer-to-string limit, past which no report can
+# write it (4300 by default, and where the interpreter has no limit or it is
+# off).
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def read_only(self, *args) -> None:

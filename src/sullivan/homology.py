@@ -7,14 +7,16 @@ Assembly feeds `on_word` of the differential (or of a chain map) straight to
 b_N needs the degree-(N+1) piece, so the window extends one degree past
 the request.  `DegreeWindowComplex` is the one complex type: Betti numbers
 and quasi-isomorphism verdicts (on full windows, or on indecomposables as a
-window over one-letter generator words) all read it.  Kernels and
-representatives are sparse; no result is dense except `matrix(n)`, which
-writes a differential out for inspection.  All ranks are exact (see
-linalg).  Representative cocycles come from the reduced-echelon kernel
-basis: each degree puts its boundary vectors into one `linalg.Echelon`,
-then offers the sparse kernel vectors in order and keeps a kernel vector
-(as it is, not its residue) iff it adds a pivot, so reports are
-reproducible.
+window over one-letter generator words) all read it.  The indecomposables
+V of a Sullivan algebra carry the linear part of d, which is the one-letter
+part of `on_word` on one-letter words; a chain map's linear part is read the
+same way.  Kernels and representatives are sparse; no result is dense
+except `matrix(n)`, which writes a differential out for inspection.  All
+ranks are exact (see linalg).  Representative cocycles come from the
+reduced-echelon kernel basis: each degree puts its boundary vectors into
+one `linalg.Echelon`, then offers the sparse kernel vectors in order and
+keeps a kernel vector (as it is, not its residue) iff it adds a pivot, so
+reports are reproducible.
 
 Per-degree computations are independent; the report is a deterministic
 reduction over them.
@@ -26,14 +28,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import Element, FreeGradedAlgebra, Word
-from .calculus import (
-    CDGA,
-    Morphism,
-    check_chain_map,
-    indecomposables,
-    linear_part_of_morphism,
-)
+from .algebra import Element, FreeGradedAlgebra, Word, word_length
+from .calculus import CDGA, Morphism, check_chain_map
 from .errors import NotACocycle
 
 DEFAULT_BASIS_CAP = 200_000
@@ -214,18 +210,16 @@ def _generator_words(algebra: FreeGradedAlgebra, max_degree: int) -> tuple[tuple
     return tuple(tuple(ws) for ws in words)
 
 
-def _on_generator_words(algebra: FreeGradedAlgebra, values: dict[str, Element]):
-    """word -> terms of the value at that word's generator."""
-    return lambda word: values[algebra.generators[word[0][0]].name].terms
+def _linear_part(on_word):
+    """word -> the one-letter words of on_word(word): on a generator's word,
+    the linear part of a derivation or of a morphism."""
+    return lambda word: {w: c for w, c in on_word(word).items() if word_length(w) == 1}
 
 
 def _indecomposables_complex(model: CDGA, max_degree: int) -> DegreeWindowComplex:
-    """The indecomposables complex as a window over one-letter generator words.
-
-    The linear part of d sends one-letter words to one-letter words.
-    """
+    """The indecomposables complex as a window over one-letter generator words."""
     bases = _generator_words(model.algebra, max_degree + 1)
-    linear = _on_generator_words(model.algebra, indecomposables(model).linear)
+    linear = _linear_part(model.differential.on_word)
     return DegreeWindowComplex(model, max_degree, bases, _degreewise(linear, bases, bases[1:]))
 
 
@@ -243,8 +237,7 @@ def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism,
         max_degree = max(degrees, default=0)
     qs = _indecomposables_complex(source, max_degree)
     qt = _indecomposables_complex(target, max_degree)
-    linear = _on_generator_words(source.algebra, linear_part_of_morphism(m))
-    maps = _degreewise(linear, qs.bases[:max_degree + 1], qt.bases)
+    maps = _degreewise(_linear_part(m.on_word), qs.bases[:max_degree + 1], qt.bases)
     return _verdicts(qs, qt, maps, max_degree)
 
 

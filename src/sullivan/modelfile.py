@@ -17,17 +17,11 @@ must be homogeneous of degree |generator| + 1.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 
 from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator
 from .calculus import CDGA, Derivation, require_valid
-from .errors import ModelFileError
-
-# The most decimal digits a coefficient's numerator or denominator may have:
-# the interpreter's integer-to-string limit, past which no report can write
-# it (4300 by default, and where the interpreter has no limit or it is off).
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+from .errors import DIGIT_LIMIT, ModelFileError
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/])|(\S)")
@@ -44,8 +38,9 @@ class _ExprParser:
     a constant with terms of positive degree, such as (1+v)^n.  A power of
     a constant alone, such as 7^n, is rejected before it is expanded, with
     or without `d_of`, when its numerator or denominator would have more
-    digits than a report can write (see `_DIGIT_LIMIT`), even where a later
-    factor would cancel it.
+    digits than a report can write (see `DIGIT_LIMIT`), even where a later
+    factor would cancel it.  An integer literal with more than
+    `DIGIT_LIMIT` digits is rejected as it is read.
     """
 
     def __init__(self, text: str, line: int, offset: int, algebra: FreeGradedAlgebra,
@@ -86,6 +81,11 @@ class _ExprParser:
                 return text
         return None
 
+    def integer(self, text: str, column: int, role: str) -> int:
+        if len(text) > DIGIT_LIMIT:
+            raise self.error(f"{role} has more than {DIGIT_LIMIT} digits", column)
+        return int(text)
+
     def take(self) -> tuple[str, str, int]:
         if self.pos >= len(self.tokens):
             raise self.error("unexpected end of expression")
@@ -124,12 +124,12 @@ class _ExprParser:
             kind, text, column = self.take()
             if kind != "int":
                 raise self.error("exponent must be an integer", column)
-            exponent = int(text)
+            exponent = self.integer(text, column, "exponent")
             if list(base.terms) == [UNIT_WORD]:
                 c = base.terms[UNIT_WORD]
                 if _too_many_digits(c.numerator, exponent) or _too_many_digits(c.denominator, exponent):
                     shown = c if c.denominator == 1 and c > 0 else f"({c})"
-                    message = f"coefficient {shown}^{exponent} has more than {_DIGIT_LIMIT} digits"
+                    message = f"coefficient {shown}^{exponent} has more than {DIGIT_LIMIT} digits"
                     raise self.error(message, column)
             if self.d_of is not None and not base.is_zero():
                 expected = self.algebra.generator(self.d_of).degree + 1
@@ -148,15 +148,16 @@ class _ExprParser:
     def atom(self) -> Element:
         kind, text, column = self.take()
         if kind == "int":
-            value = Fraction(int(text))
+            value = Fraction(self.integer(text, column, "coefficient"))
             if self.peek_op("/"):
                 self.take()
                 dkind, dtext, dcolumn = self.take()
                 if dkind != "int":
                     raise self.error("denominator must be an integer", dcolumn)
-                if int(dtext) == 0:
+                denominator = self.integer(dtext, dcolumn, "denominator")
+                if denominator == 0:
                     raise self.error("division by zero", dcolumn)
-                value /= int(dtext)
+                value /= denominator
             return self.algebra.one() * value
         if kind == "name":
             if not self.algebra.has_generator(text):
@@ -174,13 +175,13 @@ class _ExprParser:
 
 
 def _too_many_digits(base: int, exponent: int) -> bool:
-    """Whether |base|^exponent has more than _DIGIT_LIMIT decimal digits."""
+    """Whether |base|^exponent has more than DIGIT_LIMIT decimal digits."""
     base = abs(base)
     if base < 2:
         return False
-    if exponent * (base.bit_length() - 1) > 4 * _DIGIT_LIMIT:
+    if exponent * (base.bit_length() - 1) > 4 * DIGIT_LIMIT:
         return True  # it is at least 2^(4 * limit) > 10^limit
-    return base**exponent >= 10**_DIGIT_LIMIT
+    return base**exponent >= 10**DIGIT_LIMIT
 
 
 def _split_statement(raw: str) -> str:
@@ -278,23 +279,6 @@ def emit(model: CDGA, header: tuple[str, ...] = ()) -> str:
         value = model.d_of(g.name)
         if value.is_zero():
             continue
-        lines.append(f"d {g.name} = {_emit_element(value)}")
+        lines.append(f"d {g.name} = {value}")
     return "\n".join(lines) + "\n"
 
-
-def _emit_element(e: Element) -> str:
-    chunks: list[str] = []
-    for word, coeff in e.sorted_terms():
-        body = e.algebra.word_str(word)
-        magnitude = abs(coeff)
-        if word == ():
-            text = str(magnitude)
-        elif magnitude == 1:
-            text = body
-        else:
-            text = f"{magnitude}*{body}"
-        if not chunks:
-            chunks.append(text if coeff > 0 else f"-{text}")
-        else:
-            chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
-    return " ".join(chunks) if chunks else "0"

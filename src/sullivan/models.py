@@ -177,12 +177,6 @@ class MultiplicationModel(NamedTuple):
     base: tuple[str, ...]
     gammas: dict[str, Element]
 
-    def left_copy(self, name: str) -> str:
-        return f"{name}_1"
-
-    def right_copy(self, name: str) -> str:
-        return f"{name}_2"
-
 
 def multiplication_model(model: CDGA, max_degree: int | None = None) -> MultiplicationModel:
     """Inductive construction of the multiplication model, truncated at max_degree.
@@ -295,7 +289,7 @@ def _solve_gamma(big, target_alg, d_values, phi_values, processed, original_degr
 
 
 def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:
-    """Pushout along the multiplication: identify the two copies.
+    """Pushout of the multiplication: identify the two copies.
 
     The result lives on the original generators plus their suspensions and
     is a free-loop-space model of the target.

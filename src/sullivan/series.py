@@ -2,7 +2,11 @@
 
 Coefficients are integers throughout: Betti numbers are dimensions, and
 rational functions are expanded by exact integer long division with a check
-that every coefficient comes out integral.
+that every coefficient comes out integral.  A parse for an expansion to
+degree N drops every term above z^N as it multiplies, since the expansion
+never reads them, and takes powers by repeated squaring.  A literal,
+product or expansion coefficient with more than `DIGIT_LIMIT` digits is
+rejected, even where later terms would cancel it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import PoleAtZero, RationalFormError, read_only
+from .errors import DIGIT_LIMIT, PoleAtZero, RationalFormError, read_only
 
 Poly = tuple[int, ...]
 
@@ -90,6 +94,8 @@ def expand_rational(f: RationalFunctionForm, max_degree: int) -> TruncatedSeries
             raise RationalFormError(
                 f"coefficient of z^{k} is {acc}/{den[0]}, not an integer"
             )
+        if abs(q) >= _COEFFICIENT_BOUND:
+            raise RationalFormError(f"coefficient of z^{k} has more than {DIGIT_LIMIT} digits")
         coeffs.append(q)
     return TruncatedSeries(tuple(coeffs))
 
@@ -100,6 +106,7 @@ def expand_rational(f: RationalFunctionForm, max_degree: int) -> TruncatedSeries
 # division, at the top level, separating numerator from denominator.
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(z)|([+\-*^()/])|(\S))")
+_COEFFICIENT_BOUND = 10**DIGIT_LIMIT
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
@@ -111,21 +118,16 @@ def _poly_neg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def _poly_mul(a: Poly, b: Poly) -> Poly:
+def _poly_mul(a: Poly, b: Poly, top: int) -> Poly:
+    """The product, without its terms above z^top."""
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
+    n = min(len(a) + len(b) - 1, top + 1)
+    out = [0] * n
+    for i, ca in enumerate(a[:n]):
+        for j, cb in enumerate(b[:n - i]):
             out[i + j] += ca * cb
     return tuple(out)
-
-
-def _poly_pow(a: Poly, e: int) -> Poly:
-    out: Poly = (1,)
-    for _ in range(e):
-        out = _poly_mul(out, a)
-    return out
 
 
 def _poly_trim(a: Poly) -> Poly:
@@ -136,7 +138,12 @@ def _poly_trim(a: Poly) -> Poly:
 
 
 class _PolyParser:
-    def __init__(self, text: str):
+    """Recursive descent over one polynomial.  Products and powers drop
+    their terms above z^top; `dropped` records whether a nonzero one was."""
+
+    def __init__(self, text: str, top: int):
+        self.top = top
+        self.dropped = False
         self.tokens: list[str] = []
         pos = 0
         while pos < len(text):
@@ -150,6 +157,31 @@ class _PolyParser:
                 self.tokens.append(token)
             pos = m.end()
         self.pos = 0
+
+    def integer(self, token: str, role: str) -> int:
+        if len(token) > DIGIT_LIMIT:
+            raise RationalFormError(f"{role} has more than {DIGIT_LIMIT} digits")
+        return int(token)
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        a, b = _poly_trim(a), _poly_trim(b)
+        if a and b and len(a) + len(b) - 2 > self.top:
+            self.dropped = True  # the leading term of the product is nonzero
+        out = _poly_mul(a, b, self.top)
+        if any(abs(c) >= _COEFFICIENT_BOUND for c in out):
+            raise RationalFormError(f"a coefficient has more than {DIGIT_LIMIT} digits")
+        return out
+
+    def power(self, a: Poly, e: int) -> Poly:
+        """a^e by repeated squaring."""
+        out: Poly = (1,)
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return out
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -184,7 +216,7 @@ class _PolyParser:
         acc = self.factor()
         while self.peek() == "*":
             self.take()
-            acc = _poly_mul(acc, self.factor())
+            acc = self.mul(acc, self.factor())
         return acc
 
     def factor(self) -> Poly:
@@ -194,13 +226,13 @@ class _PolyParser:
             exp_token = self.take()
             if not exp_token.isdigit():
                 raise RationalFormError(f"exponent must be an integer, got {exp_token!r}")
-            return _poly_pow(base, int(exp_token))
+            return self.power(base, self.integer(exp_token, "exponent"))
         return base
 
     def atom(self) -> Poly:
         token = self.take()
         if token.isdigit():
-            return (int(token),)
+            return (self.integer(token, "integer"),)
         if token == "z":
             return (0, 1)
         if token == "(":
@@ -213,8 +245,12 @@ class _PolyParser:
         raise RationalFormError(f"unexpected token {token!r}")
 
 
-def parse_rational(text: str) -> RationalFunctionForm:
-    """Parse "<poly>" or "<poly>/<poly>" with the single slash at depth zero."""
+def parse_rational(text: str, max_degree: int) -> RationalFunctionForm:
+    """Parse "<poly>" or "<poly>/<poly>" with the single slash at depth zero.
+
+    Both polynomials lose their terms above z^max_degree, which
+    `expand_rational` to that degree never reads.
+    """
     depth = 0
     split = None
     for i, ch in enumerate(text):
@@ -230,10 +266,11 @@ def parse_rational(text: str) -> RationalFunctionForm:
         num_text, den_text = text, "1"
     else:
         num_text, den_text = text[:split], text[split + 1 :]
-    num = _poly_trim(_PolyParser(num_text).parse())
-    den = _poly_trim(_PolyParser(den_text).parse())
-    if not den:
+    num = _poly_trim(_PolyParser(num_text, max_degree).parse())
+    den_parser = _PolyParser(den_text, max_degree)
+    den = _poly_trim(den_parser.parse())
+    if not den and not den_parser.dropped:
         raise RationalFormError("denominator is identically zero")
-    if den[0] == 0:
+    if not den or den[0] == 0:
         raise PoleAtZero("denominator vanishes at z = 0")
     return RationalFunctionForm(num, den)

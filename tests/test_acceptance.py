@@ -147,7 +147,7 @@ def test_criterion_6_loop_identities_on_random_monomials():
 
 
 def test_criterion_7_series_comparison():
-    expansion = expand_rational(parse_rational("(1+z^3)^2/(1-z^2)^2"), 12)
+    expansion = expand_rational(parse_rational("(1+z^3)^2/(1-z^2)^2", 12), 12)
     loop_report = betti(loop_model(s3s3_model()), 12)
     computed = series_from_report(loop_report)
     ok = expansion == computed

@@ -222,36 +222,6 @@ def test_large_power_of_monomial_is_fast():
     assert (alg.gen("v") ** 100000000).terms == {((0, 100000000),): 1}
 
 
-# -- wordlength ---------------------------------------------------------------------
-
-
-def test_wordlength_split_examples():
-    alg = algebra_v2_w3()
-    v = alg.gen("v")
-    e = v * v + v
-    assert e.wordlength_split(2) == v * v
-    assert e.wordlength_split(1) == v
-    assert alg.one().wordlength_split(0) == alg.one()
-
-
-def test_wordlength_split_of_relation():
-    # d(w) = v^(n+1) sits in wordlength n+1
-    alg = algebra_v2_w3()
-    n = 3
-    dw = alg.gen("v") ** (n + 1)
-    assert dw.wordlength_split(n + 1) == dw
-    assert dw.wordlength_split(n).is_zero()
-
-
-def test_wordlength_split_partition():
-    alg = algebra_yz3()
-    e = alg.one() + alg.gen("y") + 2 * (alg.gen("y") * alg.gen("z"))
-    total = alg.zero()
-    for k in range(0, 4):
-        total = total + e.wordlength_split(k)
-    assert total == e
-
-
 # -- property-based checks -------------------------------------------------------------
 
 

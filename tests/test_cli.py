@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sullivan.cli import main
-from sullivan.modelfile import _DIGIT_LIMIT
+from sullivan.errors import DIGIT_LIMIT
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -256,10 +256,59 @@ def test_huge_power_of_a_constant_exits_two_at_once(argv, column, tmp_path, caps
     line = 3 if argv[0] == "verify" else 1
     assert capsys.readouterr().err == (
         f"error: line {line}, column {column}: coefficient 7^100000000 has more than "
-        f"{_DIGIT_LIMIT} digits\n"
+        f"{DIGIT_LIMIT} digits\n"
     )
     # the timeout only guards against a hang; the check is the exit code
     assert run_cli(argv, timeout=60).returncode == 2
+
+
+_LONG = "1" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{model}"], f"line 3, column 7: coefficient has more than {DIGIT_LIMIT} digits"),
+    (["verify", "{power}"], f"line 3, column 9: exponent has more than {DIGIT_LIMIT} digits"),
+    (["series", "--rational", f"1/(1-{_LONG}*z)"], f"integer has more than {DIGIT_LIMIT} digits"),
+    (["series", "--rational", f"(1+z)^{_LONG}"], f"exponent has more than {DIGIT_LIMIT} digits"),
+])
+def test_integer_literal_past_the_digit_limit_exits_two(argv, message, tmp_path, capsys):
+    model = tmp_path / "long.model"
+    model.write_text(f"generator v 2\ngenerator w 3\nd w = {_LONG}*v^2\n")
+    power = tmp_path / "power.model"
+    power.write_text(f"generator v 2\ngenerator w 3\nd w = v^{_LONG}\n")
+    argv = [a.format(model=model, power=power) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("rational, out", [
+    ("z^100000000", "series 0,0,0,0,0\n"),
+    ("(1+z)^100000", "series 1,100000,4999950000,166661666700000,4166416671249975000\n"),
+    ("1/(1-z)^100000000", "series 1,100000000,5000000050000000,"
+     "166666671666666700000000,4166666916666671250000025000000\n"),
+    ("(1+z)^3000", "series 1,3000,4498500,4495501000,3368254124250\n"),
+])
+def test_series_of_a_huge_power_is_truncated_before_expansion(rational, out, capsys):
+    start = time.perf_counter()
+    assert main(["series", "--rational", rational, "--max", "4"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == out
+    # the timeout only guards against a hang; the check is the output
+    result = run_cli(["series", "--rational", rational, "--max", "4"], timeout=60)
+    assert (result.returncode, result.stdout) == (0, out)
+
+
+@pytest.mark.parametrize("rational, message", [
+    ("(2+z)^100000000", f"a coefficient has more than {DIGIT_LIMIT} digits"),
+    ("1/(1-10^5000*z)", f"a coefficient has more than {DIGIT_LIMIT} digits"),
+])
+def test_series_with_a_coefficient_past_the_digit_limit_exits_two_at_once(rational, message, capsys):
+    start = time.perf_counter()
+    assert main(["series", "--rational", rational, "--max", "4"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the timeout only guards against a hang; the check is the exit code
+    assert run_cli(["series", "--rational", rational, "--max", "4"], timeout=60).returncode == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from sullivan.algebra import FreeGradedAlgebra, Generator
 from sullivan.calculus import loop_model, make_cdga
-from sullivan.errors import InvalidDifferential, ModelFileError
-from sullivan.modelfile import _DIGIT_LIMIT, emit, parse, parse_element, parse_path
+from sullivan.errors import DIGIT_LIMIT, InvalidDifferential, ModelFileError
+from sullivan.modelfile import emit, parse, parse_element, parse_path
 
 from helpers import builtin_models, cpn_model
 
@@ -159,14 +159,14 @@ def test_power_above_the_required_degree_is_rejected_before_expansion(expr, mess
     ("(1/7)^100000000*v^2", "(1/7)^100000000", 13),
     # the power is rejected even where a later factor would cancel it
     ("(1/7)^6000*7^6000*v^2", "(1/7)^6000", 13),
-    (f"10^{_DIGIT_LIMIT}*v^2", f"10^{_DIGIT_LIMIT}", 10),
+    (f"10^{DIGIT_LIMIT}*v^2", f"10^{DIGIT_LIMIT}", 10),
     ("2^" + "9" * 400, "2^" + "9" * 400, 9),  # an exponent past float range
 ])
 def test_power_of_a_constant_past_the_digit_limit_is_rejected_before_expansion(expr, shown, column):
     text = f"generator v 2\ngenerator w 3\nd w = {expr}\n"
     with pytest.raises(ModelFileError) as info:
         parse(text)
-    assert f"coefficient {shown} has more than {_DIGIT_LIMIT} digits" in str(info.value)
+    assert f"coefficient {shown} has more than {DIGIT_LIMIT} digits" in str(info.value)
     assert (info.value.line, info.value.column) == (3, column)
     # the guard does not need a required degree
     alg = FreeGradedAlgebra([Generator("v", 2)])
@@ -181,11 +181,29 @@ def test_power_of_a_constant_past_the_digit_limit_is_rejected_before_expansion(e
     ("(-1)^100000001*v^2", -1),
     ("1^100000000*v^2", 1),
     ("0^100000000*v^2 + v^2", 1),
-    (f"10^{_DIGIT_LIMIT - 1}*v^2", 10 ** (_DIGIT_LIMIT - 1)),
+    (f"10^{DIGIT_LIMIT - 1}*v^2", 10 ** (DIGIT_LIMIT - 1)),
 ])
 def test_powers_of_constants_within_the_digit_limit_parse(expr, coefficient):
     model = parse(f"generator v 2\ngenerator w 3\nd w = {expr}\n")
     assert model.d_of("w") == coefficient * model.algebra.gen("v") ** 2
+
+
+_LONG = "1" * (DIGIT_LIMIT + 1)  # one digit past the interpreter's conversion limit
+
+
+@pytest.mark.parametrize("expr, role, column", [
+    (f"{_LONG}*v^2", "coefficient", 7),
+    (f"1/{_LONG}*v^2", "denominator", 9),
+    (f"v^{_LONG}", "exponent", 9),
+    (f"2^{_LONG}*v^2", "exponent", 9),
+])
+def test_integer_literal_past_the_digit_limit_is_a_positioned_error(expr, role, column):
+    with pytest.raises(ModelFileError) as info:
+        parse(f"generator v 2\ngenerator w 3\nd w = {expr}\n")
+    assert str(info.value) == f"line 3, column {column}: {role} has more than {DIGIT_LIMIT} digits"
+    # the longest literal still reads
+    model = parse(f"generator v 2\ngenerator w 3\nd w = {'1' * DIGIT_LIMIT}*v^2\n")
+    assert model.d_of("w") == int("1" * DIGIT_LIMIT) * model.algebra.gen("v") ** 2
 
 
 def test_empty_model_rejected():

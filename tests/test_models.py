@@ -1,6 +1,7 @@
 import pytest
 
 from sullivan.calculus import (
+    Morphism,
     check_chain_map,
     check_differential,
     loop_model,
@@ -10,7 +11,14 @@ from sullivan.calculus import (
 from sullivan import linalg
 from sullivan.algebra import Element, Generator
 from sullivan.errors import NotApplicable
-from sullivan.homology import assemble_window, betti, class_is_nontrivial, quasi_iso_via_indecomposables
+from sullivan.homology import (
+    _indecomposables_complex,
+    assemble_window,
+    betti,
+    class_is_nontrivial,
+    quasi_iso_check,
+    quasi_iso_via_indecomposables,
+)
 from sullivan.models import (
     Recipe,
     build,
@@ -115,15 +123,14 @@ def test_gamma_vanishes_for_zero_differentials():
 
 def test_indecomposables_of_multiplication_model():
     # linear part of D sends sv to v_1 - v_2 and the copies to zero
-    from sullivan.calculus import indecomposables
-
     mm = multiplication_model(cpn_model(2))
-    q = indecomposables(mm.model)
-    alg = mm.model.algebra
-    for name in ("v", "w"):
-        assert q.linear[f"s{name}"] == alg.gen(f"{name}_1") - alg.gen(f"{name}_2")
-        assert q.linear[f"{name}_1"].is_zero()
-        assert q.linear[f"{name}_2"].is_zero()
+    q = _indecomposables_complex(mm.model, 5)
+    name = mm.model.algebra.word_str
+    linear = {name(word): {name(q.bases[n + 1][r]): c for r, c in column.items()}
+              for n in range(6) for word, column in zip(q.bases[n], q.columns[n])}
+    for g in ("v", "w"):
+        assert linear[f"s{g}"] == {f"{g}_1": 1, f"{g}_2": -1}
+        assert linear[f"{g}_1"] == linear[f"{g}_2"] == {}
 
 
 def test_multiplication_model_postconditions():
@@ -134,6 +141,22 @@ def test_multiplication_model_postconditions():
         assert check_chain_map(mm.phi, mm.model.differential, mm.target.differential) is None, name
         assert quasi_iso_via_indecomposables(mm.model, mm.target, mm.phi).is_quasi_iso, name
         assert minimality_check(mm.model, mm.base) is None, name
+
+
+def test_quasi_iso_via_indecomposables_agrees_with_the_full_check():
+    # the generator-indexed verdict against cohomology in degrees <= 8
+    cases = []
+    for model in (cpn_model(1), cpn_model(2), s3s3_model()):
+        mm = multiplication_model(model)
+        cases.append((mm.model, mm.target, mm.phi))
+    source = make_cdga([Generator("v", 3), Generator("w", 5)])
+    target = make_cdga([Generator("v", 3)])
+    kill_w = Morphism(source.algebra, target.algebra,
+                      {"v": target.algebra.gen("v"), "w": target.algebra.zero()})
+    cases.append((source, target, kill_w))
+    verdicts = [quasi_iso_via_indecomposables(*case).is_quasi_iso for case in cases]
+    assert verdicts == [quasi_iso_check(*case, 8).is_quasi_iso for case in cases]
+    assert verdicts == [True, True, True, False]
 
 
 def test_multiplication_model_requires_minimal_simply_connected_input():

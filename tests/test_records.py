@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from sullivan.algebra import FreeGradedAlgebra, Generator
-from sullivan.calculus import CDGA, Derivation, Morphism, indecomposables, koszul_model, make_cdga
+from sullivan.calculus import CDGA, Derivation, Morphism, koszul_model, make_cdga
 from sullivan.errors import AlgebraMismatch
 from sullivan.homology import assemble_window, betti, quasi_iso_check
 from sullivan.models import (
@@ -33,7 +33,6 @@ def one_of_each_record():
         (Generator("v", 2), "name"),
         (cp2, "algebra"),
         (koszul_model(presentation, presentation.algebra.gen("x") ** 2, 4), "model"),
-        (indecomposables(cp2), "linear"),
         (assemble_window(s3, 3), "bases"),
         (betti(s3, 3), "betti"),
         (quasi.per_degree[0], "degree"),
@@ -44,7 +43,7 @@ def one_of_each_record():
         (witnesses.entries[0], "labels"),
         (witnesses, "entries"),
         (TruncatedSeries((1, 0, 1)), "coefficients"),
-        (parse_rational("1/(1-z^2)"), "numerator"),
+        (parse_rational("1/(1-z^2)", 4), "numerator"),
     ]
 
 
@@ -52,7 +51,7 @@ RECORDS = one_of_each_record()
 
 
 def test_every_record_type_is_covered():
-    assert len({type(record) for record, _ in RECORDS}) == 15
+    assert len({type(record) for record, _ in RECORDS}) == 14
 
 
 @pytest.mark.parametrize("record, field", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
@@ -96,14 +95,6 @@ def test_cdga_checks_its_differential():
     other = CDGA(a, Derivation(a, 1, {"x": a.zero()}))
     assert same == other and hash(same) == hash(other)
     assert repr(same) == f"CDGA(algebra={a!r}, differential={same.differential!r})"
-
-
-def test_indecomposables_equality_ignores_the_linear_part():
-    model = cpn_model(2)
-    q = indecomposables(model)
-    other = type(q)(model.algebra, {})
-    assert q == other and hash(q) == hash(other)
-    assert q != indecomposables(s3_model())
 
 
 def test_recipe_keeps_its_equality_and_str():
