@@ -58,7 +58,8 @@ def main() -> None:
 
     show("S^3 x S^3: unbounded Betti numbers and the rational series")
     s3s3 = build(Recipe("product", (Recipe("odd_sphere", (1,)), Recipe("odd_sphere", (1,)))))
-    report = betti(loop_model(s3s3), WINDOW)
+    s3s3_loop = loop_model(s3s3)
+    report = betti(s3s3_loop, WINDOW)
     print("betti:    ", ",".join(str(b) for b in report.betti))
     expansion = expand_rational(parse_rational("(1+z^3)^2/(1-z^2)^2", WINDOW), WINDOW)
     print("series:   ", expansion)
@@ -74,8 +75,8 @@ def main() -> None:
             print(f"{name:>5}: D({s}) = {mm.model.d_of(s)}")
 
     show("Witness cocycles on S^3 x S^3 (k+1 classes in degree 2k)")
-    witness_report = vps_witnesses_for_model(s3s3, 6)
-    loop_numbers = betti(loop_model(s3s3), WINDOW).betti
+    witness_report = vps_witnesses_for_model(s3s3_loop, 6)
+    loop_numbers = report.betti
     for entry in witness_report.entries:
         bound = loop_numbers[entry.degree] if entry.degree <= WINDOW else "-"
         print(f"k={entry.k}: degree {entry.degree}, {entry.count} classes, "

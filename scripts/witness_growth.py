@@ -32,8 +32,9 @@ def main() -> None:
     for name, recipe in CASES:
         model = build(recipe)
         generators = h_algebra_generator_counts(model, WINDOW)
-        report = vps_witnesses_for_model(model, K_MAX)
-        numbers = betti(loop_model(model), WINDOW).betti
+        loop = loop_model(model)
+        report = vps_witnesses_for_model(loop, K_MAX)
+        numbers = betti(loop, WINDOW).betti
         print(f"\n{name}: H* algebra generators per degree "
               + ",".join(str(c) for c in generators))
         print(f"  witness pair ({report.y}, {report.z}), even part {list(report.even_gens)}, "

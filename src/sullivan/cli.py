@@ -257,7 +257,8 @@ def cmd_koszul(args) -> int:
     from .homology import betti
 
     model = _read_model(args.model)
-    cocycle = modelfile.parse_element(args.by, model.algebra)
+    # the Koszul generator, of degree |z| - 1, must lie in the window
+    cocycle = modelfile.parse_element(args.by, model.algebra, args.max + 1)
     koszul = koszul_model(model, cocycle, args.max)
     computed = betti(koszul.model, args.max, cap=args.cap)
     matches = tuple(computed.betti) == koszul.quotient_dims
@@ -333,8 +334,8 @@ def cmd_witness(args) -> int:
     from .homology import betti, h_algebra_generator_counts
 
     model = _read_model(args.model)
-    witness_report = models.vps_witnesses_for_model(model, args.k_max)
     loop = loop_model(model)
+    witness_report = models.vps_witnesses_for_model(loop, args.k_max)
     loop_betti_report = betti(loop, args.max, cap=args.cap)
     generator_counts = h_algebra_generator_counts(model, args.max, cap=args.cap)
     entries = []
@@ -440,9 +441,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic Sullivan models: cohomology, loop models, witnesses.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max", type=int, default=16, help="degree window bound (default 16)")
     common.add_argument("--json", action="store_true", help="emit a canonical JSON report")
-    common.add_argument("--cap", type=int, default=200_000,
+    window = argparse.ArgumentParser(add_help=False, parents=[common])
+    window.add_argument("--max", type=int, default=16, help="degree window bound (default 16)")
+    capped = argparse.ArgumentParser(add_help=False, parents=[window])
+    capped.add_argument("--cap", type=int, default=200_000,
                         help="per-degree monomial basis cap (default 200000)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -450,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", nargs="?", default="-")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("betti", parents=[common], help="Betti numbers and representatives")
+    p = sub.add_parser("betti", parents=[capped], help="Betti numbers and representatives")
     p.add_argument("model", nargs="?", default="-")
     p.set_defaults(func=cmd_betti)
 
@@ -459,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_loop)
 
-    p = sub.add_parser("loop-betti", parents=[common], help="Betti numbers of the loop model")
+    p = sub.add_parser("loop-betti", parents=[capped], help="Betti numbers of the loop model")
     p.add_argument("model", nargs="?", default="-")
     p.set_defaults(func=cmd_loop_betti)
 
@@ -475,24 +478,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("koszul", parents=[common], help="one-variable Koszul model")
+    p = sub.add_parser("koszul", parents=[capped], help="one-variable Koszul model")
     p.add_argument("model", nargs="?", default="-")
     p.add_argument("--by", required=True, help="even cocycle expression")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_koszul)
 
-    p = sub.add_parser("mult-model", parents=[common],
+    p = sub.add_parser("mult-model", parents=[window],
                        help="relative model of the multiplication, with verdicts")
     p.add_argument("model", nargs="?", default="-")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_mult_model)
 
-    p = sub.add_parser("witness", parents=[common], help="witness cocycle families")
+    p = sub.add_parser("witness", parents=[capped], help="witness cocycle families")
     p.add_argument("model", nargs="?", default="-")
     p.add_argument("--k-max", type=int, default=4, dest="k_max")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("series", parents=[common], help="expand a rational function")
+    p = sub.add_parser("series", parents=[capped], help="expand a rational function")
     p.add_argument("--rational", required=True)
     p.add_argument("--betti-of", default=None, dest="betti_of",
                    help="model file to compare the expansion against")
@@ -510,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.max < 0:
+    if getattr(args, "max", 0) < 0:
         print("error: --max must be non-negative", file=sys.stderr)
         return 2
     try:

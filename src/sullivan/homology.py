@@ -12,11 +12,11 @@ V of a Sullivan algebra carry the linear part of d, which is the one-letter
 part of `on_word` on one-letter words; a chain map's linear part is read the
 same way.  Kernels and representatives are sparse; no result is dense
 except `matrix(n)`, which writes a differential out for inspection.  All
-ranks are exact (see linalg).  Representative cocycles come from the
-reduced-echelon kernel basis: each degree puts its boundary vectors into
-one `linalg.Echelon`, then offers the sparse kernel vectors in order and
-keeps a kernel vector (as it is, not its residue) iff it adds a pivot, so
-reports are reproducible.
+ranks are exact (see linalg).  A window degree is eliminated in one place,
+`DegreeWindowComplex.cocycles(n)`: each reader reads its counts there, then
+extends the boundary echelon with what it tests.  Representatives keep a
+kernel vector (as it is, not its residue) iff it adds a pivot, so reports
+are reproducible.
 
 Per-degree computations are independent; the report is a deterministic
 reduction over them.
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .algebra import Element, FreeGradedAlgebra, Word, word_length
-from .calculus import CDGA, Morphism, check_chain_map
+from .calculus import CDGA, Morphism, _sum_over_words, check_chain_map
 from .errors import NotACocycle
 
 DEFAULT_BASIS_CAP = 200_000
@@ -60,15 +60,11 @@ class DegreeWindowComplex(NamedTuple):
                     for r in range(self.dim(n + 1))]
         return []
 
-    def boundary_vectors(self, n: int) -> list[linalg.SparseVector]:
-        """Images of the degree-(n-1) basis words inside degree n, sparse."""
-        if 1 <= n <= self.max_degree + 1:
-            return list(self.columns[n - 1])
-        return []
-
-    def kernel(self, n: int) -> list[linalg.SparseVector]:
-        """The reduced-echelon basis of the degree-n cocycles, as sparse vectors."""
-        return linalg.kernel_basis(linalg.transpose(self.columns[n], self.dim(n + 1)), self.dim(n))
+    def cocycles(self, n: int) -> tuple[list[linalg.SparseVector], linalg.Echelon]:
+        """The reduced-echelon basis of the degree-n cocycles, and an `Echelon`
+        of the boundaries (columns of d^(n-1)): b_n = len(kernel) - rank."""
+        rows = linalg.transpose(self.columns[n], self.dim(n + 1))
+        return linalg.kernel_basis(rows, self.dim(n)), linalg.Echelon(self.columns[n - 1] if n else ())
 
 
 def _degreewise(image, sources, targets) -> tuple[tuple[linalg.SparseVector, ...], ...]:
@@ -105,9 +101,8 @@ def betti_of_window(window: DegreeWindowComplex) -> CohomologyReport:
     reps: list[tuple[Element, ...]] = []
     algebra = window.model.algebra
     for n in range(window.max_degree + 1):
-        kernel = window.kernel(n)
+        kernel, span = window.cocycles(n)
         basis = window.bases[n]
-        span = linalg.Echelon(window.boundary_vectors(n))
         b_n = len(kernel) - span.rank
         chosen = [
             Element(algebra, {basis[c]: vec[c] for c in sorted(vec)})
@@ -132,7 +127,7 @@ def class_is_nontrivial(model: CDGA, cocycle: Element, cap: int = DEFAULT_BASIS_
     below = model.algebra.basis_in_degree(degree - 1, cap=cap)
     boundaries = linalg.matrix_of(map(model.differential.on_word, below), basis)
     (vector,) = linalg.matrix_of([cocycle.terms], basis)
-    return not linalg.in_row_span(boundaries, vector)
+    return linalg.Echelon(boundaries).add(vector)
 
 
 # -- quasi-isomorphism verdicts -----------------------------------------------------
@@ -166,21 +161,17 @@ class QuasiIsoReport(NamedTuple):
 
 
 def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex,
-              maps: tuple[tuple[linalg.SparseVector, ...], ...], max_degree: int) -> QuasiIsoReport:
-    """Ranks of H(m) in degrees 0..max_degree; maps[n] holds m in degree n as sparse columns."""
+              on_word, max_degree: int) -> QuasiIsoReport:
+    """Ranks of H(m) in degrees 0..max_degree; on_word is m on a source word.
+    Only source cocycles are mapped, after both H dimensions are read."""
     verdicts = []
     for n in range(max_degree + 1):
-        kernel_s = source.kernel(n)
-        h_s = len(kernel_s) - linalg.rank(source.boundary_vectors(n))
-        span_t = linalg.Echelon(target.boundary_vectors(n))
-        h_t = (target.dim(n) - linalg.rank(target.columns[n])) - span_t.rank
-        rank_h = 0
-        for vec in kernel_s:
-            image: linalg.SparseVector = {}
-            for c, x in vec.items():
-                for r, v in maps[n][c].items():
-                    image[r] = image.get(r, 0) + x * v
-            rank_h += span_t.add(image)
+        kernel_s, span_s = source.cocycles(n)
+        kernel_t, span_t = target.cocycles(n)
+        h_s, h_t = len(kernel_s) - span_s.rank, len(kernel_t) - span_t.rank
+        basis = source.bases[n]
+        images = (_sum_over_words(on_word, {basis[c]: x for c, x in vec.items()}) for vec in kernel_s)
+        rank_h = sum(span_t.add(v) for v in linalg.matrix_of(images, target.bases[n]))
         verdicts.append(DegreeVerdict(n, h_s, h_t, rank_h))
     return QuasiIsoReport(tuple(verdicts))
 
@@ -197,8 +188,7 @@ def quasi_iso_check(source: CDGA, target: CDGA, m: Morphism, max_degree: int,
     _require_chain_map(source, target, m)
     ws = assemble_window(source, max_degree, cap=cap)
     wt = assemble_window(target, max_degree, cap=cap)
-    maps = _degreewise(m.on_word, ws.bases[:max_degree + 1], wt.bases)
-    return _verdicts(ws, wt, maps, max_degree)
+    return _verdicts(ws, wt, m.on_word, max_degree)
 
 
 def _generator_words(algebra: FreeGradedAlgebra, max_degree: int) -> tuple[tuple[Word, ...], ...]:
@@ -237,8 +227,7 @@ def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism,
         max_degree = max(degrees, default=0)
     qs = _indecomposables_complex(source, max_degree)
     qt = _indecomposables_complex(target, max_degree)
-    maps = _degreewise(_linear_part(m.on_word), qs.bases[:max_degree + 1], qt.bases)
-    return _verdicts(qs, qt, maps, max_degree)
+    return _verdicts(qs, qt, _linear_part(m.on_word), max_degree)
 
 
 # -- derived reports -------------------------------------------------------------------
@@ -249,17 +238,20 @@ def h_algebra_generator_counts(model: CDGA, max_degree: int,
     """Per-degree count of algebra generators of H* visible in the window.
 
     Degree n generators are classes independent of boundaries and of
-    products of lower-degree classes; degree 0 reports 0 (the unit).
+    products of lower-degree classes; degree 0 reports 0 (the unit).  The
+    kept products and kept cocycles of a degree form a basis of H^n.
     """
     window = assemble_window(model, max_degree, cap=cap)
-    report = betti_of_window(window)
-    algebra = model.algebra
-    counts = [0] * (max_degree + 1)
-    reps = report.representatives
+    multiply = model.algebra.multiply_terms
+    counts = [0]
+    classes: list[list[dict[Word, Fraction]]] = [[]]  # term dicts of a basis of H^n
     for n in range(1, max_degree + 1):
-        span = linalg.Echelon(window.boundary_vectors(n))
-        products = (algebra.multiply_terms(left.terms, right.terms)
-                    for p in range(1, n) for left in reps[p] for right in reps[n - p])
-        dec_rank = sum(span.add(v) for v in linalg.matrix_of(products, window.bases[n]))
-        counts[n] = report.betti[n] - dec_rank
+        kernel, span = window.cocycles(n)
+        basis = window.bases[n]
+        products = [multiply(left, right)
+                    for p in range(1, n) for left in classes[p] for right in classes[n - p]]
+        kept = [t for t, v in zip(products, linalg.matrix_of(products, basis)) if span.add(v)]
+        generators = [{basis[c]: x for c, x in vec.items()} for vec in kernel if span.add(vec)]
+        counts.append(len(generators))
+        classes.append(kept + generators)
     return tuple(counts)

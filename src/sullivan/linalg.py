@@ -13,10 +13,11 @@ back-substitutes to reduced echelon form, which is unique, so
 The one vector type is the sparse `{column: Fraction}` dict, zeros not
 stored.  Every linear map becomes a matrix in one place, `matrix_of`: one
 sparse column per source element, rows indexed by any hashable basis keys.
-`Echelon`, `rank`, `kernel_basis` and `in_row_span` take such sparse rows,
-and every result (reduced rows, kernel vectors) is sparse.  A linear system
-A x = b is solved as the last kernel vector of [A | -b], which holds a 1 in
-its last column iff the system is consistent.
+`Echelon`, `rank` and `kernel_basis` take such sparse rows, and every
+result (reduced rows, kernel vectors) is sparse; a caller tests a row
+against a span by extending its `Echelon`.  A linear system A x = b is
+solved as the last kernel vector of [A | -b], which holds a 1 in its last
+column iff the system is consistent.
 """
 
 from __future__ import annotations
@@ -145,7 +146,3 @@ def kernel_basis(rows: Sequence[SparseVector], ncols: int) -> list[SparseVector]
             if k != p:
                 basis[k][p] = -v
     return list(basis.values())
-
-
-def in_row_span(rows: Sequence[SparseVector], vector: SparseVector) -> bool:
-    return not Echelon(rows).add(vector)

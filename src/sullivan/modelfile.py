@@ -28,25 +28,25 @@ _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/])|(\S)")
 
 
 class _ExprParser:
-    """Recursive descent over one differential expression.
+    """Recursive descent over one expression, in degrees <= top (|d_of| + 1 on a d line).
 
-    With `d_of` naming the generator whose differential this is, a power
-    e^n is rejected before it is expanded when n times the highest term
-    degree of e exceeds |d_of| + 1: such a power has a term above the
-    required degree (every generator has degree >= 1, so products only
-    raise degrees) unless terms cancel.  This also stops a base that mixes
-    a constant with terms of positive degree, such as (1+v)^n.  A power of
-    a constant alone, such as 7^n, is rejected before it is expanded, with
-    or without `d_of`, when its numerator or denominator would have more
-    digits than a report can write (see `DIGIT_LIMIT`), even where a later
-    factor would cancel it.  An integer literal with more than
-    `DIGIT_LIMIT` digits is rejected as it is read.
+    A power e^n is rejected before it is expanded when n times the highest
+    term degree of e exceeds `top`: such a power has a term above it (every
+    generator has degree >= 1, so products only raise degrees) unless terms
+    cancel.  This also stops a base that mixes a constant with terms of
+    positive degree, such as (1+v)^n.  A power of a constant alone, such as
+    7^n, is rejected before it is expanded, whatever `top` is, when its
+    numerator or denominator would have more digits than a report can write
+    (see `DIGIT_LIMIT`), even where a later factor would cancel it.  An
+    integer literal with more than `DIGIT_LIMIT` digits is rejected as it
+    is read.
     """
 
     def __init__(self, text: str, line: int, offset: int, algebra: FreeGradedAlgebra,
-                 d_of: str | None = None):
+                 top: int, d_of: str | None):
         self.line = line
         self.algebra = algebra
+        self.top = top
         self.d_of = d_of
         self.tokens: list[tuple[str, str, int]] = []  # (kind, text, column)
         pos = 0
@@ -131,16 +131,17 @@ class _ExprParser:
                     shown = c if c.denominator == 1 and c > 0 else f"({c})"
                     message = f"coefficient {shown}^{exponent} has more than {DIGIT_LIMIT} digits"
                     raise self.error(message, column)
-            if self.d_of is not None and not base.is_zero():
-                expected = self.algebra.generator(self.d_of).degree + 1
+            if not base.is_zero():
                 degrees = [self.algebra.word_degree(w) for w in base.terms]
                 lowest, highest = exponent * min(degrees), exponent * max(degrees)
-                if lowest > expected:
-                    bound = "" if base.is_homogeneous() else "at least "
-                    message = f"d {self.d_of} has degree {bound}{lowest}, expected {expected}"
-                    raise self.error(message, column)
-                if highest > expected:
-                    message = f"d {self.d_of} has terms up to degree {highest}, expected {expected}"
+                if highest > self.top:
+                    if self.d_of is None:
+                        message = f"power has terms up to degree {highest}, above degree {self.top}"
+                    elif lowest > self.top:
+                        bound = "" if base.is_homogeneous() else "at least "
+                        message = f"d {self.d_of} has degree {bound}{lowest}, expected {self.top}"
+                    else:
+                        message = f"d {self.d_of} has terms up to degree {highest}, expected {self.top}"
                     raise self.error(message, column)
             return base ** exponent
         return base
@@ -239,8 +240,8 @@ def parse(text: str, validate: bool = True) -> CDGA:
         if target in seen:
             raise ModelFileError(f"duplicate d line for {target!r}", lineno, 1)
         seen.add(target)
-        value = _ExprParser(expr_text, lineno, offset, algebra, d_of=target).parse()
         expected = algebra.generator(target).degree + 1
+        value = _ExprParser(expr_text, lineno, offset, algebra, expected, target).parse()
         if not value.is_zero():
             if not value.is_homogeneous():
                 raise ModelFileError(
@@ -260,9 +261,9 @@ def parse(text: str, validate: bool = True) -> CDGA:
     return model
 
 
-def parse_element(text: str, algebra: FreeGradedAlgebra) -> Element:
-    """One expression in the model-file grammar, as an element of the algebra."""
-    return _ExprParser(text, 1, 0, algebra).parse()
+def parse_element(text: str, algebra: FreeGradedAlgebra, max_degree: int) -> Element:
+    """One expression in the model-file grammar; a power above `max_degree` is rejected unexpanded."""
+    return _ExprParser(text, 1, 0, algebra, max_degree, None).parse()
 
 
 def parse_path(path: str, validate: bool = True) -> CDGA:

@@ -19,7 +19,6 @@ from .calculus import (
     CDGA,
     Derivation,
     Morphism,
-    loop_model,
     make_cdga,
     minimality_check,
     quotient_by_generators,
@@ -38,8 +37,6 @@ class Recipe(NamedTuple):
     params: tuple
 
     def __str__(self) -> str:
-        if self.kind == "product":
-            return "product(" + ", ".join(str(p) for p in self.params) + ")"
         return f"{self.kind}({', '.join(str(p) for p in self.params)})"
 
 
@@ -464,11 +461,9 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
                 * quotient.algebra.gen(suspended_name(y)) ** p
                 * quotient.algebra.gen(suspended_name(z)) ** q
             )
-            if quotient.d(witness).is_zero() and not witness.is_zero():
-                pairs.append((p, q))
-            else:
+            pairs.append((p, q))
+            if witness.is_zero() or not quotient.d(witness).is_zero():
                 cocycles_ok = False
-                pairs.append((p, q))
             labels.append(str(witness))
             vectors.append(project(witness).terms)
         basis = s_only_alg.basis_in_degree(degree)
@@ -479,12 +474,13 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
     return WitnessReport(tuple(even_list), y, z, period, tuple(entries))
 
 
-def vps_witnesses_for_model(model: CDGA, k_max: int) -> WitnessReport:
-    """Witness report for a base model: build the loop model and split generators."""
-    odd = [g.name for g in model.algebra.generators if g.degree % 2]
+def vps_witnesses_for_model(loop: CDGA, k_max: int) -> WitnessReport:
+    """Witness report for a loop model (`loop_model` of a base model): split its base generators."""
+    base = [loop.algebra.generator(name) for name in _loop_base_names(loop)]
+    odd = [g.name for g in base if g.degree % 2]
     if len(odd) < 2:
         raise NotApplicable(
             f"witness construction needs at least two odd generators, found {len(odd)}"
         )
-    even = [g.name for g in model.algebra.generators if g.degree % 2 == 0]
-    return vps_witnesses(loop_model(model), even, odd[0], odd[1], k_max)
+    even = [g.name for g in base if g.degree % 2 == 0]
+    return vps_witnesses(loop, even, odd[0], odd[1], k_max)

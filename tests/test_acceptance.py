@@ -156,8 +156,9 @@ def test_criterion_7_series_comparison():
 
 def test_criterion_8_witness_lower_bounds():
     model = s3s3_model()
-    witness_report = vps_witnesses_for_model(model, 6)
-    loop_betti = betti(loop_model(model), 12).betti
+    loop = loop_model(model)
+    witness_report = vps_witnesses_for_model(loop, 6)
+    loop_betti = betti(loop, 12).betti
     ok = witness_report.all_certified
     for entry in witness_report.entries:
         ok = ok and entry.count == entry.k + 1 and entry.degree == 2 * entry.k

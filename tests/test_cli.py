@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sullivan.cli import main
+from sullivan.cli import _build_parser, main
 from sullivan.errors import DIGIT_LIMIT
 
 REPO = Path(__file__).resolve().parent.parent
@@ -203,6 +204,49 @@ def test_removed_seed_option_is_rejected(capsys, cp2_file):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+OPTIONS = {
+    "verify": {"--json"},
+    "betti": {"--json", "--max", "--cap"},
+    "loop": {"--json", "-o"},
+    "loop-betti": {"--json", "--max", "--cap"},
+    "tensor": {"--json", "-o"},
+    "quotient": {"--json", "--kill", "-o"},
+    "koszul": {"--json", "--max", "--cap", "--by", "-o"},
+    "mult-model": {"--json", "--max", "-o"},
+    "witness": {"--json", "--max", "--cap", "--k-max"},
+    "series": {"--json", "--max", "--cap", "--rational", "--betti-of"},
+    "recipe": {"--json", "-o"},
+}
+
+
+# arguments each subcommand requires, so that only the option under test can fail
+REQUIRED = {"koszul": ["--by", "x"], "series": ["--rational", "1"], "quotient": ["--kill", "v"],
+            "tensor": ["a", "b"], "recipe": ["cpn", "2"]}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    (subcommands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {a.option_strings[0] for a in parser._actions if a.option_strings and a.dest != "help"}
+        for name, parser in subcommands.choices.items()
+    }
+    assert found == OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(c for c, options in OPTIONS.items() if "--max" in options))
+def test_negative_window_exits_two(command, capsys):
+    assert main([command, *REQUIRED.get(command, []), "--max", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --max must be non-negative\n"
+
+
+@pytest.mark.parametrize("command", sorted(c for c, options in OPTIONS.items() if "--max" not in options))
+def test_window_option_is_rejected_where_nothing_reads_it(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, *REQUIRED.get(command, []), "--max", "4"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --max" in capsys.readouterr().err
+
+
 def test_betti_of_even_sphere_to_degree_1000():
     # closed form: H(S^2) is Q in degrees 0 and 2
     result = run_cli(["recipe", "even-sphere", "1"])
@@ -260,6 +304,22 @@ def test_huge_power_of_a_constant_exits_two_at_once(argv, column, tmp_path, caps
     )
     # the timeout only guards against a hang; the check is the exit code
     assert run_cli(argv, timeout=60).returncode == 2
+
+
+def test_koszul_power_past_the_window_exits_two_at_once(tmp_path, capsys):
+    xy = tmp_path / "xy.model"
+    xy.write_text("generator x 2\ngenerator y 2\n")
+    argv = ["koszul", str(xy), "--by", "(x+y)^100000", "--max", "4"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: line 1, column 7: power has terms up to degree 200000, above degree 5\n"
+    )
+    # the default window bounds the power too; the timeout only guards against a hang
+    result = run_cli(argv[:4], timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == "error: line 1, column 7: power has terms up to degree 200000, above degree 17\n"
 
 
 _LONG = "1" * (DIGIT_LIMIT + 1)

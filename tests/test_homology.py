@@ -101,13 +101,30 @@ def test_loop_betti_of_s3s3():
     assert list(report.betti) == [1, 0, 2, 2] + [n - 1 for n in range(4, 13)]
 
 
+def boundaries_of(window, n):
+    """The columns of d^(n-1): the degree-n boundaries, as sparse vectors."""
+    return list(window.columns[n - 1]) if n else []
+
+
+def test_cocycles_is_the_kernel_and_the_boundary_echelon():
+    # oracle: the dense Bareiss kernel of d^n and the rank of d^(n-1)
+    for name, model in [("cp2 loop", loop_model(cpn_model(2))), ("s3s3 loop", loop_model(s3s3_model()))]:
+        window = assemble_window(model, 10)
+        for n in range(11):
+            kernel, span = window.cocycles(n)
+            assert kernel == sparse(oracle_kernel(window.matrix(n), window.dim(n))), (name, n)
+            previous = window.matrix(n - 1) if n else []
+            assert span.rank == linalg.rank(sparse(previous)), (name, n)
+            assert all(not span.add(v) for v in boundaries_of(window, n)), (name, n)
+
+
 def test_representatives_are_cocycles_and_independent_mod_boundaries():
     model = loop_model(cpn_model(2))
     window = assemble_window(model, 12)
     report = betti(model, 12)
     for n, classes in enumerate(report.representatives):
         assert len(classes) == report.betti[n]
-        boundaries = window.boundary_vectors(n)
+        boundaries = boundaries_of(window, n)
         base_rank = linalg.rank(boundaries)
         stack = list(boundaries)
         for rep in classes:
@@ -126,7 +143,7 @@ def quadratic_rescan_betti(window):
     numbers, reps = [], []
     for n in range(window.max_degree + 1):
         kernel = oracle_kernel(window.matrix(n), window.dim(n))
-        span = window.boundary_vectors(n)
+        span = boundaries_of(window, n)
         current = linalg.rank(span)
         numbers.append(len(kernel) - current)
         chosen = []
@@ -259,6 +276,37 @@ def test_inclusion_into_multiplication_relative_model_is_not_quasi_iso():
     assert 3 in failures  # [v1] and [v2] collapse in the target
 
 
+def test_inclusion_verdicts_per_degree():
+    # computed by hand: H(small) = Lambda(v1, v2); H(big) has [v1] = [v2] and no product
+    big_alg = FreeGradedAlgebra(
+        [Generator("v1", 3), Generator("v2", 3), Generator("sv", 2)]
+    )
+    big = CDGA(
+        big_alg,
+        Derivation(big_alg, 1, {"v1": big_alg.zero(), "v2": big_alg.zero(),
+                                "sv": big_alg.gen("v2") - big_alg.gen("v1")}),
+    )
+    small = make_cdga([Generator("v1", 3), Generator("v2", 3)])
+    report = quasi_iso_check(small, big, Morphism.inclusion(small.algebra, big_alg), 8)
+    expected = {0: (1, 1, 1), 3: (2, 1, 1), 6: (1, 0, 0)}
+    assert [v.degree for v in report.per_degree] == list(range(9))
+    for v in report.per_degree:
+        assert (v.dim_h_source, v.dim_h_target, v.rank_h_map) == expected.get(v.degree, (0, 0, 0))
+
+
+def test_killing_a_generator_verdicts_per_degree():
+    # indecomposables: v survives in degree 3, w in degree 5 maps to zero
+    source = make_cdga([Generator("v", 3), Generator("w", 5)])
+    target = make_cdga([Generator("v", 3)])
+    m = Morphism(source.algebra, target.algebra,
+                 {"v": target.algebra.gen("v"), "w": target.algebra.zero()})
+    report = quasi_iso_via_indecomposables(source, target, m)
+    expected = {3: (1, 1, 1), 5: (1, 0, 0)}
+    assert [v.degree for v in report.per_degree] == list(range(6))
+    for v in report.per_degree:
+        assert (v.dim_h_source, v.dim_h_target, v.rank_h_map) == expected.get(v.degree, (0, 0, 0))
+
+
 def test_quasi_iso_via_indecomposables_on_relative_model():
     big_alg = FreeGradedAlgebra(
         [Generator("v1", 3), Generator("v2", 3), Generator("sv", 2)]
@@ -334,6 +382,18 @@ def test_elimination_bound_on_quotient_pairs():
 def test_h_generator_counts_even_sphere():
     counts = h_algebra_generator_counts(even_sphere_model(1), 8)
     assert list(counts) == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+
+
+def test_h_generator_counts_of_cp3_see_powers_as_decomposable():
+    counts = h_algebra_generator_counts(build(Recipe("truncated_poly", (2, 3))), 8)
+    assert list(counts) == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+
+
+def test_h_generator_counts_of_cp2_times_s4_split_degree_four():
+    # degree 4 holds the decomposable a^2 beside the indecomposable b
+    model = build(Recipe("product", (Recipe("truncated_poly", (2, 2)), Recipe("even_sphere", (2,)))))
+    counts = h_algebra_generator_counts(model, 8)
+    assert list(counts) == [0, 0, 1, 0, 1, 0, 0, 0, 0]
 
 
 def test_h_generator_counts_product():

@@ -124,11 +124,11 @@ def test_rref_shape():
     assert reduced == [(0, {0: Fraction(1), 2: Fraction(-1)}), (1, {1: Fraction(1), 2: Fraction(2)})]
 
 
-def test_in_row_span():
+def test_echelon_add_is_false_exactly_on_the_row_span():
     rows = [{0: Fraction(1)}, {1: Fraction(1)}]
-    assert linalg.in_row_span(rows, {0: Fraction(3), 1: Fraction(7)})
-    assert not linalg.in_row_span([rows[0]], {1: Fraction(1)})
-    assert linalg.in_row_span([], {})
+    assert not linalg.Echelon(rows).add({0: Fraction(3), 1: Fraction(7)})
+    assert linalg.Echelon([rows[0]]).add({1: Fraction(1)})
+    assert not linalg.Echelon([]).add({})
 
 
 @settings(max_examples=150)
@@ -197,7 +197,7 @@ def test_sparse_columns_and_rows_give_the_dense_results(rows):
     assert linalg.rank(sparse_rows) == linalg.rank(columns) == naive_rank(rows)
     assert linalg.kernel_basis(sparse_rows, ncols) == sparse(oracle_kernel(rows, ncols))
     for row in sparse_rows:
-        assert linalg.in_row_span(sparse_rows, row)
+        assert not linalg.Echelon(sparse_rows).add(row)
 
 
 @settings(max_examples=150)

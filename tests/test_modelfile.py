@@ -129,10 +129,32 @@ def test_parse_path_reads_model_file(tmp_path):
 def test_parse_element_reads_one_expression():
     alg = FreeGradedAlgebra([Generator("x", 2), Generator("y", 3)])
     x, y = alg.gen("x"), alg.gen("y")
-    assert parse_element("x^3 - 1/2*(x*y + 2)", alg) == x ** 3 - Fraction(1, 2) * (x * y) - alg.one()
+    assert parse_element("x^3 - 1/2*(x*y + 2)", alg, 6) == x ** 3 - Fraction(1, 2) * (x * y) - alg.one()
     with pytest.raises(ModelFileError) as info:
-        parse_element("x + z", alg)
+        parse_element("x + z", alg, 6)
     assert (info.value.line, info.value.column) == (1, 5)
+
+
+@pytest.mark.parametrize("expr, highest, column", [
+    ("(x+y)^100000", 200000, 7),
+    ("(x+y)^3", 6, 7),
+    ("(1+x)^3", 6, 7),
+    ("x*(y^2)^2", 8, 9),
+    # a too-high power is rejected even where it would cancel
+    ("x^3 - x^3", 6, 3),
+])
+def test_element_power_above_the_degree_bound_is_rejected_before_expansion(expr, highest, column):
+    alg = FreeGradedAlgebra([Generator("x", 2), Generator("y", 2)])
+    with pytest.raises(ModelFileError) as info:
+        parse_element(expr, alg, 5)
+    assert str(info.value) == f"line 1, column {column}: power has terms up to degree {highest}, above degree 5"
+
+
+def test_element_power_at_the_degree_bound_is_expanded():
+    alg = FreeGradedAlgebra([Generator("x", 2), Generator("y", 2)])
+    x, y = alg.gen("x"), alg.gen("y")
+    assert parse_element("(x+y)^2", alg, 4) == x * x + 2 * (x * y) + y * y
+    assert parse_element("(x-x)^100000000 + 3^2", alg, 0) == 9 * alg.one()
 
 
 @pytest.mark.parametrize("expr, message, column", [
@@ -168,10 +190,10 @@ def test_power_of_a_constant_past_the_digit_limit_is_rejected_before_expansion(e
         parse(text)
     assert f"coefficient {shown} has more than {DIGIT_LIMIT} digits" in str(info.value)
     assert (info.value.line, info.value.column) == (3, column)
-    # the guard does not need a required degree
+    # the same guard holds in an element, under any degree bound
     alg = FreeGradedAlgebra([Generator("v", 2)])
     with pytest.raises(ModelFileError) as info:
-        parse_element(expr, alg)
+        parse_element(expr, alg, 100)
     assert (info.value.line, info.value.column) == (1, column - 6)
 
 

@@ -243,8 +243,9 @@ def test_monogenic_models_have_bounded_loop_betti():
 
 
 def test_vps_witnesses_on_s3s3():
-    report = vps_witnesses_for_model(s3s3_model(), 5)
-    loop_betti = betti(loop_model(s3s3_model()), 12).betti
+    loop = loop_model(s3s3_model())
+    report = vps_witnesses_for_model(loop, 5)
+    loop_betti = betti(loop, 12).betti
     assert report.period == 2
     for entry in report.entries:
         assert entry.degree == 2 * entry.k
@@ -257,7 +258,7 @@ def test_vps_witnesses_on_s3s3():
 def test_vps_witnesses_with_even_generators():
     # product of an even sphere and an odd sphere: one even generator, two odds
     model = build(Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,)))))
-    report = vps_witnesses_for_model(model, 3)
+    report = vps_witnesses_for_model(loop_model(model), 3)
     assert report.even_gens == ("v_1",)
     assert {report.y, report.z} == {"w_1", "v_2"}
     assert report.all_certified
@@ -268,9 +269,9 @@ def test_vps_witnesses_with_even_generators():
 
 def test_vps_witnesses_not_applicable_for_single_odd_generator():
     with pytest.raises(NotApplicable):
-        vps_witnesses_for_model(s3_model(), 3)
+        vps_witnesses_for_model(loop_model(s3_model()), 3)
     with pytest.raises(NotApplicable):
-        vps_witnesses_for_model(cpn_model(2), 3)
+        vps_witnesses_for_model(loop_model(cpn_model(2)), 3)
 
 
 def test_vps_witnesses_direct_call_validates_roles():
@@ -283,7 +284,7 @@ def test_vps_witnesses_direct_call_validates_roles():
 
 def test_k_zero_is_single_class():
     model = build(Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,)))))
-    report = vps_witnesses_for_model(model, 0)
+    report = vps_witnesses_for_model(loop_model(model), 0)
     (entry,) = report.entries
     assert entry.count == 1
     assert entry.exponent_pairs == ((0, 0),)
@@ -302,8 +303,9 @@ def test_first_odd_witness_family_is_nontrivial():
 
 
 def test_witness_counts_bound_betti_from_below():
-    report = vps_witnesses_for_model(s3s3_model(), 6)
-    loop_betti = betti(loop_model(s3s3_model()), 12).betti
+    loop = loop_model(s3s3_model())
+    report = vps_witnesses_for_model(loop, 6)
+    loop_betti = betti(loop, 12).betti
     for entry in report.entries:
         if entry.degree <= 12:
             assert entry.count <= loop_betti[entry.degree]

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from sullivan.algebra import FreeGradedAlgebra, Generator
-from sullivan.calculus import CDGA, Derivation, Morphism, koszul_model, make_cdga
+from sullivan.calculus import CDGA, Derivation, Morphism, koszul_model, loop_model, make_cdga
 from sullivan.errors import AlgebraMismatch
 from sullivan.homology import assemble_window, betti, quasi_iso_check
 from sullivan.models import (
@@ -28,7 +28,7 @@ def one_of_each_record():
     s3, cp2 = s3_model(), cpn_model(2)
     presentation = make_cdga([Generator("x", 2)])
     quasi = quasi_iso_check(s3, s3, Morphism.identity(s3.algebra), 3)
-    witnesses = vps_witnesses_for_model(s3s3_model(), 1)
+    witnesses = vps_witnesses_for_model(loop_model(s3s3_model()), 1)
     return [  # (record, one of its fields)
         (Generator("v", 2), "name"),
         (cp2, "algebra"),
