@@ -24,6 +24,10 @@ Word = tuple[tuple[int, int], ...]
 
 UNIT_WORD: Word = ()
 
+# The default `cap` of a degree's basis (`basis_in_degree(n, cap)`) in the
+# cohomology readers and the command line.
+DEFAULT_BASIS_CAP = 200_000
+
 
 class Generator:
     """A named symbol of positive degree; immutable, equal by (name, degree)."""
@@ -412,30 +416,3 @@ def monomial(algebra: FreeGradedAlgebra, factors: Sequence[Generator | str]) -> 
 def element_of_word(algebra: FreeGradedAlgebra, word: Word) -> Element:
     return Element(algebra, {word: Fraction(1)})
 
-
-def transport(e: Element, target: FreeGradedAlgebra) -> Element:
-    """Re-home an element into another algebra containing the same names.
-
-    Every generator appearing in the element must exist in the target with
-    the same degree.  Canonical order among shared generators is preserved
-    under (degree, name) sorting, so no sign corrections arise.
-    """
-    src = e.algebra
-    mapping: dict[int, int] = {}
-
-    def mapped(i: int) -> int:
-        j = mapping.get(i)
-        if j is None:
-            g = src.generators[i]
-            j = target._index.get(g.name)
-            if j is None or target.generators[j].degree != g.degree:
-                raise UnknownGenerator(
-                    f"generator {g.name!r} (degree {g.degree}) is missing from the target algebra"
-                )
-            mapping[i] = j
-        return j
-
-    out: dict[Word, Fraction] = {}
-    for w, c in e.terms.items():
-        out[tuple((mapped(i), exp) for i, exp in w)] = c
-    return Element(target, out)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator, Word, transport, word_length
+from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator, Word, word_length
 from .errors import (
     AlgebraMismatch,
     IncompleteDerivation,
@@ -337,9 +337,10 @@ def loop_model(model: CDGA) -> CDGA:
     """
     require_valid(model)
     big, s = suspension(model)
+    include = Morphism.inclusion(model.algebra, big)
     values: dict[str, Element] = {}
     for g in model.algebra.generators:
-        dv = transport(model.d_of(g.name), big)
+        dv = include(model.d_of(g.name))
         values[g.name] = dv
         values[suspended_name(g.name)] = -s(dv)
     return CDGA(big, Derivation(big, 1, values))
@@ -358,8 +359,9 @@ def tensor_cdga(left: CDGA, right: CDGA) -> CDGA:
     big = FreeGradedAlgebra(list(left.algebra.generators) + list(right.algebra.generators))
     values: dict[str, Element] = {}
     for factor in (left, right):
+        include = Morphism.inclusion(factor.algebra, big)
         for g in factor.algebra.generators:
-            values[g.name] = transport(factor.d_of(g.name), big)
+            values[g.name] = include(factor.d_of(g.name))
     return CDGA(big, Derivation(big, 1, values))
 
 
@@ -451,8 +453,8 @@ class KoszulModel(NamedTuple):
     checked_to: int
 
 
-def koszul_model(presentation: CDGA, z: Element, window: int, name: str = "sz") -> KoszulModel:
-    """Adjoin an odd generator killing the even cocycle z.
+def koszul_model(presentation: CDGA, z: Element, window: int) -> KoszulModel:
+    """Adjoin an odd generator `sz` killing the even cocycle z.
 
     The presentation must carry the zero differential.  Injectivity of
     multiplication by z is checked degreewise up to the window via the
@@ -473,6 +475,7 @@ def koszul_model(presentation: CDGA, z: Element, window: int, name: str = "sz") 
     degree = z.degree()
     if degree % 2 != 0:
         raise ParityError(f"Koszul cocycle must be homogeneous of even degree, got {z}")
+    name = "sz"
     if alg.has_generator(name):
         raise NameClash(f"generator name {name!r} already taken")
 
@@ -485,7 +488,7 @@ def koszul_model(presentation: CDGA, z: Element, window: int, name: str = "sz") 
 
     big = FreeGradedAlgebra(list(alg.generators) + [Generator(name, degree - 1)])
     values = {g.name: big.zero() for g in alg.generators}
-    values[name] = transport(z, big)
+    values[name] = Morphism.inclusion(alg, big)(z)
     model = CDGA(big, Derivation(big, 1, values))
 
     dims = []

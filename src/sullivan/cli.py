@@ -1,9 +1,12 @@
 """Command line interface.
 
 Commands parse model files (or stdin), orchestrate the constructions and
-report as deterministic text or canonical JSON: sorted keys, compact
-separators, integers beyond 2^53 rendered as decimal strings.  Exit codes:
-0 success, 1 verification or comparison failure, 2 input errors.
+return `(report, lines, ok)`: the report dict, the text lines (None when the
+text output is the model itself), and whether every verdict holds.  `main`
+writes that once, through `_write`, as deterministic text or canonical JSON:
+sorted keys, compact separators, integers beyond 2^53 rendered as decimal
+strings.  A command that builds a model also writes it to `-o FILE`.  Exit
+codes: 0 success, 1 verification or comparison failure, 2 input errors.
 
 `homology`, `models` and `series` are imported inside the commands that use
 them, so each command loads only the code it runs.
@@ -17,6 +20,7 @@ import json
 import sys
 
 from . import modelfile
+from .algebra import DEFAULT_BASIS_CAP
 from .calculus import (
     CDGA,
     check_chain_map,
@@ -95,41 +99,30 @@ def _read_model(path: str, validate: bool = True) -> CDGA:
     return modelfile.parse_path(path, validate=validate)
 
 
-def _emit_output(text: str, out_path: str | None) -> None:
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _write(args, report: dict, lines: list[str] | None) -> None:
+    """Write a command's output: the one place a report leaves the program.
 
-
-def _finish(args, report: dict, text_lines: list[str]) -> None:
+    The model text of `report["model_file"]` goes to `-o FILE` first.
+    Without `--json` it goes to stdout under `-o -`, or when `lines` is None
+    (the model text is then the command's output).  Then stdout takes the
+    canonical JSON report, or the text lines.
+    """
+    output = getattr(args, "output", None)
+    if output not in (None, "-"):
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(report["model_file"])
+    elif not args.json and (output == "-" or lines is None):
+        sys.stdout.write(report["model_file"])
     if args.json:
         sys.stdout.write(canonical_json(report))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _write_model_file(args, text: str) -> None:
-    """Write the model to `-o FILE`; with `--json`, `-o -` leaves stdout to the report."""
-    if args.output is not None and not (args.json and args.output == "-"):
-        _emit_output(text, args.output)
-
-
-def _finish_model(args, report: dict, text: str) -> None:
-    """Without `--json` the model text is the output; with it, the report is."""
-    if args.json:
-        _write_model_file(args, text)
-        sys.stdout.write(canonical_json(report))
-    else:
-        _emit_output(text, args.output)
+    elif lines is not None:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     model = _read_model(args.model, validate=False)
     failure = check_differential(model)
     minimal = minimality_check(model)
@@ -164,11 +157,10 @@ def cmd_verify(args) -> int:
     else:
         lines.append(f"minimal: violation at {minimal[0].name}: linear part {minimal[1]}")
     lines.append("homogeneous: ok")
-    _finish(args, report, lines)
-    return 0 if failure is None else 1
+    return report, lines, failure is None
 
 
-def _betti_report(command: str, model: CDGA, computed_on: CDGA, args) -> tuple[dict, list[str], "homology.CohomologyReport"]:
+def _betti_report(command: str, model: CDGA, computed_on: CDGA, args) -> tuple:
     from .homology import betti
 
     result = betti(computed_on, args.max, cap=args.cap)
@@ -184,17 +176,15 @@ def _betti_report(command: str, model: CDGA, computed_on: CDGA, args) -> tuple[d
     for n, classes in enumerate(result.representatives):
         if classes:
             lines.append(f"H^{n} dim {len(classes)}: " + "; ".join(str(c) for c in classes))
-    return report, lines, result
+    return report, lines, True
 
 
-def cmd_betti(args) -> int:
+def cmd_betti(args) -> tuple:
     model = _read_model(args.model)
-    report, lines, _ = _betti_report("betti", model, model, args)
-    _finish(args, report, lines)
-    return 0
+    return _betti_report("betti", model, model, args)
 
 
-def cmd_loop(args) -> int:
+def cmd_loop(args) -> tuple:
     model = _read_model(args.model)
     loop = loop_model(model)
     mapping = {
@@ -208,29 +198,24 @@ def cmd_loop(args) -> int:
         "loop", model_hash=model_hash(model), model_file=text,
         verdicts={"d_squared_zero": True},
     )
-    _finish_model(args, report, text)
-    return 0
+    return report, None, True
 
 
-def cmd_loop_betti(args) -> int:
+def cmd_loop_betti(args) -> tuple:
     model = _read_model(args.model)
     loop = loop_model(model)
-    report, lines, _ = _betti_report("loop-betti", model, loop, args)
-    _finish(args, report, lines)
-    return 0
+    return _betti_report("loop-betti", model, loop, args)
 
 
-def cmd_tensor(args) -> int:
+def cmd_tensor(args) -> tuple:
     left = _read_model(args.left)
     right = _read_model(args.right)
     result = tensor_cdga(left, right)
-    text = modelfile.emit(result)
-    report = _report("tensor", model_hash=model_hash(result), model_file=text)
-    _finish_model(args, report, text)
-    return 0
+    report = _report("tensor", model_hash=model_hash(result), model_file=modelfile.emit(result))
+    return report, None, True
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args) -> tuple:
     model = _read_model(args.model)
     kill = [name for name in args.kill.split(",") if name]
     residues = killed_residues(model, kill)
@@ -241,19 +226,17 @@ def cmd_quotient(args) -> int:
             file=sys.stderr,
         )
     result = quotient_by_generators(model, kill)
-    text = modelfile.emit(result)
     report = _report(
         "quotient",
         model_hash=model_hash(model),
-        model_file=text,
+        model_file=modelfile.emit(result),
         verdicts={"differential_ideal": not residues},
         details={"residues": {name: str(value) for name, value in sorted(residues.items())}},
     )
-    _finish_model(args, report, text)
-    return 0
+    return report, None, True
 
 
-def cmd_koszul(args) -> int:
+def cmd_koszul(args) -> tuple:
     from .homology import betti
 
     model = _read_model(args.model)
@@ -281,12 +264,10 @@ def cmd_koszul(args) -> int:
         "quotient dims  " + ",".join(str(d) for d in koszul.quotient_dims),
         f"verdict {'EQUAL' if matches else 'DIFFER'}",
     ]
-    _write_model_file(args, report["model_file"])
-    _finish(args, report, lines)
-    return 0 if matches else 1
+    return report, lines, matches
 
 
-def cmd_mult_model(args) -> int:
+def cmd_mult_model(args) -> tuple:
     from . import models
     from .homology import quasi_iso_via_indecomposables
 
@@ -304,13 +285,12 @@ def cmd_mult_model(args) -> int:
         "quasi_iso_indecomposables": quasi,
         "minimal": minimal,
     }
-    text = modelfile.emit(mm.model)
     report = _report(
         "mult-model",
         model_hash=model_hash(model),
         window=args.max,
         verdicts=verdicts,
-        model_file=text,
+        model_file=modelfile.emit(mm.model),
         details={
             "suspension_differentials": {
                 suspended_name(g.name): str(mm.model.d_of(suspended_name(g.name)))
@@ -324,12 +304,10 @@ def cmd_mult_model(args) -> int:
         lines.append(f"D({s}) = {mm.model.d_of(s)}")
     for key in sorted(verdicts):
         lines.append(f"{key}: {'ok' if verdicts[key] else 'FAIL'}")
-    _write_model_file(args, text)
-    _finish(args, report, lines)
-    return 0 if all(verdicts.values()) else 1
+    return report, lines, all(verdicts.values())
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple:
     from . import models
     from .homology import betti, h_algebra_generator_counts
 
@@ -383,11 +361,10 @@ def cmd_witness(args) -> int:
         "H* algebra generators per degree: "
         + ",".join(str(c) for c in generator_counts)
     )
-    _finish(args, report, lines)
-    return 0 if ok else 1
+    return report, lines, ok
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> tuple:
     from . import series as series_mod
 
     form = series_mod.parse_rational(args.rational, args.max)
@@ -417,19 +394,17 @@ def cmd_series(args) -> int:
     if betti_list is not None:
         lines.append("betti  " + ",".join(str(b) for b in betti_list))
         lines.append(f"verdict {'EQUAL' if equal else 'DIFFER'}")
-    _finish(args, report, lines)
-    return 0 if equal else 1
+    return report, lines, equal
 
 
-def cmd_recipe(args) -> int:
+def cmd_recipe(args) -> tuple:
     from . import models
 
     recipe = models.recipe_from_args(args.name, args.params)
     model = models.build(recipe)
     text = modelfile.emit(model, header=(f"recipe {recipe}",))
     report = _report("recipe", model_hash=model_hash(model), model_file=text)
-    _finish_model(args, report, text)
-    return 0
+    return report, None, True
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -445,8 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     window = argparse.ArgumentParser(add_help=False, parents=[common])
     window.add_argument("--max", type=int, default=16, help="degree window bound (default 16)")
     capped = argparse.ArgumentParser(add_help=False, parents=[window])
-    capped.add_argument("--cap", type=int, default=200_000,
-                        help="per-degree monomial basis cap (default 200000)")
+    capped.add_argument("--cap", type=int, default=DEFAULT_BASIS_CAP,
+                        help=f"per-degree monomial basis cap (default {DEFAULT_BASIS_CAP})")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="check d*d=0, minimality, homogeneity")
@@ -517,13 +492,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --max must be non-negative", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        report, lines, ok = args.func(args)
+        _write(args, report, lines)
     except _MATH_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SullivanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -28,11 +28,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import Element, FreeGradedAlgebra, Word, word_length
+from .algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Word, word_length
 from .calculus import CDGA, Morphism, _sum_over_words, check_chain_map
 from .errors import NotACocycle
-
-DEFAULT_BASIS_CAP = 200_000
 
 
 class DegreeWindowComplex(NamedTuple):
@@ -213,18 +211,17 @@ def _indecomposables_complex(model: CDGA, max_degree: int) -> DegreeWindowComple
     return DegreeWindowComplex(model, max_degree, bases, _degreewise(linear, bases, bases[1:]))
 
 
-def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism,
-                                  max_degree: int | None = None) -> QuasiIsoReport:
-    """Quasi-isomorphism verdict computed on the indecomposables complexes.
+def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism) -> QuasiIsoReport:
+    """Quasi-isomorphism verdict computed on the indecomposables complexes,
+    up to the top generator degree of either side.
 
     For morphisms of Sullivan models this decides quasi-isomorphism of m
     itself, while only ever eliminating matrices indexed by generators.
     """
     _require_chain_map(source, target, m)
-    if max_degree is None:
-        degrees = [g.degree for g in source.algebra.generators]
-        degrees += [g.degree for g in target.algebra.generators]
-        max_degree = max(degrees, default=0)
+    degrees = [g.degree for g in source.algebra.generators]
+    degrees += [g.degree for g in target.algebra.generators]
+    max_degree = max(degrees, default=0)
     qs = _indecomposables_complex(source, max_degree)
     qt = _indecomposables_complex(target, max_degree)
     return _verdicts(qs, qt, _linear_part(m.on_word), max_degree)

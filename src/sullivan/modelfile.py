@@ -39,7 +39,10 @@ class _ExprParser:
     numerator or denominator would have more digits than a report can write
     (see `DIGIT_LIMIT`), even where a later factor would cancel it.  An
     integer literal with more than `DIGIT_LIMIT` digits is rejected as it
-    is read.
+    is read, and so is a parsed value with a coefficient past that limit
+    (from sums and products), at the expression's first column.  Outside a
+    d line (`parse_element`), a parsed value with a term above `top` is
+    rejected there too, however it is written.
     """
 
     def __init__(self, text: str, line: int, offset: int, algebra: FreeGradedAlgebra,
@@ -97,6 +100,15 @@ class _ExprParser:
         value = self.expr()
         if self.pos < len(self.tokens):
             raise self.error(f"unexpected {self.tokens[self.pos][1]!r}")
+        column = self.tokens[0][2]
+        for c in value.terms.values():
+            if _too_many_digits(c.numerator, 1) or _too_many_digits(c.denominator, 1):
+                raise self.error(f"coefficient has more than {DIGIT_LIMIT} digits", column)
+        if self.d_of is None:
+            highest = max(map(self.algebra.word_degree, value.terms), default=0)
+            if highest > self.top:
+                message = f"element has terms up to degree {highest}, above degree {self.top}"
+                raise self.error(message, column)
         return value
 
     def expr(self) -> Element:
@@ -178,8 +190,8 @@ class _ExprParser:
 def _too_many_digits(base: int, exponent: int) -> bool:
     """Whether |base|^exponent has more than DIGIT_LIMIT decimal digits."""
     base = abs(base)
-    if base < 2:
-        return False
+    if exponent * base.bit_length() <= 3 * DIGIT_LIMIT:
+        return False  # it is below 2^(3 * limit) < 10^limit
     if exponent * (base.bit_length() - 1) > 4 * DIGIT_LIMIT:
         return True  # it is at least 2^(4 * limit) > 10^limit
     return base**exponent >= 10**DIGIT_LIMIT
@@ -262,7 +274,8 @@ def parse(text: str, validate: bool = True) -> CDGA:
 
 
 def parse_element(text: str, algebra: FreeGradedAlgebra, max_degree: int) -> Element:
-    """One expression in the model-file grammar; a power above `max_degree` is rejected unexpanded."""
+    """One expression in the model-file grammar, with no term above `max_degree`;
+    a power above it is rejected unexpanded."""
     return _ExprParser(text, 1, 0, algebra, max_degree, None).parse()
 
 

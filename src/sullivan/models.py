@@ -2,10 +2,13 @@
 
 Recipes cover the standard small models: spheres, truncated polynomial
 cohomology (projective spaces), zero-differential algebras, and tensor
-products of other recipes.  On top of those sit the inductive relative
+products of other recipes.  `recipe_from_args` maps command-line names to
+recipes and checks only names and parameter counts; `build` is where
+parameter ranges are checked.  On top of those sit the inductive relative
 model of the multiplication map, the closed-form free-loop cohomology of
 truncated polynomial spaces, and the witness-cocycle families showing
-unbounded loop-space Betti numbers.
+unbounded loop-space Betti numbers.  Every map between algebras here,
+inclusions and truncations included, is a `Morphism`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import Element, FreeGradedAlgebra, Generator, transport, word_length
+from .algebra import Element, FreeGradedAlgebra, Generator, word_length
 from .calculus import (
     CDGA,
     Derivation,
@@ -48,16 +51,8 @@ def even_sphere(n: int) -> Recipe:
     return Recipe("even_sphere", (n,))
 
 
-def truncated_poly(d: int, n: int) -> Recipe:
-    return Recipe("truncated_poly", (d, n))
-
-
 def cpn(n: int) -> Recipe:
     return Recipe("truncated_poly", (2, n))
-
-
-def h_space(degrees: tuple[int, ...]) -> Recipe:
-    return Recipe("h_space", tuple(degrees))
 
 
 def product(*recipes: Recipe) -> Recipe:
@@ -105,56 +100,37 @@ def build(recipe: Recipe) -> CDGA:
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
-_RECIPE_ARITY = {
-    "odd-sphere": 1,
-    "even-sphere": 1,
-    "cpn": 1,
-    "truncated-poly": 2,
+# CLI recipe name -> (recipe kind, leading parameters, parameter count or None for any)
+_RECIPES = {
+    "odd-sphere": ("odd_sphere", (), 1),
+    "even-sphere": ("even_sphere", (), 1),
+    "cpn": ("truncated_poly", (2,), 1),
+    "truncated-poly": ("truncated_poly", (), 2),
+    "h-space": ("h_space", (), None),
 }
 
 
 def recipe_from_args(name: str, args: list[str]) -> Recipe:
-    """Recipe from CLI-style arguments, e.g. ("product", ["odd-sphere:1", ...])."""
+    """Recipe from CLI-style arguments, e.g. ("product", ["odd-sphere:1", ...]).
+
+    Only names and parameter counts are checked here; `build` checks ranges.
+    """
     if name == "product":
         if len(args) < 2:
             raise ValueError("product needs at least two factor specs")
-        return Recipe("product", tuple(recipe_from_spec(spec) for spec in args))
-    if name == "h-space":
-        if not args:
-            raise ValueError("h-space needs at least one degree")
-        return h_space(tuple(_positive_int(a) for a in args))
-    if name in _RECIPE_ARITY:
-        if len(args) != _RECIPE_ARITY[name]:
-            raise ValueError(f"{name} takes {_RECIPE_ARITY[name]} parameter(s)")
-        values = [_positive_int(a) if name != "odd-sphere" else _nonneg_int(a) for a in args]
-        if name == "odd-sphere":
-            return odd_sphere(values[0])
-        if name == "even-sphere":
-            return even_sphere(values[0])
-        if name == "cpn":
-            return cpn(values[0])
-        return truncated_poly(values[0], values[1])
-    raise ValueError(f"unknown recipe {name!r}")
+        return product(*(recipe_from_spec(spec) for spec in args))
+    if name not in _RECIPES:
+        raise ValueError(f"unknown recipe {name!r}")
+    kind, leading, count = _RECIPES[name]
+    if count is not None and len(args) != count:
+        raise ValueError(f"{name} takes {count} parameter(s)")
+    return Recipe(kind, leading + tuple(int(a) for a in args))
 
 
 def recipe_from_spec(spec: str) -> Recipe:
     """Recipe from a colon-joined spec like "odd-sphere:1" or "truncated-poly:2:3"."""
     parts = spec.split(":")
     return recipe_from_args(parts[0], parts[1:])
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {text}")
-    return value
 
 
 # -- relative model of the multiplication -----------------------------------------
@@ -196,11 +172,10 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
 
     kept = [g for g in model.algebra.generators if g.degree <= max_degree]
     target_alg = FreeGradedAlgebra(kept)
+    # d of a kept generator involves only lower, hence kept, generators
+    truncate = Morphism(model.algebra, target_alg, {g.name: target_alg.gen(g.name) for g in kept})
     target = CDGA(
-        target_alg,
-        Derivation(
-            target_alg, 1, {g.name: transport(model.d_of(g.name), target_alg) for g in kept}
-        ),
+        target_alg, Derivation(target_alg, 1, {g.name: truncate(model.d_of(g.name)) for g in kept})
     )
 
     big_gens: list[Generator] = []
@@ -217,53 +192,45 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
 
     copy1 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_1") for g in kept})
     copy2 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_2") for g in kept})
+    phi_values: dict[str, Element] = {}
+    for g in kept:
+        phi_values[f"{g.name}_1"] = target_alg.gen(g.name)
+        phi_values[f"{g.name}_2"] = target_alg.gen(g.name)
+        phi_values[suspended_name(g.name)] = target_alg.zero()
+    phi = Morphism(big, target_alg, phi_values)
 
     d_values: dict[str, Element] = {}
-    phi_values: dict[str, Element] = {}
     gammas: dict[str, Element] = {}
-    processed: set[str] = set()
-
     for g in kept:
         dv = target.d_of(g.name)
         dv1 = copy1(dv)
         dv2 = copy2(dv)
         d_values[f"{g.name}_1"] = dv1
         d_values[f"{g.name}_2"] = dv2
-        phi_values[f"{g.name}_1"] = target_alg.gen(g.name)
-        phi_values[f"{g.name}_2"] = target_alg.gen(g.name)
 
         rhs = dv1 - dv2
         if rhs.is_zero():
             gamma = big.zero()
         else:
-            gamma = _solve_gamma(
-                big, target_alg, d_values, phi_values, processed, original_degree, g, rhs
-            )
+            gamma = _solve_gamma(Derivation(big, 1, d_values), phi, original_degree, g, rhs)
         gammas[g.name] = gamma
         d_values[suspended_name(g.name)] = big.gen(f"{g.name}_1") - big.gen(f"{g.name}_2") - gamma
-        phi_values[suspended_name(g.name)] = target_alg.zero()
-        processed.update((f"{g.name}_1", f"{g.name}_2", suspended_name(g.name)))
 
     mm = CDGA(big, Derivation(big, 1, d_values))
-    phi = Morphism(big, target_alg, phi_values)
     base = tuple(
         name for g in kept for name in (f"{g.name}_1", f"{g.name}_2")
     )
     return MultiplicationModel(mm, phi, target, base, gammas)
 
 
-def _solve_gamma(big, target_alg, d_values, phi_values, processed, original_degree, g, rhs):
-    derivation = Derivation(big, 1, d_values)
-    phi = Morphism(big, target_alg, phi_values)
+def _solve_gamma(derivation, phi, original_degree, g, rhs):
+    # the generators built before g are those from generators of lower degree
+    big, target_alg = derivation.source, phi.target
     candidates = [
         w
         for w in big.basis_in_degree(g.degree)
         if word_length(w) >= 2
-        and all(
-            big.generators[i].name in processed
-            and original_degree[big.generators[i].name] < g.degree
-            for i, _ in w
-        )
+        and all(original_degree[big.generators[i].name] < g.degree for i, _ in w)
     ]
     # A stacks the rows of D(gamma) = rhs, one per degree-(|g|+1) word, over
     # those of phi(gamma) = 0, one per degree-|g| word of the target.  x
@@ -302,9 +269,10 @@ def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:
         values[f"{g.name}_2"] = loop_alg.gen(g.name)
         values[suspended_name(g.name)] = loop_alg.gen(suspended_name(g.name))
     rho = Morphism(mm.model.algebra, loop_alg, values)
+    include = Morphism.inclusion(target.algebra, loop_alg)
     d_values = {}
     for g in target.algebra.generators:
-        d_values[g.name] = transport(target.d_of(g.name), loop_alg)
+        d_values[g.name] = include(target.d_of(g.name))
         d_values[suspended_name(g.name)] = rho(mm.model.d_of(suspended_name(g.name)))
     return CDGA(loop_alg, Derivation(loop_alg, 1, d_values))
 

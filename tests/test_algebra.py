@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.algebra import Element, FreeGradedAlgebra, Generator, monomial, transport
+from sullivan.algebra import Element, FreeGradedAlgebra, Generator, monomial
+from sullivan.calculus import Morphism
 from sullivan.errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator
 
 from helpers import algebra_v2_w3, algebra_v3_sv2, algebra_yz3, brute_force_basis_count
@@ -282,14 +283,15 @@ def test_canonical_order_ignores_insertion_order():
     assert forward.basis_in_degree(8) == backward.basis_in_degree(8)
 
 
-def test_transport_preserves_elements():
+def test_inclusion_preserves_elements():
     small = algebra_v2_w3()
     big = FreeGradedAlgebra(
         [Generator("v", 2), Generator("w", 3), Generator("u", 1), Generator("t", 9)]
     )
     e = 2 * small.gen("v") ** 2 - small.gen("w") * small.gen("v")
-    moved = transport(e, big)
+    moved = Morphism.inclusion(small, big)(e)
     assert str(moved) == str(e)
+    assert moved == 2 * big.gen("v") ** 2 - big.gen("w") * big.gen("v")
     assert moved.algebra == big
     with pytest.raises(UnknownGenerator):
-        transport(big.gen("u"), small)
+        Morphism.inclusion(big, small)

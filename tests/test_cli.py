@@ -175,7 +175,8 @@ def test_witness_command(s3s3_file):
 
 def test_recipe_unknown_exits_two():
     assert run_cli(["recipe", "torus"]).returncode == 2
-    assert run_cli(["recipe", "cpn", "0"]).returncode == 2
+    out_of_range = run_cli(["recipe", "cpn", "0"])
+    assert (out_of_range.returncode, out_of_range.stderr) == (2, "error: truncated_poly needs n >= 1\n")
 
 
 def test_basis_cap_flag(s3s3_file):
@@ -381,14 +382,64 @@ def test_series_with_a_coefficient_past_the_digit_limit_exits_two_at_once(ration
 ])
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
 def test_json_with_output_file_writes_the_model_file(argv, to_stdout, cp2_file, tmp_path, capsys):
+    """Where the model text goes in text and `--json` mode: with no `-o`, and
+    with `-o -` (stdout) or `-o FILE` (file)."""
     x2 = tmp_path / "x2.model"
     x2.write_text("generator x 2\n")
     out = tmp_path / "out.model"
-    output = "-" if to_stdout else str(out)
-    argv = [a.format(cp2=cp2_file, x2=x2) for a in argv] + ["--json", "-o", output]
-    assert main(argv) == 0
-    # with `-o -` stdout still holds the report alone
-    report = json.loads(capsys.readouterr().out)
-    assert report["model_file"]
-    if not to_stdout:
-        assert out.read_text() == report["model_file"]
+    argv = [a.format(cp2=cp2_file, x2=x2) for a in argv]
+
+    def run(*options):
+        out.unlink(missing_ok=True)
+        code = main(argv + list(options))
+        return code, capsys.readouterr().out, out.read_text() if out.exists() else None
+
+    code, report_text, _ = run("--json")
+    model = json.loads(report_text)["model_file"]
+    assert code == 0 and model
+    # koszul and mult-model write text lines; the other commands write the model
+    code, text, _ = run()
+    lines = text if argv[0] in ("koszul", "mult-model") else ""
+    assert (code, text) == (0, lines or model)
+    assert model not in lines
+    if to_stdout:
+        assert run("-o", "-") == (0, model + lines, None)
+        # with `--json`, stdout holds the report alone
+        assert run("--json", "-o", "-") == (0, report_text, None)
+    else:
+        assert run("-o", str(out)) == (0, lines, model)
+        assert run("--json", "-o", str(out)) == (0, report_text, model)
+
+
+@pytest.mark.parametrize("command", [["loop", "{cp2}"], ["mult-model", "{cp2}", "--max", "6"]])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_unwritable_output_file_exits_two_with_nothing_on_stdout(command, json_flag, cp2_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.model"
+    argv = [a.format(cp2=cp2_file) for a in command] + json_flag + ["-o", str(target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
+
+_NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{products}"], f"line 3, column 7: coefficient has more than {DIGIT_LIMIT} digits"),
+    (["verify", "{sums}"], f"line 3, column 7: coefficient has more than {DIGIT_LIMIT} digits"),
+    (["koszul", "{x2}", "--by", f"{_NINES}*{_NINES}*x"],
+     f"line 1, column 1: coefficient has more than {DIGIT_LIMIT} digits"),
+    (["koszul", "{x2}", "--by", "x*x*x", "--max", "1"],
+     "line 1, column 1: element has terms up to degree 6, above degree 2"),
+])
+def test_parsed_values_past_a_limit_exit_two_with_a_position(argv, message, tmp_path, capsys):
+    products = tmp_path / "products.model"
+    products.write_text(f"generator v 2\ngenerator w 5\nd w = {_NINES}*{_NINES}*v^3\n")
+    sums = tmp_path / "sums.model"
+    sums.write_text(f"generator v 2\ngenerator w 5\nd w = {'9' * DIGIT_LIMIT}*v^3 + v^3\n")
+    x2 = tmp_path / "x2.model"
+    x2.write_text("generator x 2\n")
+    argv = [a.format(products=products, sums=sums, x2=x2) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -228,6 +228,44 @@ def test_integer_literal_past_the_digit_limit_is_a_positioned_error(expr, role, 
     assert model.d_of("w") == int("1" * DIGIT_LIMIT) * model.algebra.gen("v") ** 2
 
 
+_NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("expr", [
+    f"{_NINES}*{_NINES}*v^3",
+    f"{'9' * DIGIT_LIMIT}*v^3 + v^3",
+    f"1/{_NINES}*1/{_NINES}*v^3",
+    f"({_NINES}*v + v)^2*{_NINES}*v",
+])
+def test_coefficient_past_the_digit_limit_from_sums_and_products_is_a_positioned_error(expr):
+    with pytest.raises(ModelFileError) as info:
+        parse(f"generator v 2\ngenerator w 5\nd w = {expr}\n", validate=False)
+    assert str(info.value) == f"line 3, column 7: coefficient has more than {DIGIT_LIMIT} digits"
+    alg = FreeGradedAlgebra([Generator("v", 2)])
+    with pytest.raises(ModelFileError) as info:
+        parse_element(f" {expr}", alg, 6)
+    assert str(info.value) == f"line 1, column 2: coefficient has more than {DIGIT_LIMIT} digits"
+
+
+def test_a_sum_at_the_digit_limit_parses():
+    model = parse(f"generator v 2\ngenerator w 5\nd w = {'9' * (DIGIT_LIMIT - 1)}*v^3 + v^3\n")
+    assert model.d_of("w") == 10 ** (DIGIT_LIMIT - 1) * model.algebra.gen("v") ** 3
+
+
+@pytest.mark.parametrize("expr, highest, column", [
+    ("x*x*x", 6, 1),
+    ("  x*y*x", 6, 3),
+    ("x^2 + x*(x + y)*y", 6, 1),
+])
+def test_element_term_above_the_degree_bound_is_rejected(expr, highest, column):
+    alg = FreeGradedAlgebra([Generator("x", 2), Generator("y", 2)])
+    with pytest.raises(ModelFileError) as info:
+        parse_element(expr, alg, 5)
+    assert str(info.value) == f"line 1, column {column}: element has terms up to degree {highest}, above degree 5"
+    # at the bound the same text reads
+    assert not parse_element(expr, alg, highest).is_zero()
+
+
 def test_empty_model_rejected():
     with pytest.raises(ModelFileError):
         parse("# nothing here\n")

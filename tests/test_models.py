@@ -83,6 +83,19 @@ def test_recipe_parameter_validation():
         recipe_from_args("nope", ["1"])
 
 
+@pytest.mark.parametrize("name, args, message", [
+    ("cpn", ["0"], "truncated_poly needs n >= 1"),
+    ("odd-sphere", ["-1"], "odd_sphere needs n >= 0"),
+    ("even-sphere", ["0"], "even_sphere needs n >= 1"),
+    ("truncated-poly", ["3", "1"], "truncated_poly needs even d >= 2"),
+    ("h-space", [], "h_space needs at least one degree"),
+])
+def test_recipe_ranges_are_checked_by_build_alone(name, args, message):
+    recipe = recipe_from_args(name, args)
+    with pytest.raises(ValueError, match=message):
+        build(recipe)
+
+
 def test_recipe_specs_round_trip():
     assert recipe_from_spec("odd-sphere:1") == Recipe("odd_sphere", (1,))
     assert recipe_from_spec("cpn:3") == Recipe("truncated_poly", (2, 3))

@@ -1,4 +1,5 @@
-"""The survey scripts run to completion against the package as it is."""
+"""The survey scripts run against the package as it is, and print the
+committed text of `tests/expected/<script>.txt` byte for byte."""
 
 import os
 import subprocess
@@ -17,4 +18,5 @@ def test_script_runs(script):
     result = subprocess.run([sys.executable, str(REPO / "scripts" / script)],
                             capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    expected = (REPO / "tests" / "expected" / script).with_suffix(".txt")
+    assert result.stdout == expected.read_text(encoding="utf-8")
