@@ -11,15 +11,17 @@ window over one-letter generator words) all read it.  The indecomposables
 V of a Sullivan algebra carry the linear part of d, which is the one-letter
 part of `on_word` on one-letter words; a chain map's linear part is read the
 same way.  Kernels and representatives are sparse; no result is dense
-except `matrix(n)`, which writes a differential out for inspection.  All
-ranks are exact (see linalg).  A window degree is eliminated in one place,
-`DegreeWindowComplex.cocycles(n)`: each reader reads its counts there, then
-extends the boundary echelon with what it tests.  Representatives keep a
-kernel vector (as it is, not its residue) iff it adds a pivot, so reports
-are reproducible.
+except `matrix(n)`, which writes a differential out for inspection.
 
-Per-degree computations are independent; the report is a deterministic
-reduction over them.
+A window degree is eliminated once, in `DegreeWindowComplex.cocycles(n)`.
+The reduced-echelon kernel basis of d^n has one vector z_f per free column
+f = max(z_f), zero at every other free column, so a cocycle is fixed by its
+free coordinates F and H^n is Q^F modulo the boundaries cut to F.  Those
+(the columns of d^(n-1)) are reduced with each pivot at its highest free
+column; the classes are the z_f, as they are, whose f is no pivot.  Every
+reader tests cocycles (images, products) by extending that echelon.  All
+ranks are exact (see linalg); the report is a deterministic reduction over
+independent degrees.
 """
 
 from __future__ import annotations
@@ -30,7 +32,21 @@ from typing import NamedTuple
 from . import linalg
 from .algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Word, word_length
 from .calculus import CDGA, Morphism, _sum_over_words, check_chain_map
-from .errors import NotACocycle
+
+
+class Cocycles(NamedTuple):
+    """One window degree, eliminated once: the kernel basis {z_f} ascending,
+    the classes among it, and the boundaries restricted to the free columns,
+    free column f keyed -f so that a pivot is a highest free column."""
+
+    kernel: list[linalg.SparseVector]
+    classes: list[linalg.SparseVector]
+    free: frozenset[int]
+    boundaries: linalg.Echelon
+
+    def add(self, cocycle: linalg.SparseVector) -> bool:
+        """Extend the boundary echelon by a cocycle; True iff its class is new."""
+        return self.boundaries.add({-c: x for c, x in cocycle.items() if c in self.free})
 
 
 class DegreeWindowComplex(NamedTuple):
@@ -58,11 +74,14 @@ class DegreeWindowComplex(NamedTuple):
                     for r in range(self.dim(n + 1))]
         return []
 
-    def cocycles(self, n: int) -> tuple[list[linalg.SparseVector], linalg.Echelon]:
-        """The reduced-echelon basis of the degree-n cocycles, and an `Echelon`
-        of the boundaries (columns of d^(n-1)): b_n = len(kernel) - rank."""
-        rows = linalg.transpose(self.columns[n], self.dim(n + 1))
-        return linalg.kernel_basis(rows, self.dim(n)), linalg.Echelon(self.columns[n - 1] if n else ())
+    def cocycles(self, n: int) -> Cocycles:
+        """The cocycles of degree n, their classes, and the boundary echelon."""
+        kernel = linalg.kernel_basis(linalg.transpose(self.columns[n], self.dim(n + 1)), self.dim(n))
+        free = frozenset(map(max, kernel))
+        boundaries = linalg.Echelon({-c: x for c, x in column.items() if c in free}
+                                    for column in (self.columns[n - 1] if n else ()))
+        classes = [z for z in kernel if -max(z) not in boundaries.rows]
+        return Cocycles(kernel, classes, free, boundaries)
 
 
 def _degreewise(image, sources, targets) -> tuple[tuple[linalg.SparseVector, ...], ...]:
@@ -95,37 +114,13 @@ def betti(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> Cohomol
 
 
 def betti_of_window(window: DegreeWindowComplex) -> CohomologyReport:
-    numbers: list[int] = []
-    reps: list[tuple[Element, ...]] = []
     algebra = window.model.algebra
+    reps = []
     for n in range(window.max_degree + 1):
-        kernel, span = window.cocycles(n)
         basis = window.bases[n]
-        b_n = len(kernel) - span.rank
-        chosen = [
-            Element(algebra, {basis[c]: vec[c] for c in sorted(vec)})
-            for vec in kernel
-            if span.add(vec)
-        ]
-        if len(chosen) != b_n or b_n < 0:
-            raise AssertionError(f"rank bookkeeping failed in degree {n}")
-        numbers.append(b_n)
-        reps.append(tuple(chosen))
-    return CohomologyReport(tuple(numbers), tuple(reps), window.max_degree)
-
-
-def class_is_nontrivial(model: CDGA, cocycle: Element, cap: int = DEFAULT_BASIS_CAP) -> bool:
-    """True when the cocycle is not a coboundary in its degree."""
-    if cocycle.is_zero():
-        return False
-    degree = cocycle.degree()  # raises on non-homogeneous input
-    if not model.d(cocycle).is_zero():
-        raise NotACocycle(f"d({cocycle}) != 0")
-    basis = model.algebra.basis_in_degree(degree, cap=cap)
-    below = model.algebra.basis_in_degree(degree - 1, cap=cap)
-    boundaries = linalg.matrix_of(map(model.differential.on_word, below), basis)
-    (vector,) = linalg.matrix_of([cocycle.terms], basis)
-    return linalg.Echelon(boundaries).add(vector)
+        reps.append(tuple(Element(algebra, {basis[c]: z[c] for c in sorted(z)})
+                          for z in window.cocycles(n).classes))
+    return CohomologyReport(tuple(map(len, reps)), tuple(reps), window.max_degree)
 
 
 # -- quasi-isomorphism verdicts -----------------------------------------------------
@@ -161,16 +156,15 @@ class QuasiIsoReport(NamedTuple):
 def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex,
               on_word, max_degree: int) -> QuasiIsoReport:
     """Ranks of H(m) in degrees 0..max_degree; on_word is m on a source word.
-    Only source cocycles are mapped, after both H dimensions are read."""
+    Only the source classes are mapped; their images extend the target's
+    boundary echelon."""
     verdicts = []
     for n in range(max_degree + 1):
-        kernel_s, span_s = source.cocycles(n)
-        kernel_t, span_t = target.cocycles(n)
-        h_s, h_t = len(kernel_s) - span_s.rank, len(kernel_t) - span_t.rank
+        classes, target_n = source.cocycles(n).classes, target.cocycles(n)
         basis = source.bases[n]
-        images = (_sum_over_words(on_word, {basis[c]: x for c, x in vec.items()}) for vec in kernel_s)
-        rank_h = sum(span_t.add(v) for v in linalg.matrix_of(images, target.bases[n]))
-        verdicts.append(DegreeVerdict(n, h_s, h_t, rank_h))
+        images = (_sum_over_words(on_word, {basis[c]: x for c, x in z.items()}) for z in classes)
+        rank_h = sum(map(target_n.add, linalg.matrix_of(images, target.bases[n])))
+        verdicts.append(DegreeVerdict(n, len(classes), len(target_n.classes), rank_h))
     return QuasiIsoReport(tuple(verdicts))
 
 
@@ -243,12 +237,12 @@ def h_algebra_generator_counts(model: CDGA, max_degree: int,
     counts = [0]
     classes: list[list[dict[Word, Fraction]]] = [[]]  # term dicts of a basis of H^n
     for n in range(1, max_degree + 1):
-        kernel, span = window.cocycles(n)
+        cocycles = window.cocycles(n)
         basis = window.bases[n]
         products = [multiply(left, right)
                     for p in range(1, n) for left in classes[p] for right in classes[n - p]]
-        kept = [t for t, v in zip(products, linalg.matrix_of(products, basis)) if span.add(v)]
-        generators = [{basis[c]: x for c, x in vec.items()} for vec in kernel if span.add(vec)]
+        kept = [t for t, v in zip(products, linalg.matrix_of(products, basis)) if cocycles.add(v)]
+        generators = [{basis[c]: x for c, x in z.items()} for z in cocycles.classes if cocycles.add(z)]
         counts.append(len(generators))
         classes.append(kept + generators)
     return tuple(counts)

@@ -39,8 +39,9 @@ class _ExprParser:
     numerator or denominator would have more digits than a report can write
     (see `DIGIT_LIMIT`), even where a later factor would cancel it.  An
     integer literal with more than `DIGIT_LIMIT` digits is rejected as it
-    is read, and so is a parsed value with a coefficient past that limit
-    (from sums and products), at the expression's first column.  Outside a
+    is read.  A coefficient past that limit is rejected at the expression's
+    first column: in a product as soon as it is formed (even where a later
+    factor would cancel it), and from sums in the parsed value.  Outside a
     d line (`parse_element`), a parsed value with a term above `top` is
     rejected there too, however it is written.
     """
@@ -100,15 +101,21 @@ class _ExprParser:
         value = self.expr()
         if self.pos < len(self.tokens):
             raise self.error(f"unexpected {self.tokens[self.pos][1]!r}")
+        self.check_digits(value)
         column = self.tokens[0][2]
-        for c in value.terms.values():
-            if _too_many_digits(c.numerator, 1) or _too_many_digits(c.denominator, 1):
-                raise self.error(f"coefficient has more than {DIGIT_LIMIT} digits", column)
         if self.d_of is None:
             highest = max(map(self.algebra.word_degree, value.terms), default=0)
             if highest > self.top:
                 message = f"element has terms up to degree {highest}, above degree {self.top}"
                 raise self.error(message, column)
+        return value
+
+    def check_digits(self, value: Element) -> Element:
+        """`value`, unless a coefficient has more than `DIGIT_LIMIT` digits
+        (an error at the expression's first column)."""
+        for c in value.terms.values():
+            if _too_many_digits(c.numerator, 1) or _too_many_digits(c.denominator, 1):
+                raise self.error(f"coefficient has more than {DIGIT_LIMIT} digits", self.tokens[0][2])
         return value
 
     def expr(self) -> Element:
@@ -126,7 +133,7 @@ class _ExprParser:
         acc = self.factor()
         while self.peek_op("*"):
             self.take()
-            acc = acc * self.factor()
+            acc = self.check_digits(acc * self.factor())
         return acc
 
     def factor(self) -> Element:

@@ -84,6 +84,8 @@ def build(recipe: Recipe) -> CDGA:
     if kind == "h_space":
         if not params:
             raise ValueError("h_space needs at least one degree")
+        if min(params) < 1:
+            raise ValueError("h_space needs degrees >= 1")
         return make_cdga([Generator(f"x{i + 1}", d) for i, d in enumerate(params)])
     if kind == "product":
         if len(params) < 2:

@@ -9,6 +9,7 @@ from math import lcm
 
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator, Word
 from sullivan.calculus import CDGA
+from sullivan.errors import NotACocycle
 from sullivan.models import Recipe, build
 
 
@@ -163,3 +164,19 @@ def oracle_kernel(rows, ncols):
             v[p] = -reduced[i][f]
         basis.append(v)
     return basis
+
+
+def class_is_nontrivial(model: CDGA, cocycle: Element) -> bool:
+    """Oracle in full coordinates: True when the cocycle is not a coboundary
+    in its degree, by the dense Bareiss rank of the boundaries with and without it."""
+    if cocycle.is_zero():
+        return False
+    degree = cocycle.degree()  # raises on non-homogeneous input
+    if not model.d(cocycle).is_zero():
+        raise NotACocycle(f"d({cocycle}) != 0")
+    algebra = model.algebra
+    basis = algebra.basis_in_degree(degree)
+    boundaries = [element_coordinates(model.d(Element(algebra, {w: Fraction(1)})), basis)
+                  for w in algebra.basis_in_degree(degree - 1)]
+    with_cocycle = boundaries + [element_coordinates(cocycle, basis)]
+    return len(dense_bareiss_rref(with_cocycle)[1]) > len(dense_bareiss_rref(boundaries)[1])

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sullivan import linalg
 from sullivan.algebra import FreeGradedAlgebra, Generator
@@ -18,15 +20,16 @@ from sullivan.homology import (
     assemble_window,
     betti,
     betti_of_window,
-    class_is_nontrivial,
     h_algebra_generator_counts,
     quasi_iso_check,
     quasi_iso_via_indecomposables,
 )
+from sullivan.modelfile import parse
 from sullivan.models import Recipe, build
 
 from helpers import (
     builtin_models,
+    class_is_nontrivial,
     cpn_model,
     element_coordinates,
     element_from_coordinates,
@@ -111,11 +114,12 @@ def test_cocycles_is_the_kernel_and_the_boundary_echelon():
     for name, model in [("cp2 loop", loop_model(cpn_model(2))), ("s3s3 loop", loop_model(s3s3_model()))]:
         window = assemble_window(model, 10)
         for n in range(11):
-            kernel, span = window.cocycles(n)
-            assert kernel == sparse(oracle_kernel(window.matrix(n), window.dim(n))), (name, n)
+            cocycles = window.cocycles(n)
+            assert cocycles.kernel == sparse(oracle_kernel(window.matrix(n), window.dim(n))), (name, n)
             previous = window.matrix(n - 1) if n else []
-            assert span.rank == linalg.rank(sparse(previous)), (name, n)
-            assert all(not span.add(v) for v in boundaries_of(window, n)), (name, n)
+            rank = len(cocycles.kernel) - len(cocycles.classes)
+            assert rank == linalg.rank(sparse(previous)), (name, n)
+            assert all(not cocycles.add(v) for v in boundaries_of(window, n)), (name, n)
 
 
 def test_representatives_are_cocycles_and_independent_mod_boundaries():
@@ -159,6 +163,18 @@ def quadratic_rescan_betti(window):
 
 S2S3 = Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,))))
 CP2CP2 = Recipe("product", (Recipe("truncated_poly", (2, 2)), Recipe("truncated_poly", (2, 2))))
+# kernels of its loop model hold Fraction entries
+RATIONAL_D = parse("generator a 2\ngenerator b 2\ngenerator x 3\ngenerator y 3\n"
+                   "d x = a*b\nd y = 2*a^2 - 3/2*b^2\n")
+
+
+def assert_selection_matches_quadratic_rescan(window):
+    report = betti_of_window(window)
+    numbers, reps = quadratic_rescan_betti(window)
+    assert list(report.betti) == numbers
+    assert [[c.terms for c in classes] for classes in report.representatives] == [
+        [c.terms for c in classes] for classes in reps
+    ]
 
 
 @pytest.mark.parametrize("model, max_degree", [
@@ -167,15 +183,38 @@ CP2CP2 = Recipe("product", (Recipe("truncated_poly", (2, 2)), Recipe("truncated_
     (cpn_model(2), 10),
     (loop_model(cpn_model(2)), 10),
     (loop_model(build(CP2CP2)), 12),
-], ids=["loop s2xs3", "loop s3xs3", "cp2", "loop cp2", "loop cp2xcp2"])
+    (RATIONAL_D, 12),
+    (loop_model(RATIONAL_D), 8),
+], ids=["loop s2xs3", "loop s3xs3", "cp2", "loop cp2", "loop cp2xcp2", "rational d", "loop rational d"])
 def test_incremental_selection_matches_quadratic_rescan(model, max_degree):
-    window = assemble_window(model, max_degree)
-    report = betti_of_window(window)
-    numbers, reps = quadratic_rescan_betti(window)
-    assert list(report.betti) == numbers
-    assert [[c.terms for c in classes] for classes in report.representatives] == [
-        [c.terms for c in classes] for classes in reps
-    ]
+    assert_selection_matches_quadratic_rescan(assemble_window(model, max_degree))
+
+
+@st.composite
+def pure_models(draw):
+    """Even generators with d = 0; odd generators with d a random polynomial in the even ones."""
+    evens = [Generator(f"a{i}", draw(st.sampled_from([2, 4]))) for i in range(draw(st.integers(1, 2)))]
+    odds = [Generator(f"y{j}", draw(st.sampled_from([3, 5, 7]))) for j in range(draw(st.integers(1, 2)))]
+    algebra = FreeGradedAlgebra(evens + odds)
+    even_monomials = FreeGradedAlgebra(evens)
+    values = {}
+    for y in odds:
+        value = algebra.zero()
+        for word in even_monomials.basis_in_degree(y.degree + 1):
+            coefficient = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            monomial = algebra.one()
+            for i, exponent in word:
+                monomial = monomial * algebra.gen(even_monomials.generators[i].name) ** exponent
+            value = value + monomial * coefficient
+        values[y.name] = value
+    return make_cdga([], values, algebra=algebra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_models())
+def test_selection_matches_quadratic_rescan_on_random_pure_models(model):
+    assert_selection_matches_quadratic_rescan(assemble_window(model, 12))
+    assert_selection_matches_quadratic_rescan(assemble_window(loop_model(model), 8))
 
 
 def test_betti_ignores_generator_insertion_order():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.algebra import FreeGradedAlgebra, Generator
+from sullivan.algebra import Element, FreeGradedAlgebra, Generator
 from sullivan.calculus import loop_model, make_cdga
 from sullivan.errors import DIGIT_LIMIT, InvalidDifferential, ModelFileError
 from sullivan.modelfile import emit, parse, parse_element, parse_path
@@ -279,3 +279,21 @@ def test_parser_never_crashes_with_foreign_errors(text):
         parse(text)
     except (ModelFileError, InvalidDifferential):
         pass
+
+
+def test_a_long_product_stops_at_the_first_factor_past_the_digit_limit(monkeypatch):
+    # 200 factors each at the limit: the second one already passes it
+    calls = 0
+    multiply = Element.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    nines = "*".join(["9" * DIGIT_LIMIT] * 200)
+    with pytest.raises(ModelFileError) as info:
+        parse(f"generator v 2\ngenerator w 5\nd w = {nines}*v^3\n", validate=False)
+    assert str(info.value) == f"line 3, column 7: coefficient has more than {DIGIT_LIMIT} digits"
+    assert calls <= 4

@@ -15,7 +15,6 @@ from sullivan.homology import (
     _indecomposables_complex,
     assemble_window,
     betti,
-    class_is_nontrivial,
     quasi_iso_check,
     quasi_iso_via_indecomposables,
 )
@@ -35,7 +34,7 @@ from sullivan.models import (
     vps_witnesses_for_model,
 )
 
-from helpers import builtin_models, cpn_model, s3_model, s3s3_model
+from helpers import builtin_models, class_is_nontrivial, cpn_model, s3_model, s3s3_model
 
 
 # -- recipes -----------------------------------------------------------------------
@@ -89,6 +88,7 @@ def test_recipe_parameter_validation():
     ("even-sphere", ["0"], "even_sphere needs n >= 1"),
     ("truncated-poly", ["3", "1"], "truncated_poly needs even d >= 2"),
     ("h-space", [], "h_space needs at least one degree"),
+    ("h-space", ["3", "0"], "h_space needs degrees >= 1"),
 ])
 def test_recipe_ranges_are_checked_by_build_alone(name, args, message):
     recipe = recipe_from_args(name, args)
