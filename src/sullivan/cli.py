@@ -9,15 +9,26 @@ strings.  A command that builds a model also writes it to `-o FILE`.  Exit
 codes: 0 success, 1 verification or comparison failure, 2 input errors.
 
 `homology`, `models` and `series` are imported inside the commands that use
-them, so each command loads only the code it runs.
+them, so each command loads only the code it runs.  `main` builds the
+argument parser of the named command alone, and `model_hash` uses the
+interpreter's built-in SHA-256, so a run loads no OpenSSL.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
+
+# The interpreter's own SHA-256 (`_sha2` from Python 3.12, `_sha256` before):
+# `hashlib` would load OpenSSL to hash a few hundred bytes of model text.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from . import modelfile
 from .algebra import DEFAULT_BASIS_CAP
@@ -60,8 +71,12 @@ def canonical_json(report: dict) -> str:
     return json.dumps(_canonical(report), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _text_hash(text: str) -> str:
+    return _sha256(text.encode("utf-8")).hexdigest()
+
+
 def model_hash(model: CDGA) -> str:
-    return hashlib.sha256(modelfile.emit(model).encode("utf-8")).hexdigest()
+    return _text_hash(modelfile.emit(model))
 
 
 def _report(command: str, **fields) -> dict:
@@ -191,11 +206,10 @@ def cmd_loop(args) -> tuple:
         suspended_name(g.name): f"s_{g.name}" for g in model.algebra.generators
     }
     renamed = rename_generators(loop, mapping)
-    text = modelfile.emit(
-        renamed, header=(f"free loop space model of {model_hash(model)}",)
-    )
+    digest = model_hash(model)
+    text = modelfile.emit(renamed, header=(f"free loop space model of {digest}",))
     report = _report(
-        "loop", model_hash=model_hash(model), model_file=text,
+        "loop", model_hash=digest, model_file=text,
         verdicts={"d_squared_zero": True},
     )
     return report, None, True
@@ -210,8 +224,8 @@ def cmd_loop_betti(args) -> tuple:
 def cmd_tensor(args) -> tuple:
     left = _read_model(args.left)
     right = _read_model(args.right)
-    result = tensor_cdga(left, right)
-    report = _report("tensor", model_hash=model_hash(result), model_file=modelfile.emit(result))
+    text = modelfile.emit(tensor_cdga(left, right))
+    report = _report("tensor", model_hash=_text_hash(text), model_file=text)
     return report, None, True
 
 
@@ -409,85 +423,67 @@ def cmd_recipe(args) -> tuple:
 
 # -- argument parsing ---------------------------------------------------------------
 
+_MODEL = ("model", {"nargs": "?", "default": "-"})
+_OUTPUT = ("-o", "--output", {})
 
-def _build_parser() -> argparse.ArgumentParser:
+# Options shared by the commands: each command takes the first few.
+_SHARED = (
+    ("--json", {"action": "store_true", "help": "emit a canonical JSON report"}),
+    ("--max", {"type": int, "default": 16, "help": "degree window bound (default 16)"}),
+    ("--cap", {"type": int, "default": DEFAULT_BASIS_CAP,
+               "help": f"per-degree monomial basis cap (default {DEFAULT_BASIS_CAP})"}),
+)
+
+# name: (function, help, how many shared options, own arguments), each
+# argument being its names and then its keyword arguments
+_COMMANDS = {
+    "verify": (cmd_verify, "check d*d=0, minimality, homogeneity", 1, (_MODEL,)),
+    "betti": (cmd_betti, "Betti numbers and representatives", 3, (_MODEL,)),
+    "loop": (cmd_loop, "emit the free loop space model", 1, (_MODEL, _OUTPUT)),
+    "loop-betti": (cmd_loop_betti, "Betti numbers of the loop model", 3, (_MODEL,)),
+    "tensor": (cmd_tensor, "tensor product of two models", 1,
+               (("left", {}), ("right", {}), _OUTPUT)),
+    "quotient": (cmd_quotient, "kill generators", 1,
+                 (_MODEL, ("--kill", {"required": True, "help": "comma-separated generator names"}),
+                  _OUTPUT)),
+    "koszul": (cmd_koszul, "one-variable Koszul model", 3,
+               (_MODEL, ("--by", {"required": True, "help": "even cocycle expression"}), _OUTPUT)),
+    "mult-model": (cmd_mult_model, "relative model of the multiplication, with verdicts", 2,
+                   (_MODEL, _OUTPUT)),
+    "witness": (cmd_witness, "witness cocycle families", 3,
+                (_MODEL, ("--k-max", {"type": int, "default": 4}))),
+    "series": (cmd_series, "expand a rational function", 3,
+               (("--rational", {"required": True}),
+                ("--betti-of", {"help": "model file to compare the expansion against"}))),
+    "recipe": (cmd_recipe, "emit a built-in model", 1,
+               (("name", {}), ("params", {"nargs": "*"}), _OUTPUT)),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command `only` alone."""
     parser = argparse.ArgumentParser(
         prog="sullivan",
         description="Exact-arithmetic Sullivan models: cohomology, loop models, witnesses.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a canonical JSON report")
-    window = argparse.ArgumentParser(add_help=False, parents=[common])
-    window.add_argument("--max", type=int, default=16, help="degree window bound (default 16)")
-    capped = argparse.ArgumentParser(add_help=False, parents=[window])
-    capped.add_argument("--cap", type=int, default=DEFAULT_BASIS_CAP,
-                        help=f"per-degree monomial basis cap (default {DEFAULT_BASIS_CAP})")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("verify", parents=[common], help="check d*d=0, minimality, homogeneity")
-    p.add_argument("model", nargs="?", default="-")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("betti", parents=[capped], help="Betti numbers and representatives")
-    p.add_argument("model", nargs="?", default="-")
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("loop", parents=[common], help="emit the free loop space model")
-    p.add_argument("model", nargs="?", default="-")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_loop)
-
-    p = sub.add_parser("loop-betti", parents=[capped], help="Betti numbers of the loop model")
-    p.add_argument("model", nargs="?", default="-")
-    p.set_defaults(func=cmd_loop_betti)
-
-    p = sub.add_parser("tensor", parents=[common], help="tensor product of two models")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("quotient", parents=[common], help="kill generators")
-    p.add_argument("model", nargs="?", default="-")
-    p.add_argument("--kill", required=True, help="comma-separated generator names")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("koszul", parents=[capped], help="one-variable Koszul model")
-    p.add_argument("model", nargs="?", default="-")
-    p.add_argument("--by", required=True, help="even cocycle expression")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_koszul)
-
-    p = sub.add_parser("mult-model", parents=[window],
-                       help="relative model of the multiplication, with verdicts")
-    p.add_argument("model", nargs="?", default="-")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_mult_model)
-
-    p = sub.add_parser("witness", parents=[capped], help="witness cocycle families")
-    p.add_argument("model", nargs="?", default="-")
-    p.add_argument("--k-max", type=int, default=4, dest="k_max")
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("series", parents=[capped], help="expand a rational function")
-    p.add_argument("--rational", required=True)
-    p.add_argument("--betti-of", default=None, dest="betti_of",
-                   help="model file to compare the expansion against")
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("recipe", parents=[common], help="emit a built-in model")
-    p.add_argument("name")
-    p.add_argument("params", nargs="*")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_recipe)
-
+    for name, (func, help_text, shared, own) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for *names, options in _SHARED[:shared] + own:
+                p.add_argument(*names, **options)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, unknown = _build_parser(command).parse_known_args(argv)
+    if unknown:
+        # leftover arguments are the one error the top level reports for a named
+        # command; its usage line lists every command, so the full parser reports it
+        _build_parser().parse_args(argv)
     if getattr(args, "max", 0) < 0:
         print("error: --max must be non-negative", file=sys.stderr)
         return 2

@@ -1,9 +1,12 @@
-"""Start-up cost: each command loads only the modules it runs.
+"""Start-up cost: each command loads only the modules it runs, and no OpenSSL.
 
-Every check runs in a fresh interpreter, so modules imported by the rest of
-the suite cannot hide an import that a command does at start-up.
+Every module check runs in a fresh interpreter, so modules imported by the
+rest of the suite cannot hide an import that a command does at start-up.
 """
 
+import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +14,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import builtin_models
+from sullivan import modelfile
+from sullivan.cli import _build_parser, model_hash
+from test_golden import WORKLOADS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -47,7 +55,8 @@ def s2_file(tmp_path):
 def test_verify_loads_no_dataclasses_homology_models_or_series(s2_file):
     modules = loaded_modules(["verify", s2_file])
     assert "sullivan.calculus" in modules  # the probe did run the command
-    assert not modules & {"dataclasses", "sullivan.homology", "sullivan.models", "sullivan.series"}
+    assert not modules & {"_hashlib", "dataclasses", "sullivan.homology", "sullivan.models",
+                          "sullivan.series"}
 
 
 def test_recipe_loads_no_homology_or_series():
@@ -60,3 +69,34 @@ def test_importing_the_package_loads_no_submodule():
     modules = loaded_modules(None)
     assert "sullivan" in modules
     assert not {m for m in modules if m.startswith("sullivan.")}
+
+
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+SURVEY = WORKLOADS.WORKLOADS["survey"].jobs
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="the interpreter has no built-in SHA-256")
+@pytest.mark.parametrize("job", SURVEY, ids=[job.id for job in SURVEY])
+def test_no_command_loads_openssl(job, tmp_path):
+    paths = {}
+    for name, text in WORKLOADS.MODELS.items():
+        paths[name] = tmp_path / f"{name}.model"
+        paths[name].write_text(text, encoding="utf-8")
+    argv = [str(paths[a[1:-1]]) if a.startswith("{") else a for a in job.argv]
+    modules = loaded_modules(argv)
+    assert "sullivan.cli" in modules
+    assert "_hashlib" not in modules
+
+
+def test_model_hash_is_the_sha256_of_the_emitted_model():
+    models = [model for _, model in builtin_models()]
+    models += [modelfile.parse(text) for text in WORKLOADS.MODELS.values()]
+    for model in models:
+        oracle = hashlib.sha256(modelfile.emit(model).encode("utf-8")).hexdigest()
+        assert model_hash(model) == oracle
+
+
+def test_a_named_command_gets_a_parser_of_its_own():
+    (subcommands,) = [a for a in _build_parser("verify")._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    assert list(subcommands.choices) == ["verify"]
