@@ -22,7 +22,7 @@ from sullivan.models import (
     multiplication_model,
     vps_witnesses_for_model,
 )
-from sullivan.series import expand_rational, parse_rational, series_from_report
+from sullivan.series import expand_rational, parse_rational
 
 WINDOW = 16
 
@@ -62,8 +62,8 @@ def main() -> None:
     report = betti(s3s3_loop, WINDOW)
     print("betti:    ", ",".join(str(b) for b in report.betti))
     expansion = expand_rational(parse_rational("(1+z^3)^2/(1-z^2)^2", WINDOW), WINDOW)
-    print("series:   ", expansion)
-    print("agree:    ", series_from_report(report).agrees_with(expansion))
+    print("series:   ", ",".join(map(str, expansion)))
+    print("agree:    ", report.betti == expansion)
 
     show("Relative model of the multiplication (suspension differentials)")
     for name, recipe in [("S^3", Recipe("odd_sphere", (1,))),

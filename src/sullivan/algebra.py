@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator, read_only
 
@@ -208,25 +208,29 @@ class FreeGradedAlgebra:
                 acc[w] = acc[w] + c if w in acc else c
         return {w: c for w, c in acc.items() if c}
 
-    def basis_in_degree(self, n: int, cap: int | None = None) -> tuple[Word, ...]:
+    def basis_in_degree(self, n: int, cap: int | None = DEFAULT_BASIS_CAP) -> tuple[Word, ...]:
         """All canonical monomials of total degree n, lexicographically ordered
         by exponent vector.  Complete and duplicate-free; degree 0 gives (1,).
+        Raises `BasisSizeExceeded` when there are more than `cap` (None: no
+        cap), before listing any of them.
         """
         if n < 0:
             return ()
         if (0, n) not in self._words:
-            self._fill_words(n)
+            self._fill_words(n, cap)
         basis = self._words[0, n]
         if cap is not None and len(basis) > cap:
             raise BasisSizeExceeded(n, len(basis), cap)
         return basis
 
-    def _fill_words(self, n: int) -> None:
+    def _fill_words(self, n: int, cap: int | None) -> None:
         """Memoize the words over generators i.. of degree t that the degree-n
         basis needs: v_i^e * w for e ascending from 0 (at most 1 for odd v_i)
         and w over i+1.. of a degree r = t - e|v_i| that suffix can reach.
         One pass lists each missing (i, t)'s (e, r), suffix by suffix; a
-        second builds the words from the last suffix back, with no recursion.
+        second counts the words from the last suffix back, and a third builds
+        them, with no recursion.  Every (i, t) has at most as many words as
+        (0, n), so nothing is built when the count is over `cap`.
         """
         memo, count = self._words, len(self.generators)
         levels: list[dict[int, list[tuple[int, int]]]] = [{n: []}]
@@ -245,6 +249,14 @@ class FreeGradedAlgebra:
                         if (i + 1, r) not in memo:
                             below[r] = []
             levels.append(below)
+        sizes: dict[tuple[int, int], int] = {}
+        for i in range(len(levels) - 1, -1, -1):
+            for t, exponents in levels[i].items():
+                sizes[i, t] = int(t == 0) if i == count else sum(
+                    sizes[i + 1, r] if (i + 1, r) in sizes else len(memo[i + 1, r])
+                    for _, r in exponents)
+        if cap is not None and sizes[0, n] > cap:
+            raise BasisSizeExceeded(n, sizes[0, n], cap)
         for i in range(len(levels) - 1, -1, -1):
             for t, exponents in levels[i].items():
                 if i == count:
@@ -379,9 +391,6 @@ class Element:
     def __hash__(self):
         raise TypeError("elements are not hashable")
 
-    def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self.sorted_terms())
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -411,8 +420,4 @@ def monomial(algebra: FreeGradedAlgebra, factors: Sequence[Generator | str]) -> 
         return algebra.zero()
     word, sign = norm
     return Element(algebra, {word: Fraction(sign)})
-
-
-def element_of_word(algebra: FreeGradedAlgebra, word: Word) -> Element:
-    return Element(algebra, {word: Fraction(1)})
 

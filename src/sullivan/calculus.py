@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator, Word, word_length
+from .algebra import DEFAULT_BASIS_CAP, UNIT_WORD, Element, FreeGradedAlgebra, Generator, Word, word_length
 from .errors import (
     AlgebraMismatch,
     IncompleteDerivation,
@@ -77,11 +77,9 @@ class Morphism:
         self._powers: dict[tuple[int, int], dict[Word, Fraction]] = {}  # (i, e) -> f(v_i)^e
 
     @classmethod
-    def identity(cls, algebra: FreeGradedAlgebra) -> "Morphism":
-        return cls(algebra, algebra, {g.name: algebra.gen(g.name) for g in algebra.generators})
-
-    @classmethod
     def inclusion(cls, source: FreeGradedAlgebra, target: FreeGradedAlgebra) -> "Morphism":
+        """Each source generator to the target's generator of that name;
+        `inclusion(a, a)` is the identity of a."""
         return cls(source, target, {g.name: target.gen(g.name) for g in source.generators})
 
     def image_of_generator(self, name: str) -> Element:
@@ -108,16 +106,6 @@ class Morphism:
         if e.algebra != self.source:
             raise AlgebraMismatch("element does not live in the source algebra")
         return Element(self.target, _sum_over_words(self.on_word, e.terms))
-
-    def then(self, other: "Morphism") -> "Morphism":
-        """Composite self followed by other."""
-        if self.target != other.source:
-            raise AlgebraMismatch("morphisms do not compose")
-        return Morphism(
-            self.source,
-            other.target,
-            {g.name: other(self.image_of_generator(g.name)) for g in self.source.generators},
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Morphism):
@@ -444,21 +432,22 @@ class KoszulModel(NamedTuple):
     """A one-variable Koszul model together with its quotient dimension oracle.
 
     H of the model equals the degreewise dimensions of A/zA; the
-    non-zero-divisor hypothesis was verified for degrees <= checked_to.
+    non-zero-divisor hypothesis was verified in the window it was built for.
     """
 
     model: CDGA
-    cocycle: Element
     quotient_dims: tuple[int, ...]
-    checked_to: int
 
 
-def koszul_model(presentation: CDGA, z: Element, window: int) -> KoszulModel:
+def koszul_model(presentation: CDGA, z: Element, window: int,
+                 cap: int = DEFAULT_BASIS_CAP) -> KoszulModel:
     """Adjoin an odd generator `sz` killing the even cocycle z.
 
     The presentation must carry the zero differential.  Injectivity of
     multiplication by z is checked degreewise up to the window via the
-    multiplication matrix.
+    multiplication matrix.  Its bases, of degrees 0..window + |z|, are
+    listed in ascending degree under `cap`, so the lowest degree over the
+    cap is the one `BasisSizeExceeded` names.
     """
     from . import linalg  # imported here so that loading calculus does not load linalg
 
@@ -480,10 +469,10 @@ def koszul_model(presentation: CDGA, z: Element, window: int) -> KoszulModel:
         raise NameClash(f"generator name {name!r} already taken")
 
     # z is not a zero divisor in the window: a -> z*a injective per degree
+    bases = [alg.basis_in_degree(n, cap=cap) for n in range(window + degree + 1)]
     for n in range(window + 1):
-        basis = alg.basis_in_degree(n)
-        products = (alg.multiply_terms({w: _ONE}, z.terms) for w in basis)
-        if linalg.rank(linalg.matrix_of(products, alg.basis_in_degree(n + degree))) != len(basis):
+        products = (alg.multiply_terms({w: _ONE}, z.terms) for w in bases[n])
+        if linalg.rank(linalg.matrix_of(products, bases[n + degree])) != len(bases[n]):
             raise ZeroDivisor(n, z)
 
     big = FreeGradedAlgebra(list(alg.generators) + [Generator(name, degree - 1)])
@@ -491,10 +480,9 @@ def koszul_model(presentation: CDGA, z: Element, window: int) -> KoszulModel:
     values[name] = Morphism.inclusion(alg, big)(z)
     model = CDGA(big, Derivation(big, 1, values))
 
-    dims = []
-    for n in range(window + 1):
-        dims.append(len(alg.basis_in_degree(n)) - len(alg.basis_in_degree(n - degree)))
-    return KoszulModel(model, z, tuple(dims), window)
+    dims = tuple(len(bases[n]) - (len(bases[n - degree]) if n >= degree else 0)
+                 for n in range(window + 1))
+    return KoszulModel(model, dims)
 
 
 # -- minimality -------------------------------------------------------------------

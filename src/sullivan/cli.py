@@ -256,7 +256,7 @@ def cmd_koszul(args) -> tuple:
     model = _read_model(args.model)
     # the Koszul generator, of degree |z| - 1, must lie in the window
     cocycle = modelfile.parse_element(args.by, model.algebra, args.max + 1)
-    koszul = koszul_model(model, cocycle, args.max)
+    koszul = koszul_model(model, cocycle, args.max, cap=args.cap)
     computed = betti(koszul.model, args.max, cap=args.cap)
     matches = tuple(computed.betti) == koszul.quotient_dims
     report = _report(
@@ -268,7 +268,7 @@ def cmd_koszul(args) -> tuple:
         verdicts={"matches_quotient_oracle": matches},
         details={
             "quotient_dims": list(koszul.quotient_dims),
-            "zero_divisor_checked_to": koszul.checked_to,
+            "zero_divisor_checked_to": args.max,
         },
         model_file=modelfile.emit(koszul.model),
     )
@@ -394,17 +394,17 @@ def cmd_series(args) -> tuple:
         hash_value = model_hash(model)
         result = betti(model, args.max, cap=args.cap)
         betti_list = list(result.betti)
-        equal = series_mod.series_from_report(result).agrees_with(expansion)
+        equal = result.betti == expansion
         verdicts["equal"] = equal
     report = _report(
         "series",
         model_hash=hash_value,
         window=args.max,
-        series=list(expansion.coefficients),
+        series=list(expansion),
         betti=betti_list,
         verdicts=verdicts,
     )
-    lines = [f"series {expansion}"]
+    lines = ["series " + ",".join(map(str, expansion))]
     if betti_list is not None:
         lines.append("betti  " + ",".join(str(b) for b in betti_list))
         lines.append(f"verdict {'EQUAL' if equal else 'DIFFER'}")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the digit limit on inputs."""
+"""Exception types shared across the package, and the digit and nesting limits on inputs."""
 
 import sys
 
@@ -7,6 +7,10 @@ import sys
 # write it (4300 by default, and where the interpreter has no limit or it is
 # off).
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+# The deepest the model-file and rational-function grammars nest parentheses:
+# each level costs the recursive-descent parsers four interpreter frames.
+NESTING_LIMIT = 100
 
 
 def read_only(self, *args) -> None:
@@ -75,10 +79,6 @@ class ZeroDivisor(SullivanError):
 
 
 class WindowTooSmall(SullivanError):
-    pass
-
-
-class NotACocycle(SullivanError):
     pass
 
 

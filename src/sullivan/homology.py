@@ -101,11 +101,10 @@ def assemble_window(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) 
 
 
 class CohomologyReport(NamedTuple):
-    """Betti numbers with cocycle representatives for degrees 0..window_valid_to."""
+    """Betti numbers with cocycle representatives for degrees 0..len(betti) - 1."""
 
     betti: tuple[int, ...]
     representatives: tuple[tuple[Element, ...], ...]
-    window_valid_to: int
 
 
 def betti(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> CohomologyReport:
@@ -120,7 +119,7 @@ def betti_of_window(window: DegreeWindowComplex) -> CohomologyReport:
         basis = window.bases[n]
         reps.append(tuple(Element(algebra, {basis[c]: z[c] for c in sorted(z)})
                           for z in window.cocycles(n).classes))
-    return CohomologyReport(tuple(map(len, reps)), tuple(reps), window.max_degree)
+    return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 
 # -- quasi-isomorphism verdicts -----------------------------------------------------
@@ -133,16 +132,8 @@ class DegreeVerdict(NamedTuple):
     rank_h_map: int
 
     @property
-    def injective(self) -> bool:
-        return self.rank_h_map == self.dim_h_source
-
-    @property
-    def surjective(self) -> bool:
-        return self.rank_h_map == self.dim_h_target
-
-    @property
     def isomorphism(self) -> bool:
-        return self.injective and self.surjective
+        return self.rank_h_map == self.dim_h_source == self.dim_h_target
 
 
 class QuasiIsoReport(NamedTuple):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator
 from .calculus import CDGA, Derivation, require_valid
-from .errors import DIGIT_LIMIT, ModelFileError
+from .errors import DIGIT_LIMIT, NESTING_LIMIT, ModelFileError
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/])|(\S)")
@@ -39,7 +39,8 @@ class _ExprParser:
     numerator or denominator would have more digits than a report can write
     (see `DIGIT_LIMIT`), even where a later factor would cancel it.  An
     integer literal with more than `DIGIT_LIMIT` digits is rejected as it
-    is read.  A coefficient past that limit is rejected at the expression's
+    is read, and so is a parenthesis nested deeper than `NESTING_LIMIT`.
+    A coefficient past that limit is rejected at the expression's
     first column: in a product as soon as it is formed (even where a later
     factor would cancel it), and from sums in the parsed value.  Outside a
     d line (`parse_element`), a parsed value with a term above `top` is
@@ -71,6 +72,7 @@ class _ExprParser:
                 raise ModelFileError(f"unexpected character {m.group(4)!r}", line, column)
             pos = m.end()
         self.pos = 0
+        self.depth = 0  # parentheses open at pos
         self.end_column = offset + len(text) + 1
 
     def error(self, message: str, column: int | None = None) -> ModelFileError:
@@ -184,10 +186,14 @@ class _ExprParser:
                 raise self.error(f"unknown generator {text!r}", column)
             return self.algebra.gen(text)
         if kind == "op" and text == "(":
+            if self.depth == NESTING_LIMIT:
+                raise self.error(f"parentheses nested deeper than {NESTING_LIMIT}", column)
+            self.depth += 1
             inner = self.expr()
             if not self.peek_op(")"):
                 raise self.error("missing closing parenthesis")
             self.take()
+            self.depth -= 1
             return inner
         if kind == "op" and text == "/":
             raise self.error("'/' is only allowed after an integer coefficient", column)

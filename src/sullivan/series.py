@@ -1,12 +1,13 @@
 """Truncated Poincare series and rational-function expansion.
 
-Coefficients are integers throughout: Betti numbers are dimensions, and
-rational functions are expanded by exact integer long division with a check
-that every coefficient comes out integral.  A parse for an expansion to
-degree N drops every term above z^N as it multiplies, since the expansion
-never reads them, and takes powers by repeated squaring.  A literal,
-product or expansion coefficient with more than `DIGIT_LIMIT` digits is
-rejected, even where later terms would cancel it.
+A truncated series is the tuple of its coefficients c_0..c_N, as a
+report's `betti` is.  Coefficients are integers throughout: Betti numbers
+are dimensions, and rational functions are expanded by exact integer long
+division with a check that every coefficient comes out integral.  A parse
+for an expansion to degree N drops every term above z^N as it multiplies,
+since the expansion never reads them, and takes powers by repeated
+squaring.  A literal, product or expansion coefficient with more than
+`DIGIT_LIMIT` digits is rejected, even where later terms would cancel it.
 """
 
 from __future__ import annotations
@@ -14,49 +15,9 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import DIGIT_LIMIT, PoleAtZero, RationalFormError, read_only
+from .errors import DIGIT_LIMIT, NESTING_LIMIT, PoleAtZero, RationalFormError
 
 Poly = tuple[int, ...]
-
-
-class TruncatedSeries:
-    """Coefficients c_0..c_N of a power series; immutable, indexable."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __reduce__(self):
-        return TruncatedSeries, (self.coefficients,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not TruncatedSeries:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(coefficients={self.coefficients!r})"
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.coefficients[n]
-
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Compare on the overlapping prefix of the two truncations."""
-        n = min(len(self.coefficients), len(other.coefficients))
-        return self.coefficients[:n] == other.coefficients[:n]
-
-    def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coefficients)
 
 
 class RationalFunctionForm(NamedTuple):
@@ -64,22 +25,17 @@ class RationalFunctionForm(NamedTuple):
     denominator: Poly
 
 
-def series_from_report(report) -> TruncatedSeries:
-    """The Poincare series of a cohomology report: c_n = b_n."""
-    return TruncatedSeries(tuple(report.betti))
-
-
-def multiply_series(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+def multiply_series(a: Poly, b: Poly) -> Poly:
     """Cauchy product truncated to the shorter input."""
-    n = min(len(a.coefficients), len(b.coefficients))
+    n = min(len(a), len(b))
     out = [0] * n
     for i in range(n):
         for j in range(n - i):
-            out[i + j] += a.coefficients[i] * b.coefficients[j]
-    return TruncatedSeries(tuple(out))
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
 
 
-def expand_rational(f: RationalFunctionForm, max_degree: int) -> TruncatedSeries:
+def expand_rational(f: RationalFunctionForm, max_degree: int) -> Poly:
     """Power series coefficients of numerator/denominator up to max_degree."""
     num, den = f.numerator, f.denominator
     if not den or den[0] == 0:
@@ -97,7 +53,7 @@ def expand_rational(f: RationalFunctionForm, max_degree: int) -> TruncatedSeries
         if abs(q) >= _COEFFICIENT_BOUND:
             raise RationalFormError(f"coefficient of z^{k} has more than {DIGIT_LIMIT} digits")
         coeffs.append(q)
-    return TruncatedSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
 # -- the input grammar ------------------------------------------------------------
@@ -138,8 +94,9 @@ def _poly_trim(a: Poly) -> Poly:
 
 
 class _PolyParser:
-    """Recursive descent over one polynomial.  Products and powers drop
-    their terms above z^top; `dropped` records whether a nonzero one was."""
+    """Recursive descent over one polynomial, with parentheses nested at most
+    `NESTING_LIMIT` deep.  Products and powers drop their terms above z^top;
+    `dropped` records whether a nonzero one was."""
 
     def __init__(self, text: str, top: int):
         self.top = top
@@ -157,6 +114,7 @@ class _PolyParser:
                 self.tokens.append(token)
             pos = m.end()
         self.pos = 0
+        self.depth = 0  # parentheses open at pos
 
     def integer(self, token: str, role: str) -> int:
         if len(token) > DIGIT_LIMIT:
@@ -236,9 +194,13 @@ class _PolyParser:
         if token == "z":
             return (0, 1)
         if token == "(":
+            if self.depth == NESTING_LIMIT:
+                raise RationalFormError(f"parentheses nested deeper than {NESTING_LIMIT}")
+            self.depth += 1
             inner = self.expr()
             if self.take() != ")":
                 raise RationalFormError("missing closing parenthesis")
+            self.depth -= 1
             return inner
         if token == "/":
             raise RationalFormError("division is only allowed once, at the top level")

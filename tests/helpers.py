@@ -9,7 +9,6 @@ from math import lcm
 
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator, Word
 from sullivan.calculus import CDGA
-from sullivan.errors import NotACocycle
 from sullivan.models import Recipe, build
 
 
@@ -164,6 +163,10 @@ def oracle_kernel(rows, ncols):
             v[p] = -reduced[i][f]
         basis.append(v)
     return basis
+
+
+class NotACocycle(Exception):
+    """`class_is_nontrivial` was given an element whose differential is not zero."""
 
 
 def class_is_nontrivial(model: CDGA, cocycle: Element) -> bool:

@@ -30,7 +30,7 @@ from sullivan.models import (
     multiplication_model,
     vps_witnesses_for_model,
 )
-from sullivan.series import expand_rational, parse_rational, series_from_report
+from sullivan.series import expand_rational, parse_rational
 
 from helpers import builtin_models, cpn_model, s3s3_model
 from test_cli import run_cli
@@ -148,10 +148,9 @@ def test_criterion_6_loop_identities_on_random_monomials():
 
 def test_criterion_7_series_comparison():
     expansion = expand_rational(parse_rational("(1+z^3)^2/(1-z^2)^2", 12), 12)
-    loop_report = betti(loop_model(s3s3_model()), 12)
-    computed = series_from_report(loop_report)
+    computed = betti(loop_model(s3s3_model()), 12).betti
     ok = expansion == computed
-    report(7, ok, f"(1+z^3)^2/(1-z^2)^2 -> {expansion} == loop betti series")
+    report(7, ok, f"(1+z^3)^2/(1-z^2)^2 -> {','.join(map(str, expansion))} == loop betti series")
 
 
 def test_criterion_8_witness_lower_bounds():
@@ -203,7 +202,7 @@ def test_criterion_9_mutation_robustness():
         model = models[i % len(models)]
         mutated_name, mutated = _random_mutation(rng, model)
         d_fails = check_differential(mutated) is not None
-        identity = Morphism.identity(model.algebra)
+        identity = Morphism.inclusion(model.algebra, model.algebra)
         chain_fails = (
             check_chain_map(identity, mutated.differential, model.differential) is not None
         )

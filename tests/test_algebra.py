@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.algebra import Element, FreeGradedAlgebra, Generator, monomial
+from sullivan.algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Generator, monomial
 from sullivan.calculus import Morphism
 from sullivan.errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator
 
@@ -190,7 +190,25 @@ def test_basis_cap_names_lowest_degree_over_cap_before_building_higher():
         [alg.basis_in_degree(n, cap=3) for n in range(40)]
     expected = next(n for n in range(40) if len(_recursive_basis(alg, n)) > 3)
     assert (info.value.degree, info.value.size) == (expected, len(_recursive_basis(alg, expected)))
-    assert max(t for _, t in alg._words) == expected  # no word table above it was built
+    assert max(t for _, t in alg._words) < expected  # no word table from it up was built
+
+
+def test_basis_cap_is_checked_before_listing():
+    # 100 generators of degree 100: C(101, 2) = 5050 words in degree 200 and
+    # C(102, 3) = 171 700 in degree 300, counted and refused without a table
+    alg = FreeGradedAlgebra([Generator(f"g{i}", 100) for i in range(100)])
+    assert len(alg.basis_in_degree(200, cap=5050)) == 5050
+    with pytest.raises(BasisSizeExceeded) as info:
+        alg.basis_in_degree(300, cap=5050)
+    assert (info.value.degree, info.value.size, info.value.cap) == (300, 171700, 5050)
+    assert max(t for _, t in alg._words) == 200
+    # with no cap given, the default one holds: 700 degree-2 generators have
+    # C(701, 2) = 245 350 words in degree 4
+    wide = FreeGradedAlgebra([Generator(f"g{i}", 2) for i in range(700)])
+    with pytest.raises(BasisSizeExceeded) as info:
+        wide.basis_in_degree(4)
+    assert (info.value.degree, info.value.size, info.value.cap) == (4, 245350, DEFAULT_BASIS_CAP)
+    assert (0, 4) not in wide._words
 
 
 def test_basis_of_even_sphere_to_high_degree():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan import linalg
-from sullivan.algebra import Element, FreeGradedAlgebra, Generator, element_of_word
+from sullivan.algebra import Element, FreeGradedAlgebra, Generator
 from sullivan.calculus import (
     CDGA,
     Derivation,
@@ -24,6 +24,7 @@ from sullivan.calculus import (
     tensor_cdga,
 )
 from sullivan.errors import (
+    BasisSizeExceeded,
     IncompleteDerivation,
     IncompleteMorphism,
     NameClash,
@@ -179,7 +180,7 @@ def test_morphism_kills_suspended_factor():
 
 def test_identity_morphism_is_identity():
     model = s3s3_model()
-    ident = Morphism.identity(model.algebra)
+    ident = Morphism.inclusion(model.algebra, model.algebra)
     rng = random.Random(3)
     for _ in range(20):
         e = random_monomial(rng, model.algebra, 12)
@@ -204,7 +205,9 @@ def test_morphism_composition():
         there.algebra, model.algebra,
         {"p": model.algebra.gen("v"), "q": model.algebra.gen("w")},
     )
-    assert to_renamed.then(back) == Morphism.identity(model.algebra)
+    for g in model.algebra.generators:
+        v = model.algebra.gen(g.name)
+        assert back(to_renamed(v)) == v
 
 
 # -- differential and chain-map checks ----------------------------------------------
@@ -232,14 +235,13 @@ def test_zero_differential_is_valid():
 
 def test_chain_map_to_itself():
     model = even_sphere_model(1)
-    ident = Morphism.identity(model.algebra)
+    ident = Morphism.inclusion(model.algebra, model.algebra)
     assert check_chain_map(ident, model.differential, model.differential) is None
 
 
 def test_chain_map_failure_reported_at_w():
     source = even_sphere_model(1)
     target = make_cdga([Generator("v", 2), Generator("w", 3)])  # zero differential
-    m = Morphism.identity(source.algebra)
     m = Morphism(source.algebra, target.algebra,
                  {"v": target.algebra.gen("v"), "w": target.algebra.zero()})
     failure = check_chain_map(m, source.differential, target.differential)
@@ -475,6 +477,17 @@ def test_koszul_rejects_zero_divisor():
         koszul_model(A, z, 8)
 
 
+
+def test_koszul_lists_its_bases_in_ascending_degree_under_the_cap():
+    # k[x, y] has n/2 + 1 words in even degree n; the zero-divisor check of
+    # x^2 to degree 4 needs degrees 0..8, and 6 is the first with more than 3
+    A = make_cdga([Generator("x", 2), Generator("y", 2)])
+    with pytest.raises(BasisSizeExceeded) as info:
+        koszul_model(A, A.algebra.gen("x") ** 2, 4, cap=3)
+    assert (info.value.degree, info.value.size) == (6, 4)
+    assert koszul_model(A, A.algebra.gen("x") ** 2, 4, cap=5).quotient_dims == (1, 0, 2, 0, 2)
+
+
 # -- indecomposables and minimality -------------------------------------------------------
 
 
@@ -594,7 +607,7 @@ def test_matrix_of_columns_are_coordinates_of_images(data):
              for _ in range(data.draw(st.integers(1, 4)))]
     degrees = sorted({_WORD_ALGEBRA.word_degree(w) + shift for w in words})
     target = [w for n in degrees for w in codomain.basis_in_degree(n)]
-    images = [f(element_of_word(_WORD_ALGEBRA, w)) for w in words]
+    images = [f(Element(_WORD_ALGEBRA, {w: Fraction(1)})) for w in words]
     columns = linalg.matrix_of((image.terms for image in images), target)
     assert len(columns) == len(words)
     for word, column, image in zip(words, columns, images):
@@ -603,7 +616,7 @@ def test_matrix_of_columns_are_coordinates_of_images(data):
             element_coordinates(image, target)
         # independent of both: the coefficients of the naive expansion
         naive = _naive_morphism_apply if isinstance(f, Morphism) else _naive_derivation_apply
-        expected = naive(f, element_of_word(_WORD_ALGEBRA, word))
+        expected = naive(f, Element(_WORD_ALGEBRA, {word: Fraction(1)}))
         assert [expected.coefficient(w) for w in target] == \
             [column.get(i, Fraction(0)) for i in range(len(target))]
 
@@ -632,7 +645,7 @@ def test_on_word_matches_naive_expansion_without_stored_zeros(data):
     f, _, codomain = data.draw(maps_on_words())
     naive = _naive_morphism_apply if isinstance(f, Morphism) else _naive_derivation_apply
     words = [next(iter(data.draw(words_of(_WORD_ALGEBRA, max_exp=6)).terms)) for _ in range(2)]
-    expected = [naive(f, element_of_word(_WORD_ALGEBRA, w)).terms for w in words]
+    expected = [naive(f, Element(_WORD_ALGEBRA, {w: Fraction(1)})).terms for w in words]
     for word, terms in zip(words, expected):
         image = f.on_word(word)
         assert image == terms
@@ -673,4 +686,4 @@ def test_morphisms_on_one_algebra_never_share_cached_powers(data):
     words = [next(iter(data.draw(words_of(_WORD_ALGEBRA, max_exp=5)).terms)) for _ in range(3)]
     for word in words + words[::-1]:
         for m in (first, second):
-            assert m.on_word(word) == _naive_morphism_apply(m, element_of_word(_WORD_ALGEBRA, word)).terms
+            assert m.on_word(word) == _naive_morphism_apply(m, Element(_WORD_ALGEBRA, {word: Fraction(1)})).terms

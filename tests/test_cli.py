@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sullivan.cli import _build_parser, main
-from sullivan.errors import DIGIT_LIMIT
+from sullivan.errors import DIGIT_LIMIT, NESTING_LIMIT
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -152,6 +152,16 @@ def test_koszul_command(tmp_path):
     assert report["verdicts"]["matches_quotient_oracle"] is True
     assert report["betti"][:7] == [1, 0, 1, 0, 1, 0, 0]
 
+
+def test_koszul_check_lists_its_bases_under_the_cap(tmp_path, capsys):
+    # the zero-divisor check of a^15 to degree 30 needs degrees up to 60;
+    # k[a..f] has C(k+5, 5) words in degree 2k, so degree 6 is the first over 50
+    model = tmp_path / "six.model"
+    model.write_text("".join(f"generator {name} 2\n" for name in "abcdef"))
+    start = time.perf_counter()
+    assert main(["koszul", str(model), "--by", "a^15", "--max", "30", "--cap", "50"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: monomial basis in degree 6 has 56 elements, cap is 50\n"
 
 def test_mult_model_command(cp2_file):
     result = run_cli(["mult-model", cp2_file, "--json"])
@@ -443,3 +453,28 @@ def test_parsed_values_past_a_limit_exit_two_with_a_position(argv, message, tmp_
     argv = [a.format(products=products, sums=sums, x2=x2) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _nested(depth, inner):
+    return "(" * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["verify", "{model}"], 107),
+    (["koszul", "{x2}", "--by", "{by}"], 101),
+    (["series", "--rational", "{rational}"], None),
+])
+def test_parentheses_nested_past_the_limit_exit_two(argv, column, tmp_path, capsys):
+    def run(depth):
+        model = tmp_path / "nested.model"
+        model.write_text(f"generator v 2\ngenerator w 3\nd w = {_nested(depth, 'v^2')}\n")
+        x2 = tmp_path / "x2.model"
+        x2.write_text("generator x 2\n")
+        filled = [a.format(model=model, x2=x2, by=_nested(depth, "x"),
+                           rational="1/" + _nested(depth, "1-z")) for a in argv]
+        return main(filled), capsys.readouterr().err
+
+    assert run(NESTING_LIMIT) == (0, "")
+    position = "" if column is None else f"line {3 if argv[0] == 'verify' else 1}, column {column}: "
+    for depth in (NESTING_LIMIT + 1, 1000):
+        assert run(depth) == (2, f"error: {position}parentheses nested deeper than {NESTING_LIMIT}\n")

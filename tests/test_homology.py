@@ -15,7 +15,7 @@ from sullivan.calculus import (
     make_cdga,
     quotient_by_generators,
 )
-from sullivan.errors import BasisSizeExceeded, NotACocycle
+from sullivan.errors import BasisSizeExceeded
 from sullivan.homology import (
     assemble_window,
     betti,
@@ -28,6 +28,7 @@ from sullivan.modelfile import parse
 from sullivan.models import Recipe, build
 
 from helpers import (
+    NotACocycle,
     builtin_models,
     class_is_nontrivial,
     cpn_model,
@@ -89,7 +90,6 @@ def test_even_sphere_betti():
     # H = k[v]/v^2: classes in degrees 0 and 2 only, [v^2] = [dw] dies
     report = betti(even_sphere_model(1), 8)
     assert list(report.betti) == [1, 0, 1, 0, 0, 0, 0, 0, 0]
-    assert report.window_valid_to == 8
 
 
 def test_loop_betti_of_s3():
@@ -278,7 +278,7 @@ def test_sullivan_family_classes_are_nontrivial():
 
 def test_identity_is_quasi_iso():
     model = even_sphere_model(1)
-    report = quasi_iso_check(model, model, Morphism.identity(model.algebra), 8)
+    report = quasi_iso_check(model, model, Morphism.inclusion(model.algebra, model.algebra), 8)
     assert report.is_quasi_iso
 
 

@@ -226,7 +226,7 @@ def test_closed_form_matches_computed_loop_betti(d, n):
 def test_free_loops_of_product_satisfy_kunneth():
     # loop model of a product is the tensor of the loop models, so its
     # Betti series is the product of the factor series
-    from sullivan.series import multiply_series, series_from_report
+    from sullivan.series import multiply_series
 
     cp2 = Recipe("truncated_poly", (2, 2))
     pairs = [
@@ -238,9 +238,7 @@ def test_free_loops_of_product_satisfy_kunneth():
         combined = betti(loop_model(build(Recipe("product", (left, right)))), 10)
         factor_l = betti(loop_model(build(left)), 10)
         factor_r = betti(loop_model(build(right)), 10)
-        assert series_from_report(combined) == multiply_series(
-            series_from_report(factor_l), series_from_report(factor_r)
-        )
+        assert combined.betti == multiply_series(factor_l.betti, factor_r.betti)
     # every Betti number of LCP^2 is 1, so Kunneth gives b_n = n + 1 on L(CP^2 x CP^2)
     assert list(combined.betti) == [n + 1 for n in range(11)]
 
