@@ -484,9 +484,10 @@ def main(argv: list[str] | None = None) -> int:
         # leftover arguments are the one error the top level reports for a named
         # command; its usage line lists every command, so the full parser reports it
         _build_parser().parse_args(argv)
-    if getattr(args, "max", 0) < 0:
-        print("error: --max must be non-negative", file=sys.stderr)
-        return 2
+    for dest, flag in (("max", "--max"), ("k_max", "--k-max")):
+        if getattr(args, dest, 0) < 0:
+            print(f"error: {flag} must be non-negative", file=sys.stderr)
+            return 2
     try:
         report, lines, ok = args.func(args)
         _write(args, report, lines)

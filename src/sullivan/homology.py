@@ -14,14 +14,15 @@ same way.  Kernels and representatives are sparse; no result is dense
 except `matrix(n)`, which writes a differential out for inspection.
 
 A window degree is eliminated once, in `DegreeWindowComplex.cocycles(n)`.
-The reduced-echelon kernel basis of d^n has one vector z_f per free column
-f = max(z_f), zero at every other free column, so a cocycle is fixed by its
-free coordinates F and H^n is Q^F modulo the boundaries cut to F.  Those
-(the columns of d^(n-1)) are reduced with each pivot at its highest free
-column; the classes are the z_f, as they are, whose f is no pivot.  Every
-reader tests cocycles (images, products) by extending that echelon.  All
-ranks are exact (see linalg); the report is a deterministic reduction over
-independent degrees.
+Forward elimination of the rows of d^n gives its free columns F.  The
+reduced-echelon kernel vector z_f of a free column f is 1 at f and zero at
+every other free column, so a cocycle is fixed by its free coordinates and
+H^n is Q^F modulo the boundaries cut to F.  Those (the columns of d^(n-1))
+are reduced with each pivot at its highest free column; the classes are the
+z_f whose f is no pivot, and only they are built.  Every reader tests
+cocycles (images, products) by extending that echelon.  All ranks are exact
+(see linalg); the report is a deterministic reduction over independent
+degrees.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from .calculus import CDGA, Morphism, _sum_over_words, check_chain_map
 
 
 class Cocycles(NamedTuple):
-    """One window degree, eliminated once: the kernel basis {z_f} ascending,
-    the classes among it, and the boundaries restricted to the free columns,
-    free column f keyed -f so that a pivot is a highest free column."""
+    """One window degree, eliminated once: the classes {z_f} ascending, the
+    free columns, and the boundaries restricted to the free columns, free
+    column f keyed -f so that a pivot is a highest free column."""
 
-    kernel: list[linalg.SparseVector]
     classes: list[linalg.SparseVector]
     free: frozenset[int]
     boundaries: linalg.Echelon
@@ -75,13 +75,13 @@ class DegreeWindowComplex(NamedTuple):
         return []
 
     def cocycles(self, n: int) -> Cocycles:
-        """The cocycles of degree n, their classes, and the boundary echelon."""
-        kernel = linalg.kernel_basis(linalg.transpose(self.columns[n], self.dim(n + 1)), self.dim(n))
-        free = frozenset(map(max, kernel))
+        """The free columns of d^n, the classes, and the boundary echelon."""
+        echelon = linalg.Echelon(linalg.transpose(self.columns[n], self.dim(n + 1)))
+        free = frozenset(range(self.dim(n))).difference(echelon.rows)
         boundaries = linalg.Echelon({-c: x for c, x in column.items() if c in free}
                                     for column in (self.columns[n - 1] if n else ()))
-        classes = [z for z in kernel if -max(z) not in boundaries.rows]
-        return Cocycles(kernel, classes, free, boundaries)
+        classes = echelon.kernel_vectors(f for f in sorted(free) if -f not in boundaries.rows)
+        return Cocycles(classes, free, boundaries)
 
 
 def _degreewise(image, sources, targets) -> tuple[tuple[linalg.SparseVector, ...], ...]:
@@ -115,10 +115,14 @@ def betti(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> Cohomol
 def betti_of_window(window: DegreeWindowComplex) -> CohomologyReport:
     algebra = window.model.algebra
     reps = []
+    rank_below = 0  # rank d^(n-1), read from the forward elimination of degree n-1
     for n in range(window.max_degree + 1):
         basis = window.bases[n]
+        cocycles = window.cocycles(n)
+        assert len(cocycles.classes) == len(cocycles.free) - rank_below, n
+        rank_below = len(basis) - len(cocycles.free)
         reps.append(tuple(Element(algebra, {basis[c]: z[c] for c in sorted(z)})
-                          for z in window.cocycles(n).classes))
+                          for z in cocycles.classes))
     return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 

@@ -6,18 +6,19 @@ pivot.  `add` scales an incoming rational row to integers once, reduces it
 fraction-free (one integer combination per step, as in Bareiss elimination)
 against the stored rows at its lowest column until that column is a new
 pivot or the row vanishes, divides out the gcd, and keeps the row iff a
-residue remains; the return value says whether the rank grew.  `reduce`
-back-substitutes to reduced echelon form, which is unique, so
-`reduced_rows` and `kernel_basis` do not depend on row order.
+residue remains; the return value says whether the rank grew.  The columns
+that are no pivot are free.  `kernel_vectors` back-substitutes to reduced
+echelon form, which is unique and so does not depend on row order, and
+builds a kernel vector only for the free columns asked for: only those
+vectors hold `Fraction`s.
 
 The one vector type is the sparse `{column: Fraction}` dict, zeros not
 stored.  Every linear map becomes a matrix in one place, `matrix_of`: one
 sparse column per source element, rows indexed by any hashable basis keys.
-`Echelon`, `rank` and `kernel_basis` take such sparse rows, and every
-result (reduced rows, kernel vectors) is sparse; a caller tests a row
-against a span by extending its `Echelon`.  A linear system A x = b is
-solved as the last kernel vector of [A | -b], which holds a 1 in its last
-column iff the system is consistent.
+`Echelon` and `rank` take such sparse rows, and every kernel vector is
+sparse; a caller tests a row against a span by extending its `Echelon`.  A
+linear system A x = b is consistent iff the last column of [A | -b] is
+free, and then its kernel vector is (x, 1).
 """
 
 from __future__ import annotations
@@ -117,32 +118,23 @@ class Echelon:
             if above:
                 _make_primitive(row, col)
 
-    def reduced_rows(self) -> list[tuple[int, SparseVector]]:
-        """Reduced echelon form as (pivot, sparse row with a unit pivot), in pivot order."""
+    def kernel_vectors(self, free: Iterable[int]) -> list[SparseVector]:
+        """The reduced-echelon kernel vector z_f of each given free column f, in order.
+
+        z_f holds 1 at f, 0 at every other free column, and -R[p][f]/R[p][p]
+        at each pivot p of the reduced rows R.
+        """
+        vectors = {f: {f: Fraction(1)} for f in free}
+        if not vectors:
+            return []
         self.reduce()
-        out = []
-        for col in sorted(self.rows):
-            row = self.rows[col]
-            lead = row[col]
-            out.append((col, {k: Fraction(v, lead) for k, v in row.items()}))
-        return out
+        for p, row in self.rows.items():
+            for k, v in row.items():
+                z = vectors.get(k)
+                if z is not None:
+                    z[p] = Fraction(-v, row[p])
+        return list(vectors.values())
 
 
 def rank(rows: Sequence[SparseVector]) -> int:
     return Echelon(rows).rank
-
-
-def kernel_basis(rows: Sequence[SparseVector], ncols: int) -> list[SparseVector]:
-    """Basis of the null space, one sparse vector per free column, ascending.
-
-    The vector of free column f holds 1 at f and -v at each pivot p whose
-    reduced row has v at f; it is zero at every other free column.
-    """
-    reduced = Echelon(rows).reduced_rows()
-    pivot_set = {col for col, _ in reduced}
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
-    for p, entries in reduced:
-        for k, v in entries.items():
-            if k != p:
-                basis[k][p] = -v
-    return list(basis.values())

@@ -236,22 +236,23 @@ def _solve_gamma(derivation, phi, original_degree, g, rhs):
     ]
     # A stacks the rows of D(gamma) = rhs, one per degree-(|g|+1) word, over
     # those of phi(gamma) = 0, one per degree-|g| word of the target.  x
-    # solves A x = rhs iff (x, 1) is in the kernel of [A | -rhs]; when one
-    # does, the last reduced-echelon kernel vector is (x, 1) with x the
-    # reduced-echelon particular solution.
+    # solves A x = rhs iff (x, 1) is in the kernel of [A | -rhs], so one
+    # does iff the last column is free, and its reduced-echelon kernel
+    # vector is (x, 1) with x the reduced-echelon particular solution.
     d_rows = big.basis_in_degree(g.degree + 1)
     phi_rows = target_alg.basis_in_degree(g.degree)
     columns = linalg.matrix_of(map(derivation.on_word, candidates), d_rows)
     for column, image in zip(columns, linalg.matrix_of(map(phi.on_word, candidates), phi_rows)):
         column.update((len(d_rows) + r, c) for r, c in image.items())
     columns += linalg.matrix_of([{w: -c for w, c in rhs.terms.items()}], d_rows)
-    kernel = linalg.kernel_basis(linalg.transpose(columns, len(d_rows) + len(phi_rows)), len(columns))
+    echelon = linalg.Echelon(linalg.transpose(columns, len(d_rows) + len(phi_rows)))
     last = len(candidates)
-    if not kernel or kernel[-1].get(last) != 1:
+    if last in echelon.rows:
         raise WindowTooSmall(
             f"no decomposable correction of degree {g.degree} for generator {g.name!r}"
         )
-    return Element(big, {candidates[c]: x for c, x in sorted(kernel[-1].items()) if c != last})
+    solution = echelon.kernel_vectors([last])[0]
+    return Element(big, {candidates[c]: x for c, x in sorted(solution.items()) if c != last})
 
 
 def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:

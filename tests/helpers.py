@@ -165,6 +165,12 @@ def oracle_kernel(rows, ncols):
     return basis
 
 
+def window_kernel(window, n):
+    """The kernel of the window's d^n as sparse vectors, one per free column f
+    = max(z_f), ascending, from the dense `oracle_kernel`."""
+    return sparse(oracle_kernel(window.matrix(n), window.dim(n)))
+
+
 class NotACocycle(Exception):
     """`class_is_nontrivial` was given an element whose differential is not zero."""
 

@@ -181,6 +181,9 @@ def test_witness_command(s3s3_file):
     assert report["witnesses"][2]["betti"] == 3
     not_applicable = run_cli(["witness", "--k-max", "2"], stdin_text="generator v 3\n")
     assert not_applicable.returncode == 2
+    negative = run_cli(["witness", s3s3_file, "--k-max", "-3", "--json"])
+    assert (negative.returncode, negative.stdout) == (2, "")
+    assert negative.stderr == "error: --k-max must be non-negative\n"
 
 
 def test_recipe_unknown_exits_two():

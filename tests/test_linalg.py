@@ -38,15 +38,22 @@ def oracle_solve(rows, rhs):
     return x
 
 
+def kernel_of(rows, ncols):
+    """The kernel vector of every free column of the sparse rows, ascending."""
+    echelon = linalg.Echelon(rows)
+    return echelon.kernel_vectors(f for f in range(ncols) if f not in echelon.rows)
+
+
 def solve_by_kernel(rows, rhs):
-    """x with rows @ x = rhs, read as the multiplication model reads it: (x, 1)
-    is the last kernel vector of [rows | -rhs], or the system is inconsistent
-    and None is returned."""
+    """x with rows @ x = rhs, read as the multiplication model reads it: the
+    last column of [rows | -rhs] is free and (x, 1) is its kernel vector, or
+    the system is inconsistent and None is returned."""
     ncols = len(rows[0])
-    kernel = linalg.kernel_basis(sparse([row + [-b] for row, b in zip(rows, rhs)]), ncols + 1)
-    if not kernel or kernel[-1].get(ncols) != 1:
+    echelon = linalg.Echelon(sparse([row + [-b] for row, b in zip(rows, rhs)]))
+    if ncols in echelon.rows:
         return None
-    return [kernel[-1].get(c, Fraction(0)) for c in range(ncols)]
+    (solution,) = echelon.kernel_vectors([ncols])
+    return [solution.get(c, Fraction(0)) for c in range(ncols)]
 
 
 matrices = st.integers(1, 5).flatmap(
@@ -80,7 +87,7 @@ def test_bareiss_rank_matches_naive_elimination(rows):
 @given(matrices)
 def test_kernel_vectors_are_killed(rows):
     ncols = len(rows[0])
-    kernel = linalg.kernel_basis(sparse(rows), ncols)
+    kernel = kernel_of(sparse(rows), ncols)
     assert len(kernel) == ncols - naive_rank(rows)
     _, pivots = dense_bareiss_rref(rows)
     free = [f for f in range(ncols) if f not in pivots]
@@ -120,8 +127,9 @@ def test_rref_shape():
         [Fraction(1), Fraction(1), Fraction(1)],
         [Fraction(1), Fraction(3), Fraction(5)],
     ]
-    reduced = linalg.Echelon(sparse(rows)).reduced_rows()
-    assert reduced == [(0, {0: Fraction(1), 2: Fraction(-1)}), (1, {1: Fraction(1), 2: Fraction(2)})]
+    echelon = linalg.Echelon(sparse(rows))
+    assert echelon.kernel_vectors([2]) == [{2: Fraction(1), 0: Fraction(1), 1: Fraction(-2)}]
+    assert echelon.rows == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 2}}  # reduced by kernel_vectors
 
 
 def test_echelon_add_is_false_exactly_on_the_row_span():
@@ -135,14 +143,20 @@ def test_echelon_add_is_false_exactly_on_the_row_span():
 @given(any_matrix)
 def test_rref_matches_dense_bareiss_oracle(rows):
     reduced, pivots = dense_bareiss_rref(rows)
-    assert linalg.Echelon(sparse(rows)).reduced_rows() == list(zip(pivots, sparse(reduced)))
+    ncols = len(rows[0])
+    echelon = linalg.Echelon(sparse(rows))
+    assert sorted(echelon.rows) == pivots
+    assert echelon.kernel_vectors(f for f in range(ncols) if f not in pivots) == sparse(oracle_kernel(rows, ncols))
+    echelon.reduce()
+    unit_rows = {p: {k: Fraction(v, row[p]) for k, v in row.items()} for p, row in echelon.rows.items()}
+    assert unit_rows == dict(zip(pivots, sparse(reduced)))
 
 
 @settings(max_examples=150)
 @given(any_matrix)
 def test_kernel_basis_matches_dense_bareiss_oracle(rows):
     ncols = len(rows[0])
-    assert linalg.kernel_basis(sparse(rows), ncols) == sparse(oracle_kernel(rows, ncols))
+    assert kernel_of(sparse(rows), ncols) == sparse(oracle_kernel(rows, ncols))
 
 
 @settings(max_examples=150)
@@ -181,7 +195,7 @@ def test_rank_and_kernel_match_sympy(rows):
     m = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
     assert linalg.rank(sparse(rows)) == m.rank()
     expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
-    assert linalg.kernel_basis(sparse(rows), ncols) == sparse(expected)
+    assert kernel_of(sparse(rows), ncols) == sparse(expected)
 
 
 @settings(max_examples=150)
@@ -195,7 +209,7 @@ def test_sparse_columns_and_rows_give_the_dense_results(rows):
     sparse_rows = linalg.transpose(columns, nrows)
     assert sparse_rows == sparse(rows)
     assert linalg.rank(sparse_rows) == linalg.rank(columns) == naive_rank(rows)
-    assert linalg.kernel_basis(sparse_rows, ncols) == sparse(oracle_kernel(rows, ncols))
+    assert kernel_of(sparse_rows, ncols) == sparse(oracle_kernel(rows, ncols))
     for row in sparse_rows:
         assert not linalg.Echelon(sparse_rows).add(row)
 

@@ -347,14 +347,15 @@ def test_assembly_builds_no_elements(monkeypatch):
 
 def test_multiplication_model_builds_fewer_elements_than_it_maps_words(monkeypatch):
     model = build(product(cpn(3), cpn(2), even_sphere(1)))
-    solve = linalg.kernel_basis
+    kernel_vectors = linalg.Echelon.kernel_vectors
     mapped = [0]
 
-    def counted_solve(rows, ncols):
-        mapped[0] += ncols - 1  # one column per candidate word, then the right-hand side
-        return solve(rows, ncols)
+    def counted_kernel_vectors(echelon, free):
+        (last,) = free
+        mapped[0] += last  # one column per candidate word, then the right-hand side
+        return kernel_vectors(echelon, [last])
 
-    monkeypatch.setattr(linalg, "kernel_basis", counted_solve)
+    monkeypatch.setattr(linalg.Echelon, "kernel_vectors", counted_kernel_vectors)
     count = _count_element_constructions(monkeypatch)
     mm = multiplication_model(model)
     assert mapped[0] > 0 and count[0] < mapped[0], (count[0], mapped[0])
