@@ -208,22 +208,22 @@ class FreeGradedAlgebra:
                 acc[w] = acc[w] + c if w in acc else c
         return {w: c for w, c in acc.items() if c}
 
-    def basis_in_degree(self, n: int, cap: int | None = DEFAULT_BASIS_CAP) -> tuple[Word, ...]:
+    def basis_in_degree(self, n: int, cap: int = DEFAULT_BASIS_CAP) -> tuple[Word, ...]:
         """All canonical monomials of total degree n, lexicographically ordered
         by exponent vector.  Complete and duplicate-free; degree 0 gives (1,).
-        Raises `BasisSizeExceeded` when there are more than `cap` (None: no
-        cap), before listing any of them.
+        Raises `BasisSizeExceeded` when there are more than `cap`, before
+        listing any of them.
         """
         if n < 0:
             return ()
         if (0, n) not in self._words:
             self._fill_words(n, cap)
         basis = self._words[0, n]
-        if cap is not None and len(basis) > cap:
+        if len(basis) > cap:
             raise BasisSizeExceeded(n, len(basis), cap)
         return basis
 
-    def _fill_words(self, n: int, cap: int | None) -> None:
+    def _fill_words(self, n: int, cap: int) -> None:
         """Memoize the words over generators i.. of degree t that the degree-n
         basis needs: v_i^e * w for e ascending from 0 (at most 1 for odd v_i)
         and w over i+1.. of a degree r = t - e|v_i| that suffix can reach.
@@ -255,7 +255,7 @@ class FreeGradedAlgebra:
                 sizes[i, t] = int(t == 0) if i == count else sum(
                     sizes[i + 1, r] if (i + 1, r) in sizes else len(memo[i + 1, r])
                     for _, r in exponents)
-        if cap is not None and sizes[0, n] > cap:
+        if sizes[0, n] > cap:
             raise BasisSizeExceeded(n, sizes[0, n], cap)
         for i in range(len(levels) - 1, -1, -1):
             for t, exponents in levels[i].items():

@@ -1,4 +1,10 @@
-"""Differentials, derivations, morphisms and model constructions.
+"""Models, the maps between them, and the constructions of new models.
+
+A Sullivan algebra (ΛV, d) is fixed by the values of d on the generators,
+so a model is built from its free algebra and those values:
+`CDGA(algebra, values)`, where a generator with no value has d = 0.  Every
+construction here (loop, tensor, renaming, quotient, Koszul) is a new free
+algebra plus new values of d.
 
 A derivation acts on one free algebra and extends from its generator
 values by the graded Leibniz rule.  `Derivation.on_word` is the one Leibniz
@@ -44,6 +50,21 @@ from .errors import (
 _ONE = Fraction(1)
 
 
+def _checked_values(source: FreeGradedAlgebra, target: FreeGradedAlgebra, shift: int,
+                    values: Mapping[str, Element]) -> dict[str, Element]:
+    """The values of a map on generators, once each name is a generator g of
+    `source` and each value an element of `target` that is zero or
+    homogeneous of degree |g| + shift."""
+    out = dict(values)
+    for name, value in out.items():
+        degree = source.generator(name).degree + shift
+        if value.algebra != target:
+            raise AlgebraMismatch(f"value of {name!r} lives in the wrong algebra")
+        if not value.is_zero() and value.degree() != degree:
+            raise ValueError(f"value of {name!r} must be homogeneous of degree {degree}, got {value}")
+    return out
+
+
 def _sum_over_words(on_word, terms: dict[Word, Fraction]) -> dict[Word, Fraction]:
     """The linear extension of a map on words to an element's terms."""
     acc: dict[Word, Fraction] = {}
@@ -64,16 +85,7 @@ class Morphism:
     ):
         self.source = source
         self.target = target
-        self.values: dict[str, Element] = {}
-        for name, value in values.items():
-            g = source.generator(name)
-            if value.algebra != target:
-                raise AlgebraMismatch(f"image of {name!r} lives in the wrong algebra")
-            if not value.is_zero() and value.degree() != g.degree:
-                raise ValueError(
-                    f"image of {name!r} must be homogeneous of degree {g.degree}, got {value}"
-                )
-            self.values[name] = value
+        self.values = _checked_values(source, target, 0, values)
         self._powers: dict[tuple[int, int], dict[Word, Fraction]] = {}  # (i, e) -> f(v_i)^e
 
     @classmethod
@@ -130,17 +142,7 @@ class Derivation:
     def __init__(self, source: FreeGradedAlgebra, degree: int, values: Mapping[str, Element]):
         self.source = source
         self.degree = degree
-        self.values: dict[str, Element] = {}
-        for name, value in values.items():
-            g = source.generator(name)
-            if value.algebra != source:
-                raise AlgebraMismatch(f"value of {name!r} lives in the wrong algebra")
-            if not value.is_zero() and value.degree() != g.degree + degree:
-                raise ValueError(
-                    f"value of {name!r} must be homogeneous of degree "
-                    f"{g.degree + degree}, got degree {value.degree()}"
-                )
-            self.values[name] = value
+        self.values = _checked_values(source, source, degree, values)
         # _value_terms[i]: the terms of the value on generator i, None when none is given
         self._value_terms: tuple[dict[Word, Fraction] | None, ...] = tuple(
             self.values[g.name].terms if g.name in self.values else None
@@ -169,15 +171,14 @@ class Derivation:
                 head = word[:pos] + ((i, exp - 1),) if exp > 1 else word[:pos]
                 base = head + word[pos + 1:]
                 scale = -exp if odd[i] and prefix_odd else exp
-                image = {}
+                # distinct terms t of d(v_i) give distinct products t * base
                 for t, c in value.items():
                     prod = multiply(t, base)
                     if prod is not None:
-                        image[prod[0]] = c if prod[1] > 0 else -c
-                for w, c in image.items():
-                    if scale != 1:
-                        c = c * scale
-                    acc[w] = acc[w] + c if w in acc else c
+                        w, factor = prod[0], prod[1] * scale
+                        if factor != 1:
+                            c = c * factor
+                        acc[w] = acc[w] + c if w in acc else c
             if odd[i]:
                 prefix_odd = not prefix_odd
         return {w: c for w, c in acc.items() if c}
@@ -192,27 +193,27 @@ class Derivation:
 
 
 class CDGA:
-    """A free graded-commutative algebra with a degree +1 differential.
+    """A free graded-commutative algebra and the values of d on its generators.
 
-    Construction does not validate; run check_differential to certify
-    that the differential squares to zero.  Immutable; equal when the
-    algebras and the values of d on generators are.
+    The differential is the degree +1 derivation with those values; a
+    generator with no value has d = 0.  Construction checks each value's
+    algebra and degree but not d*d = 0; run check_differential to certify
+    that.  Immutable; equal when the algebras and the values of d on
+    generators are.
     """
 
     __slots__ = ("algebra", "differential")
 
-    def __init__(self, algebra: FreeGradedAlgebra, differential: Derivation) -> None:
-        if differential.source != algebra:
-            raise AlgebraMismatch("differential must act on the carrier algebra")
-        if differential.degree != 1:
-            raise ValueError("a differential has degree +1")
+    def __init__(self, algebra: FreeGradedAlgebra, values: Mapping[str, Element] = {}) -> None:
+        zero = algebra.zero()
+        values = {g.name: zero for g in algebra.generators} | dict(values)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "differential", differential)
+        object.__setattr__(self, "differential", Derivation(algebra, 1, values))
 
     __setattr__ = __delattr__ = read_only
 
     def __reduce__(self):
-        return CDGA, (self.algebra, self.differential)
+        return CDGA, (self.algebra, self.differential.values)
 
     def d(self, e: Element) -> Element:
         return self.differential(e)
@@ -234,16 +235,6 @@ class CDGA:
 
     def __repr__(self) -> str:
         return f"CDGA(algebra={self.algebra!r}, differential={self.differential!r})"
-
-
-def make_cdga(generators: Iterable[Generator], values: Mapping[str, Element] | None = None,
-              algebra: FreeGradedAlgebra | None = None) -> CDGA:
-    """Convenience constructor; omitted generator values mean zero."""
-    alg = algebra if algebra is not None else FreeGradedAlgebra(generators)
-    vals = dict(values or {})
-    for g in alg.generators:
-        vals.setdefault(g.name, alg.zero())
-    return CDGA(alg, Derivation(alg, 1, vals))
 
 
 def check_differential(model: CDGA) -> tuple[Generator, Element] | None:
@@ -331,7 +322,7 @@ def loop_model(model: CDGA) -> CDGA:
         dv = include(model.d_of(g.name))
         values[g.name] = dv
         values[suspended_name(g.name)] = -s(dv)
-    return CDGA(big, Derivation(big, 1, values))
+    return CDGA(big, values)
 
 
 # -- tensor products, renaming, quotients ----------------------------------------
@@ -350,7 +341,7 @@ def tensor_cdga(left: CDGA, right: CDGA) -> CDGA:
         include = Morphism.inclusion(factor.algebra, big)
         for g in factor.algebra.generators:
             values[g.name] = include(factor.d_of(g.name))
-    return CDGA(big, Derivation(big, 1, values))
+    return CDGA(big, values)
 
 
 def rename_generators(model: CDGA, mapping: Mapping[str, str]) -> CDGA:
@@ -371,10 +362,10 @@ def rename_generators(model: CDGA, mapping: Mapping[str, str]) -> CDGA:
         model.algebra, new_alg, {g.name: new_alg.gen(new_names[g.name]) for g in model.algebra.generators}
     )
     values = {new_names[g.name]: rho(model.d_of(g.name)) for g in model.algebra.generators}
-    return CDGA(new_alg, Derivation(new_alg, 1, values))
+    return CDGA(new_alg, values)
 
 
-def _projection(model: CDGA, kill: Iterable[str]) -> tuple[FreeGradedAlgebra, Morphism]:
+def projection(model: CDGA, kill: Iterable[str]) -> tuple[FreeGradedAlgebra, Morphism]:
     """The algebra on the surviving generators and the map setting killed ones to zero."""
     kill_set = set(kill)
     for name in kill_set:
@@ -400,9 +391,9 @@ def quotient_by_generators(model: CDGA, kill: Iterable[str]) -> CDGA:
     the substitution the quotient is by generators rather than by the ideal
     they and their differentials generate; see killed_residues.
     """
-    small, pi = _projection(model, kill)
+    small, pi = projection(model, kill)
     values = {g.name: pi(model.d_of(g.name)) for g in small.generators}
-    quotient = CDGA(small, Derivation(small, 1, values))
+    quotient = CDGA(small, values)
     failure = check_differential(quotient)
     if failure is not None:
         raise NotDifferentialIdeal(failure[0].name, failure[1])
@@ -416,7 +407,7 @@ def killed_residues(model: CDGA, kill: Iterable[str]) -> dict[str, Element]:
     under the differential.
     """
     kill_set = set(kill)
-    _, pi = _projection(model, kill_set)
+    _, pi = projection(model, kill_set)
     out: dict[str, Element] = {}
     for name in sorted(kill_set):
         residue = pi(model.d_of(name))
@@ -459,11 +450,9 @@ def koszul_model(presentation: CDGA, z: Element, window: int,
         raise AlgebraMismatch("cocycle does not live in the presentation algebra")
     if z.is_zero():
         raise ValueError("cocycle must be nonzero")
-    if not z.is_homogeneous():
-        raise ParityError(f"Koszul cocycle must be homogeneous of even degree, got {z}")
+    if not z.is_homogeneous() or z.degree() == 0 or z.degree() % 2:
+        raise ParityError(f"Koszul cocycle must be homogeneous of positive even degree, got {z}")
     degree = z.degree()
-    if degree % 2 != 0:
-        raise ParityError(f"Koszul cocycle must be homogeneous of even degree, got {z}")
     name = "sz"
     if alg.has_generator(name):
         raise NameClash(f"generator name {name!r} already taken")
@@ -476,9 +465,7 @@ def koszul_model(presentation: CDGA, z: Element, window: int,
             raise ZeroDivisor(n, z)
 
     big = FreeGradedAlgebra(list(alg.generators) + [Generator(name, degree - 1)])
-    values = {g.name: big.zero() for g in alg.generators}
-    values[name] = Morphism.inclusion(alg, big)(z)
-    model = CDGA(big, Derivation(big, 1, values))
+    model = CDGA(big, {name: Morphism.inclusion(alg, big)(z)})
 
     dims = tuple(len(bases[n]) - (len(bases[n - degree]) if n >= degree else 0)
                  for n in range(window + 1))

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator
-from .calculus import CDGA, Derivation, require_valid
+from .calculus import CDGA, require_valid
 from .errors import DIGIT_LIMIT, NESTING_LIMIT, ModelFileError
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -257,14 +257,12 @@ def parse(text: str, validate: bool = True) -> CDGA:
     if not generators:
         raise ModelFileError("model declares no generators", 1, 1)
     algebra = FreeGradedAlgebra(generators)
-    values: dict[str, Element] = {g.name: algebra.zero() for g in generators}
-    seen: set[str] = set()
+    values: dict[str, Element] = {}
     for target, lineno, expr_text, offset in d_lines:
         if target not in declared:
             raise ModelFileError(f"d target {target!r} is not a declared generator", lineno, 1)
-        if target in seen:
+        if target in values:
             raise ModelFileError(f"duplicate d line for {target!r}", lineno, 1)
-        seen.add(target)
         expected = algebra.generator(target).degree + 1
         value = _ExprParser(expr_text, lineno, offset, algebra, expected, target).parse()
         if not value.is_zero():
@@ -280,7 +278,7 @@ def parse(text: str, validate: bool = True) -> CDGA:
                 )
         values[target] = value
 
-    model = CDGA(algebra, Derivation(algebra, 1, values))
+    model = CDGA(algebra, values)
     if validate:
         require_valid(model)
     return model
@@ -298,7 +296,8 @@ def parse_path(path: str, validate: bool = True) -> CDGA:
 
 
 def emit(model: CDGA, header: tuple[str, ...] = ()) -> str:
-    """Canonical text for a model; parse(emit(m)) reproduces m exactly."""
+    """Canonical text for a model; parse(emit(m)) reproduces m exactly
+    when m has a generator (parse rejects a model that declares none)."""
     lines = [f"# {text}" for text in header]
     for g in model.algebra.generators:
         lines.append(f"generator {g.name} {g.degree}")

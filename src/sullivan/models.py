@@ -8,7 +8,8 @@ parameter ranges are checked.  On top of those sit the inductive relative
 model of the multiplication map, the closed-form free-loop cohomology of
 truncated polynomial spaces, and the witness-cocycle families showing
 unbounded loop-space Betti numbers.  Every map between algebras here,
-inclusions and truncations included, is a `Morphism`.
+inclusions and projections included, is a `Morphism`, and every model is
+a `CDGA` built from its algebra and the values of d.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from .calculus import (
     CDGA,
     Derivation,
     Morphism,
-    make_cdga,
     minimality_check,
+    projection,
     quotient_by_generators,
     rename_generators,
     require_valid,
     suspended_name,
+    suspension,
     tensor_cdga,
 )
 from .errors import NameClash, NotApplicable, WindowTooSmall
@@ -66,13 +68,13 @@ def build(recipe: Recipe) -> CDGA:
         (n,) = params
         if n < 0:
             raise ValueError("odd_sphere needs n >= 0")
-        return make_cdga([Generator("v", 2 * n + 1)])
+        return CDGA(FreeGradedAlgebra([Generator("v", 2 * n + 1)]))
     if kind == "even_sphere":
         (n,) = params
         if n < 1:
             raise ValueError("even_sphere needs n >= 1")
         alg = FreeGradedAlgebra([Generator("v", 2 * n), Generator("w", 4 * n - 1)])
-        return make_cdga([], {"w": alg.gen("v") ** 2}, algebra=alg)
+        return CDGA(alg, {"w": alg.gen("v") ** 2})
     if kind == "truncated_poly":
         d, n = params
         if d < 2 or d % 2 != 0:
@@ -80,13 +82,13 @@ def build(recipe: Recipe) -> CDGA:
         if n < 1:
             raise ValueError("truncated_poly needs n >= 1")
         alg = FreeGradedAlgebra([Generator("v", d), Generator("w", d * (n + 1) - 1)])
-        return make_cdga([], {"w": alg.gen("v") ** (n + 1)}, algebra=alg)
+        return CDGA(alg, {"w": alg.gen("v") ** (n + 1)})
     if kind == "h_space":
         if not params:
             raise ValueError("h_space needs at least one degree")
         if min(params) < 1:
             raise ValueError("h_space needs degrees >= 1")
-        return make_cdga([Generator(f"x{i + 1}", d) for i, d in enumerate(params)])
+        return CDGA(FreeGradedAlgebra([Generator(f"x{i + 1}", d) for i, d in enumerate(params)]))
     if kind == "product":
         if len(params) < 2:
             raise ValueError("product needs at least two factors")
@@ -172,13 +174,13 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
     if max_degree is None:
         max_degree = max((g.degree for g in model.algebra.generators), default=0)
 
-    kept = [g for g in model.algebra.generators if g.degree <= max_degree]
-    target_alg = FreeGradedAlgebra(kept)
-    # d of a kept generator involves only lower, hence kept, generators
-    truncate = Morphism(model.algebra, target_alg, {g.name: target_alg.gen(g.name) for g in kept})
-    target = CDGA(
-        target_alg, Derivation(target_alg, 1, {g.name: truncate(model.d_of(g.name)) for g in kept})
+    # d of a kept generator involves only lower, hence kept, generators, so
+    # killing the generators above max_degree truncates the model
+    target = quotient_by_generators(
+        model, [g.name for g in model.algebra.generators if g.degree > max_degree]
     )
+    target_alg = target.algebra
+    kept = target_alg.generators
 
     big_gens: list[Generator] = []
     original_degree: dict[str, int] = {}
@@ -218,7 +220,7 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
         gammas[g.name] = gamma
         d_values[suspended_name(g.name)] = big.gen(f"{g.name}_1") - big.gen(f"{g.name}_2") - gamma
 
-    mm = CDGA(big, Derivation(big, 1, d_values))
+    mm = CDGA(big, d_values)
     base = tuple(
         name for g in kept for name in (f"{g.name}_1", f"{g.name}_2")
     )
@@ -262,10 +264,7 @@ def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:
     is a free-loop-space model of the target.
     """
     target = mm.target
-    loop_alg = FreeGradedAlgebra(
-        list(target.algebra.generators)
-        + [Generator(suspended_name(g.name), g.degree - 1) for g in target.algebra.generators]
-    )
+    loop_alg, _ = suspension(target)
     values = {}
     for g in target.algebra.generators:
         values[f"{g.name}_1"] = loop_alg.gen(g.name)
@@ -277,7 +276,7 @@ def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:
     for g in target.algebra.generators:
         d_values[g.name] = include(target.d_of(g.name))
         d_values[suspended_name(g.name)] = rho(mm.model.d_of(suspended_name(g.name)))
-    return CDGA(loop_alg, Derivation(loop_alg, 1, d_values))
+    return CDGA(loop_alg, d_values)
 
 
 # -- closed-form loop cohomology for truncated polynomial spaces -------------------
@@ -396,17 +395,7 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
         raise NotApplicable("need two distinct odd generators")
 
     quotient = quotient_by_generators(loop, even_list)
-    s_only_alg = FreeGradedAlgebra(
-        [g for g in quotient.algebra.generators if g.name not in base]
-    )
-    project = Morphism(
-        quotient.algebra,
-        s_only_alg,
-        {
-            g.name: (s_only_alg.gen(g.name) if g.name not in base else s_only_alg.zero())
-            for g in quotient.algebra.generators
-        },
-    )
+    s_only_alg, project = projection(quotient, [name for name in base if name not in even_list])
 
     sx = quotient.algebra.one()
     sx_degree = 0

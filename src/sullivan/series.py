@@ -27,12 +27,7 @@ class RationalFunctionForm(NamedTuple):
 
 def multiply_series(a: Poly, b: Poly) -> Poly:
     """Cauchy product truncated to the shorter input."""
-    n = min(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        for j in range(n - i):
-            out[i + j] += a[i] * b[j]
-    return tuple(out)
+    return _poly_mul(a, b, min(len(a), len(b)) - 1)
 
 
 def expand_rational(f: RationalFunctionForm, max_degree: int) -> Poly:

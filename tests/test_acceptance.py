@@ -9,15 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-from sullivan.algebra import Element
+from sullivan.algebra import Element, FreeGradedAlgebra
 from sullivan.calculus import (
     CDGA,
-    Derivation,
     check_chain_map,
     check_differential,
     koszul_model,
     loop_model,
-    make_cdga,
     suspension,
     Morphism,
 )
@@ -107,7 +105,7 @@ def test_criterion_4_multiplication_model_formula():
 
 
 def test_criterion_5_koszul_dimensions():
-    presentation = make_cdga([Generator("x", 2)])
+    presentation = CDGA(FreeGradedAlgebra([Generator("x", 2)]))
     x = presentation.algebra.gen("x")
     ok = True
     details = []
@@ -190,7 +188,7 @@ def _random_mutation(rng, model):
     coeff = Fraction(rng.choice([-2, -1, 1, 2, 3]))
     values = {g.name: model.d_of(g.name) for g in algebra.generators}
     values[gen.name] = values[gen.name] + Element(algebra, {word: coeff})
-    return gen.name, CDGA(algebra, Derivation(algebra, 1, values))
+    return gen.name, CDGA(algebra, values)
 
 
 def test_criterion_9_mutation_robustness():

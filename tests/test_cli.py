@@ -153,6 +153,15 @@ def test_koszul_command(tmp_path):
     assert report["betti"][:7] == [1, 0, 1, 0, 1, 0, 0]
 
 
+def test_koszul_rejects_a_constant_cocycle(tmp_path, capsys):
+    x2 = tmp_path / "x2.model"
+    x2.write_text("generator x 2\n")
+    assert main(["koszul", str(x2), "--by", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: Koszul cocycle must be homogeneous of positive even degree, got 1\n"
+    )
+
+
 def test_koszul_check_lists_its_bases_under_the_cap(tmp_path, capsys):
     # the zero-divisor check of a^15 to degree 30 needs degrees up to 60;
     # k[a..f] has C(k+5, 5) words in degree 2k, so degree 6 is the first over 50

@@ -8,11 +8,9 @@ from sullivan import linalg
 from sullivan.algebra import FreeGradedAlgebra, Generator
 from sullivan.calculus import (
     CDGA,
-    Derivation,
     Morphism,
     koszul_model,
     loop_model,
-    make_cdga,
     quotient_by_generators,
 )
 from sullivan.errors import BasisSizeExceeded
@@ -221,7 +219,7 @@ def pure_models(draw):
                 monomial = monomial * algebra.gen(even_monomials.generators[i].name) ** exponent
             value = value + monomial * coefficient
         values[y.name] = value
-    return make_cdga([], values, algebra=algebra)
+    return CDGA(algebra, values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,9 +232,9 @@ def test_selection_matches_quadratic_rescan_on_random_pure_models(model):
 def test_betti_ignores_generator_insertion_order():
     gens = [Generator("v", 2), Generator("w", 5)]
     a = FreeGradedAlgebra(gens)
-    forward = CDGA(a, Derivation(a, 1, {"v": a.zero(), "w": a.gen("v") ** 3}))
+    forward = CDGA(a, {"w": a.gen("v") ** 3})
     b = FreeGradedAlgebra(list(reversed(gens)))
-    backward = CDGA(b, Derivation(b, 1, {"v": b.zero(), "w": b.gen("v") ** 3}))
+    backward = CDGA(b, {"w": b.gen("v") ** 3})
     ra, rb = betti(forward, 10), betti(backward, 10)
     assert ra.betti == rb.betti
     assert [[str(c) for c in classes] for classes in ra.representatives] == [
@@ -300,7 +298,7 @@ def test_truncated_poly_model_maps_quasi_iso_to_koszul_encoding():
     # target encodes k[x]/x^(n+1) via the Koszul model; H(m) hits 1, x, ..., x^n
     n = 2
     source = cpn_model(n)
-    presentation = make_cdga([Generator("x", 2)])
+    presentation = CDGA(FreeGradedAlgebra([Generator("x", 2)]))
     koszul = koszul_model(presentation, presentation.algebra.gen("x") ** (n + 1), 14)
     target = koszul.model
     m = Morphism(
@@ -316,12 +314,8 @@ def test_inclusion_into_multiplication_relative_model_is_not_quasi_iso():
     big_alg = FreeGradedAlgebra(
         [Generator("v1", 3), Generator("v2", 3), Generator("sv", 2)]
     )
-    big = CDGA(
-        big_alg,
-        Derivation(big_alg, 1, {"v1": big_alg.zero(), "v2": big_alg.zero(),
-                                "sv": big_alg.gen("v2") - big_alg.gen("v1")}),
-    )
-    small = make_cdga([Generator("v1", 3), Generator("v2", 3)])
+    big = CDGA(big_alg, {"sv": big_alg.gen("v2") - big_alg.gen("v1")})
+    small = CDGA(FreeGradedAlgebra([Generator("v1", 3), Generator("v2", 3)]))
     inclusion = Morphism.inclusion(small.algebra, big_alg)
     report = quasi_iso_check(small, big, inclusion, 8)
     assert not report.is_quasi_iso
@@ -334,12 +328,8 @@ def test_inclusion_verdicts_per_degree():
     big_alg = FreeGradedAlgebra(
         [Generator("v1", 3), Generator("v2", 3), Generator("sv", 2)]
     )
-    big = CDGA(
-        big_alg,
-        Derivation(big_alg, 1, {"v1": big_alg.zero(), "v2": big_alg.zero(),
-                                "sv": big_alg.gen("v2") - big_alg.gen("v1")}),
-    )
-    small = make_cdga([Generator("v1", 3), Generator("v2", 3)])
+    big = CDGA(big_alg, {"sv": big_alg.gen("v2") - big_alg.gen("v1")})
+    small = CDGA(FreeGradedAlgebra([Generator("v1", 3), Generator("v2", 3)]))
     report = quasi_iso_check(small, big, Morphism.inclusion(small.algebra, big_alg), 8)
     expected = {0: (1, 1, 1), 3: (2, 1, 1), 6: (1, 0, 0)}
     assert [v.degree for v in report.per_degree] == list(range(9))
@@ -349,8 +339,8 @@ def test_inclusion_verdicts_per_degree():
 
 def test_killing_a_generator_verdicts_per_degree():
     # indecomposables: v survives in degree 3, w in degree 5 maps to zero
-    source = make_cdga([Generator("v", 3), Generator("w", 5)])
-    target = make_cdga([Generator("v", 3)])
+    source = CDGA(FreeGradedAlgebra([Generator("v", 3), Generator("w", 5)]))
+    target = CDGA(FreeGradedAlgebra([Generator("v", 3)]))
     m = Morphism(source.algebra, target.algebra,
                  {"v": target.algebra.gen("v"), "w": target.algebra.zero()})
     report = quasi_iso_via_indecomposables(source, target, m)
@@ -364,12 +354,8 @@ def test_quasi_iso_via_indecomposables_on_relative_model():
     big_alg = FreeGradedAlgebra(
         [Generator("v1", 3), Generator("v2", 3), Generator("sv", 2)]
     )
-    big = CDGA(
-        big_alg,
-        Derivation(big_alg, 1, {"v1": big_alg.zero(), "v2": big_alg.zero(),
-                                "sv": big_alg.gen("v2") - big_alg.gen("v1")}),
-    )
-    target = make_cdga([Generator("v", 3)])
+    big = CDGA(big_alg, {"sv": big_alg.gen("v2") - big_alg.gen("v1")})
+    target = CDGA(FreeGradedAlgebra([Generator("v", 3)]))
     m = Morphism(
         big_alg,
         target.algebra,
@@ -380,8 +366,8 @@ def test_quasi_iso_via_indecomposables_on_relative_model():
 
 
 def test_killing_a_generator_is_detected_on_indecomposables():
-    source = make_cdga([Generator("v", 3), Generator("w", 5)])
-    target = make_cdga([Generator("v", 3)])
+    source = CDGA(FreeGradedAlgebra([Generator("v", 3), Generator("w", 5)]))
+    target = CDGA(FreeGradedAlgebra([Generator("v", 3)]))
     m = Morphism(source.algebra, target.algebra,
                  {"v": target.algebra.gen("v"), "w": target.algebra.zero()})
     report = quasi_iso_via_indecomposables(source, target, m)
@@ -390,7 +376,7 @@ def test_killing_a_generator_is_detected_on_indecomposables():
 
 def test_quasi_iso_requires_chain_map():
     source = even_sphere_model(1)
-    target = make_cdga([Generator("v", 2), Generator("w", 3)])
+    target = CDGA(FreeGradedAlgebra([Generator("v", 2), Generator("w", 3)]))
     m = Morphism(source.algebra, target.algebra,
                  {"v": target.algebra.gen("v"), "w": target.algebra.gen("w")})
     with pytest.raises(ValueError):
@@ -402,7 +388,7 @@ def test_quasi_iso_requires_chain_map():
 
 def test_elimination_bound_on_koszul_pairs():
     # dim H^n(A/zA) <= dim H^n(A) + dim H^(n+1-|z|)(A)
-    presentation = make_cdga([Generator("x", 2)])
+    presentation = CDGA(FreeGradedAlgebra([Generator("x", 2)]))
     for n_rel in (1, 2, 3):
         z = presentation.algebra.gen("x") ** (n_rel + 1)
         koszul = koszul_model(presentation, z, 12)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator
-from sullivan.calculus import loop_model, make_cdga
+from sullivan.calculus import CDGA, loop_model
 from sullivan.errors import DIGIT_LIMIT, InvalidDifferential, ModelFileError
 from sullivan.modelfile import emit, parse, parse_element, parse_path
 
@@ -109,7 +109,7 @@ def test_round_trip_with_mixed_signs_and_fractions():
         Fraction(-3, 2) * alg.gen("a") ** 3 * alg.gen("b")
         + 5 * (alg.gen("a") ** 2 * alg.gen("b") * alg.gen("a"))
     )
-    model = make_cdga([], {"c": value}, algebra=alg)
+    model = CDGA(alg, {"c": value})
     again = parse(emit(model))
     assert again == model
 

@@ -1,15 +1,15 @@
 import pytest
 
 from sullivan.calculus import (
+    CDGA,
     Morphism,
     check_chain_map,
     check_differential,
     loop_model,
-    make_cdga,
     minimality_check,
 )
 from sullivan import linalg
-from sullivan.algebra import Element, Generator
+from sullivan.algebra import Element, FreeGradedAlgebra, Generator
 from sullivan.errors import NotApplicable
 from sullivan.homology import (
     _indecomposables_complex,
@@ -162,8 +162,8 @@ def test_quasi_iso_via_indecomposables_agrees_with_the_full_check():
     for model in (cpn_model(1), cpn_model(2), s3s3_model()):
         mm = multiplication_model(model)
         cases.append((mm.model, mm.target, mm.phi))
-    source = make_cdga([Generator("v", 3), Generator("w", 5)])
-    target = make_cdga([Generator("v", 3)])
+    source = CDGA(FreeGradedAlgebra([Generator("v", 3), Generator("w", 5)]))
+    target = CDGA(FreeGradedAlgebra([Generator("v", 3)]))
     kill_w = Morphism(source.algebra, target.algebra,
                       {"v": target.algebra.gen("v"), "w": target.algebra.zero()})
     cases.append((source, target, kill_w))
@@ -174,9 +174,9 @@ def test_quasi_iso_via_indecomposables_agrees_with_the_full_check():
 
 def test_multiplication_model_requires_minimal_simply_connected_input():
     with pytest.raises(ValueError):
-        multiplication_model(make_cdga([Generator("t", 1)]))
-    plain = make_cdga([Generator("a", 4), Generator("b", 3)])
-    non_minimal = make_cdga([], {"b": plain.algebra.gen("a")}, algebra=plain.algebra)
+        multiplication_model(CDGA(FreeGradedAlgebra([Generator("t", 1)])))
+    plain = CDGA(FreeGradedAlgebra([Generator("a", 4), Generator("b", 3)]))
+    non_minimal = CDGA(plain.algebra, {"b": plain.algebra.gen("a")})
     with pytest.raises(ValueError):
         multiplication_model(non_minimal)
 
@@ -185,6 +185,17 @@ def test_multiplication_model_truncation():
     mm = multiplication_model(cpn_model(2), max_degree=2)
     names = {g.name for g in mm.model.algebra.generators}
     assert names == {"v_1", "v_2", "sv"}
+
+
+def test_truncated_target_keeps_the_low_generators_and_their_differentials():
+    model = build(product(cpn(3), cpn(2), even_sphere(1)))
+    for k in range(8):
+        target = multiplication_model(model, max_degree=k).target
+        kept = [g for g in model.algebra.generators if g.degree <= k]
+        assert target.algebra.generators == tuple(kept)
+        include = Morphism.inclusion(target.algebra, model.algebra)
+        for g in kept:
+            assert include(target.d_of(g.name)) == model.d_of(g.name)
 
 
 def test_pushout_of_multiplication_model_reproduces_loop_model():

@@ -6,8 +6,8 @@ import pickle
 import pytest
 
 from sullivan.algebra import FreeGradedAlgebra, Generator
-from sullivan.calculus import CDGA, Derivation, Morphism, koszul_model, loop_model, make_cdga
-from sullivan.errors import AlgebraMismatch
+from sullivan.calculus import CDGA, Morphism, koszul_model, loop_model
+from sullivan.errors import AlgebraMismatch, UnknownGenerator
 from sullivan.homology import assemble_window, betti, quasi_iso_check
 from sullivan.models import (
     Recipe,
@@ -26,7 +26,7 @@ from helpers import cpn_model, s3_model, s3s3_model
 
 def one_of_each_record():
     s3, cp2 = s3_model(), cpn_model(2)
-    presentation = make_cdga([Generator("x", 2)])
+    presentation = CDGA(FreeGradedAlgebra([Generator("x", 2)]))
     quasi = quasi_iso_check(s3, s3, Morphism.inclusion(s3.algebra, s3.algebra), 3)
     witnesses = vps_witnesses_for_model(loop_model(s3s3_model()), 1)
     return [  # (record, one of its fields)
@@ -84,14 +84,17 @@ def test_generator_checks_its_name_and_degree():
 
 
 def test_cdga_checks_its_differential():
-    a = FreeGradedAlgebra([Generator("x", 2)])
+    a = FreeGradedAlgebra([Generator("x", 2), Generator("w", 3)])
     b = FreeGradedAlgebra([Generator("y", 2)])
     with pytest.raises(AlgebraMismatch):
-        CDGA(a, Derivation(b, 1, {"y": b.zero()}))
+        CDGA(a, {"w": b.gen("y") ** 2})
     with pytest.raises(ValueError, match="degree"):
-        CDGA(a, Derivation(a, 2, {"x": a.zero()}))
-    same = CDGA(a, Derivation(a, 1, {"x": a.zero()}))
-    other = CDGA(a, Derivation(a, 1, {"x": a.zero()}))
+        CDGA(a, {"w": a.gen("x")})
+    with pytest.raises(UnknownGenerator):
+        CDGA(a, {"y": a.gen("x") ** 2})
+    assert CDGA(a).d_of("x").is_zero() and CDGA(a, {"w": a.gen("x") ** 2}).d_of("x").is_zero()
+    same = CDGA(a, {"w": a.gen("x") ** 2})
+    other = CDGA(a, {"x": a.zero(), "w": a.gen("x") ** 2})
     assert same == other and hash(same) == hash(other)
     assert repr(same) == f"CDGA(algebra={a!r}, differential={same.differential!r})"
 

@@ -28,9 +28,10 @@ def test_series_of_even_sphere():
 
 
 def test_series_of_trivial_algebra():
-    from sullivan.calculus import make_cdga
+    from sullivan.algebra import FreeGradedAlgebra
+    from sullivan.calculus import CDGA
 
-    assert betti(make_cdga([]), 6).betti == (1, 0, 0, 0, 0, 0, 0)
+    assert betti(CDGA(FreeGradedAlgebra([])), 6).betti == (1, 0, 0, 0, 0, 0, 0)
 
 
 def test_series_of_s3s3_loop():
