@@ -1,10 +1,12 @@
 """Models, the maps between them, and the constructions of new models.
 
-A Sullivan algebra (ΛV, d) is fixed by the values of d on the generators,
-so a model is built from its free algebra and those values:
-`CDGA(algebra, values)`, where a generator with no value has d = 0.  Every
-construction here (loop, tensor, renaming, quotient, Koszul) is a new free
-algebra plus new values of d.
+Every map out of a free algebra ΛV is fixed by its values on V, and a
+generator with no value maps to 0, for models, derivations and morphisms
+alike.  So a Sullivan algebra (ΛV, d) is built from its free algebra and
+the values of d: `CDGA(algebra, values)`.  Every construction here (loop,
+tensor, renaming, quotient, Koszul) is a new free algebra plus new values
+of d, and the suspension and the projection give values only where they
+are nonzero.
 
 A derivation acts on one free algebra and extends from its generator
 values by the graded Leibniz rule.  `Derivation.on_word` is the one Leibniz
@@ -35,8 +37,6 @@ from typing import Iterable, Mapping, NamedTuple
 from .algebra import DEFAULT_BASIS_CAP, UNIT_WORD, Element, FreeGradedAlgebra, Generator, Word, word_length
 from .errors import (
     AlgebraMismatch,
-    IncompleteDerivation,
-    IncompleteMorphism,
     InvalidDifferential,
     NameClash,
     NotDifferentialIdeal,
@@ -50,21 +50,6 @@ from .errors import (
 _ONE = Fraction(1)
 
 
-def _checked_values(source: FreeGradedAlgebra, target: FreeGradedAlgebra, shift: int,
-                    values: Mapping[str, Element]) -> dict[str, Element]:
-    """The values of a map on generators, once each name is a generator g of
-    `source` and each value an element of `target` that is zero or
-    homogeneous of degree |g| + shift."""
-    out = dict(values)
-    for name, value in out.items():
-        degree = source.generator(name).degree + shift
-        if value.algebra != target:
-            raise AlgebraMismatch(f"value of {name!r} lives in the wrong algebra")
-        if not value.is_zero() and value.degree() != degree:
-            raise ValueError(f"value of {name!r} must be homogeneous of degree {degree}, got {value}")
-    return out
-
-
 def _sum_over_words(on_word, terms: dict[Word, Fraction]) -> dict[Word, Fraction]:
     """The linear extension of a map on words to an element's terms."""
     acc: dict[Word, Fraction] = {}
@@ -74,18 +59,41 @@ def _sum_over_words(on_word, terms: dict[Word, Fraction]) -> dict[Word, Fraction
     return acc
 
 
-class Morphism:
-    """A map of graded algebras given on generators, extended multiplicatively."""
+class _GeneratorMap:
+    """A map out of a free algebra, given by its values on generators.
 
-    def __init__(
-        self,
-        source: FreeGradedAlgebra,
-        target: FreeGradedAlgebra,
-        values: Mapping[str, Element],
-    ):
+    Each name must be a generator g of `source`, and each value an element
+    of `target` that is zero or homogeneous of degree |g| + shift; a
+    generator with no value maps to 0.  Subclasses extend the values to
+    words through `on_word`.
+    """
+
+    def __init__(self, source: FreeGradedAlgebra, target: FreeGradedAlgebra, shift: int,
+                 values: Mapping[str, Element]):
+        for name, value in values.items():
+            degree = source.generator(name).degree + shift
+            if value.algebra != target:
+                raise AlgebraMismatch(f"value of {name!r} lives in the wrong algebra")
+            if not value.is_zero() and value.degree() != degree:
+                raise ValueError(f"value of {name!r} must be homogeneous of degree {degree}, got {value}")
+        zero = target.zero()
         self.source = source
         self.target = target
-        self.values = _checked_values(source, target, 0, values)
+        self.values = {g.name: values.get(g.name, zero) for g in source.generators}
+        # _value_terms[i]: the terms of the value on generator i
+        self._value_terms = tuple(value.terms for value in self.values.values())
+
+    def __call__(self, e: Element) -> Element:
+        if e.algebra != self.source:
+            raise AlgebraMismatch("element does not live in the source algebra")
+        return Element(self.target, _sum_over_words(self.on_word, e.terms))
+
+
+class Morphism(_GeneratorMap):
+    """A map of graded algebras given on generators, extended multiplicatively."""
+
+    def __init__(self, source: FreeGradedAlgebra, target: FreeGradedAlgebra, values: Mapping[str, Element]):
+        super().__init__(source, target, 0, values)
         self._powers: dict[tuple[int, int], dict[Word, Fraction]] = {}  # (i, e) -> f(v_i)^e
 
     @classmethod
@@ -94,12 +102,6 @@ class Morphism:
         `inclusion(a, a)` is the identity of a."""
         return cls(source, target, {g.name: target.gen(g.name) for g in source.generators})
 
-    def image_of_generator(self, name: str) -> Element:
-        try:
-            return self.values[name]
-        except KeyError:
-            raise IncompleteMorphism(f"no image given for generator {name!r}") from None
-
     def on_word(self, word: Word) -> dict[Word, Fraction]:
         """The image of one canonical word as terms: the product over its
         letters v_i^e of the terms of f(v_i)^e, each power computed once."""
@@ -107,32 +109,23 @@ class Morphism:
         for i, exp in word:
             power = self._powers.get((i, exp))
             if power is None:
-                image = self.image_of_generator(self.source.generators[i].name)
+                image = self.values[self.source.generators[i].name]
                 power = self._powers[i, exp] = (image**exp).terms
             out = self.target.multiply_terms(out, power)
             if not out:
                 break
         return out
 
-    def __call__(self, e: Element) -> Element:
-        if e.algebra != self.source:
-            raise AlgebraMismatch("element does not live in the source algebra")
-        return Element(self.target, _sum_over_words(self.on_word, e.terms))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Morphism):
             return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.values == other.values
-        )
+        return (self.source, self.target, self.values) == (other.source, other.target, other.values)
 
     def __repr__(self) -> str:
         return f"<Morphism on {len(self.values)} generators>"
 
 
-class Derivation:
+class Derivation(_GeneratorMap):
     """A degree-k derivation of one free graded algebra, given on generators.
 
     Applied to an element word by word through `on_word`, one Leibniz term
@@ -140,32 +133,18 @@ class Derivation:
     """
 
     def __init__(self, source: FreeGradedAlgebra, degree: int, values: Mapping[str, Element]):
-        self.source = source
+        super().__init__(source, source, degree, values)
         self.degree = degree
-        self.values = _checked_values(source, source, degree, values)
-        # _value_terms[i]: the terms of the value on generator i, None when none is given
-        self._value_terms: tuple[dict[Word, Fraction] | None, ...] = tuple(
-            self.values[g.name].terms if g.name in self.values else None
-            for g in source.generators
-        )
-
-    def value_on_generator(self, name: str) -> Element:
-        try:
-            return self.values[name]
-        except KeyError:
-            raise IncompleteDerivation(f"no value given for generator {name!r}") from None
 
     def on_word(self, word: Word) -> dict[Word, Fraction]:
         """The derivation on one canonical word, as terms without zeros: the
         Leibniz sum of the module docstring, one term per distinct letter."""
-        gens, odd = self.source.generators, self.source._odd
+        odd = self.source._odd
         multiply = self.source.multiply_words
         acc: dict[Word, Fraction] = {}
         prefix_odd = False
         for pos, (i, exp) in enumerate(word):
             value = self._value_terms[i]
-            if value is None:
-                self.value_on_generator(gens[i].name)  # raises IncompleteDerivation
             if value:
                 # base = prefix * v_i^(exp-1) * suffix, still canonical
                 head = word[:pos] + ((i, exp - 1),) if exp > 1 else word[:pos]
@@ -183,11 +162,6 @@ class Derivation:
                 prefix_odd = not prefix_odd
         return {w: c for w, c in acc.items() if c}
 
-    def __call__(self, e: Element) -> Element:
-        if e.algebra != self.source:
-            raise AlgebraMismatch("element does not live in the source algebra")
-        return Element(self.source, _sum_over_words(self.on_word, e.terms))
-
     def __repr__(self) -> str:
         return f"<Derivation degree {self.degree:+d} on {len(self.values)} generators>"
 
@@ -195,8 +169,8 @@ class Derivation:
 class CDGA:
     """A free graded-commutative algebra and the values of d on its generators.
 
-    The differential is the degree +1 derivation with those values; a
-    generator with no value has d = 0.  Construction checks each value's
+    The differential is the degree +1 derivation with those values (a
+    generator with no value has d = 0).  Construction checks each value's
     algebra and degree but not d*d = 0; run check_differential to certify
     that.  Immutable; equal when the algebras and the values of d on
     generators are.
@@ -205,8 +179,6 @@ class CDGA:
     __slots__ = ("algebra", "differential")
 
     def __init__(self, algebra: FreeGradedAlgebra, values: Mapping[str, Element] = {}) -> None:
-        zero = algebra.zero()
-        values = {g.name: zero for g in algebra.generators} | dict(values)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "differential", Derivation(algebra, 1, values))
 
@@ -219,16 +191,13 @@ class CDGA:
         return self.differential(e)
 
     def d_of(self, name: str) -> Element:
-        return self.differential.value_on_generator(name)
+        self.algebra.generator(name)  # an unknown name raises UnknownGenerator
+        return self.differential.values[name]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CDGA):
             return NotImplemented
-        if self.algebra != other.algebra:
-            return False
-        return all(
-            self.d_of(g.name) == other.d_of(g.name) for g in self.algebra.generators
-        )
+        return self.algebra == other.algebra and self.differential.values == other.differential.values
 
     def __hash__(self) -> int:
         return hash(self.algebra)
@@ -244,7 +213,7 @@ def check_differential(model: CDGA) -> tuple[Generator, Element] | None:
     """
     d = model.differential
     for g in model.algebra.generators:
-        residue = d(d.value_on_generator(g.name))
+        residue = d(d.values[g.name])
         if not residue.is_zero():
             return g, residue
     return None
@@ -258,7 +227,7 @@ def check_chain_map(m: Morphism, d_source: Derivation, d_target: Derivation) -> 
     """
     for g in m.source.generators:
         lhs = d_target(m(m.source.gen(g.name)))
-        rhs = m(d_source.value_on_generator(g.name))
+        rhs = m(d_source.values[g.name])
         if lhs != rhs:
             return g, lhs - rhs
     return None
@@ -300,11 +269,7 @@ def suspension(model: CDGA) -> tuple[FreeGradedAlgebra, Derivation]:
     big = FreeGradedAlgebra(
         list(old) + [Generator(suspended_name(g.name), g.degree - 1) for g in old]
     )
-    values: dict[str, Element] = {}
-    for g in old:
-        values[g.name] = big.gen(suspended_name(g.name))
-        values[suspended_name(g.name)] = big.zero()
-    return big, Derivation(big, -1, values)
+    return big, Derivation(big, -1, {g.name: big.gen(suspended_name(g.name)) for g in old})
 
 
 def loop_model(model: CDGA) -> CDGA:
@@ -371,15 +336,7 @@ def projection(model: CDGA, kill: Iterable[str]) -> tuple[FreeGradedAlgebra, Mor
     for name in kill_set:
         model.algebra.generator(name)
     small = FreeGradedAlgebra([g for g in model.algebra.generators if g.name not in kill_set])
-    pi = Morphism(
-        model.algebra,
-        small,
-        {
-            g.name: (small.zero() if g.name in kill_set else small.gen(g.name))
-            for g in model.algebra.generators
-        },
-    )
-    return small, pi
+    return small, Morphism(model.algebra, small, {g.name: small.gen(g.name) for g in small.generators})
 
 
 def quotient_by_generators(model: CDGA, kill: Iterable[str]) -> CDGA:

@@ -484,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         # leftover arguments are the one error the top level reports for a named
         # command; its usage line lists every command, so the full parser reports it
         _build_parser().parse_args(argv)
-    for dest, flag in (("max", "--max"), ("k_max", "--k-max")):
+    for dest, flag in (("max", "--max"), ("k_max", "--k-max"), ("cap", "--cap")):
         if getattr(args, dest, 0) < 0:
             print(f"error: {flag} must be non-negative", file=sys.stderr)
             return 2

@@ -8,6 +8,17 @@ import sys
 # off).
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
+
+def too_many_digits(base: int, exponent: int) -> bool:
+    """Whether |base|^exponent has more than DIGIT_LIMIT decimal digits."""
+    base = abs(base)
+    if exponent * base.bit_length() <= 3 * DIGIT_LIMIT:
+        return False  # it is below 2^(3 * limit) < 10^limit
+    if exponent * (base.bit_length() - 1) > 4 * DIGIT_LIMIT:
+        return True  # it is at least 2^(4 * limit) > 10^limit
+    return base**exponent >= 10**DIGIT_LIMIT
+
+
 # The deepest the model-file and rational-function grammars nest parentheses:
 # each level costs the recursive-descent parsers four interpreter frames.
 NESTING_LIMIT = 100
@@ -27,14 +38,6 @@ class UnknownGenerator(SullivanError):
 
 
 class AlgebraMismatch(SullivanError):
-    pass
-
-
-class IncompleteDerivation(SullivanError):
-    pass
-
-
-class IncompleteMorphism(SullivanError):
     pass
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator
 from .calculus import CDGA, require_valid
-from .errors import DIGIT_LIMIT, NESTING_LIMIT, ModelFileError
+from .errors import DIGIT_LIMIT, NESTING_LIMIT, ModelFileError, too_many_digits
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/])|(\S)")
@@ -116,7 +116,7 @@ class _ExprParser:
         """`value`, unless a coefficient has more than `DIGIT_LIMIT` digits
         (an error at the expression's first column)."""
         for c in value.terms.values():
-            if _too_many_digits(c.numerator, 1) or _too_many_digits(c.denominator, 1):
+            if too_many_digits(c.numerator, 1) or too_many_digits(c.denominator, 1):
                 raise self.error(f"coefficient has more than {DIGIT_LIMIT} digits", self.tokens[0][2])
         return value
 
@@ -148,7 +148,7 @@ class _ExprParser:
             exponent = self.integer(text, column, "exponent")
             if list(base.terms) == [UNIT_WORD]:
                 c = base.terms[UNIT_WORD]
-                if _too_many_digits(c.numerator, exponent) or _too_many_digits(c.denominator, exponent):
+                if too_many_digits(c.numerator, exponent) or too_many_digits(c.denominator, exponent):
                     shown = c if c.denominator == 1 and c > 0 else f"({c})"
                     message = f"coefficient {shown}^{exponent} has more than {DIGIT_LIMIT} digits"
                     raise self.error(message, column)
@@ -198,16 +198,6 @@ class _ExprParser:
         if kind == "op" and text == "/":
             raise self.error("'/' is only allowed after an integer coefficient", column)
         raise self.error(f"unexpected {text!r}", column)
-
-
-def _too_many_digits(base: int, exponent: int) -> bool:
-    """Whether |base|^exponent has more than DIGIT_LIMIT decimal digits."""
-    base = abs(base)
-    if exponent * base.bit_length() <= 3 * DIGIT_LIMIT:
-        return False  # it is below 2^(3 * limit) < 10^limit
-    if exponent * (base.bit_length() - 1) > 4 * DIGIT_LIMIT:
-        return True  # it is at least 2^(4 * limit) > 10^limit
-    return base**exponent >= 10**DIGIT_LIMIT
 
 
 def _split_statement(raw: str) -> str:

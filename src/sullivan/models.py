@@ -32,7 +32,7 @@ from .calculus import (
     suspension,
     tensor_cdga,
 )
-from .errors import NameClash, NotApplicable, WindowTooSmall
+from .errors import DIGIT_LIMIT, NameClash, NotApplicable, WindowTooSmall
 
 # -- recipes ----------------------------------------------------------------------
 
@@ -117,7 +117,8 @@ _RECIPES = {
 def recipe_from_args(name: str, args: list[str]) -> Recipe:
     """Recipe from CLI-style arguments, e.g. ("product", ["odd-sphere:1", ...]).
 
-    Only names and parameter counts are checked here; `build` checks ranges.
+    Only names, parameter counts and that each parameter is an integer are
+    checked here; `build` checks ranges.
     """
     if name == "product":
         if len(args) < 2:
@@ -128,7 +129,17 @@ def recipe_from_args(name: str, args: list[str]) -> Recipe:
     kind, leading, count = _RECIPES[name]
     if count is not None and len(args) != count:
         raise ValueError(f"{name} takes {count} parameter(s)")
-    return Recipe(kind, leading + tuple(int(a) for a in args))
+    return Recipe(kind, leading + tuple(_parameter(name, a) for a in args))
+
+
+def _parameter(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # past the digit limit int() refuses even an integer; the text is not echoed
+        if len(text) > DIGIT_LIMIT:
+            raise ValueError(f"{name} parameter is not an integer of at most {DIGIT_LIMIT} digits") from None
+        raise ValueError(f"{name} parameter {text!r} is not an integer") from None
 
 
 def recipe_from_spec(spec: str) -> Recipe:
@@ -196,12 +207,7 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
 
     copy1 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_1") for g in kept})
     copy2 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_2") for g in kept})
-    phi_values: dict[str, Element] = {}
-    for g in kept:
-        phi_values[f"{g.name}_1"] = target_alg.gen(g.name)
-        phi_values[f"{g.name}_2"] = target_alg.gen(g.name)
-        phi_values[suspended_name(g.name)] = target_alg.zero()
-    phi = Morphism(big, target_alg, phi_values)
+    phi = Morphism(big, target_alg, {f"{g.name}_{k}": target_alg.gen(g.name) for g in kept for k in (1, 2)})
 
     d_values: dict[str, Element] = {}
     gammas: dict[str, Element] = {}

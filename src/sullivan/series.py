@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import DIGIT_LIMIT, NESTING_LIMIT, PoleAtZero, RationalFormError
+from .errors import DIGIT_LIMIT, NESTING_LIMIT, PoleAtZero, RationalFormError, too_many_digits
 
 Poly = tuple[int, ...]
 
@@ -45,7 +45,7 @@ def expand_rational(f: RationalFunctionForm, max_degree: int) -> Poly:
             raise RationalFormError(
                 f"coefficient of z^{k} is {acc}/{den[0]}, not an integer"
             )
-        if abs(q) >= _COEFFICIENT_BOUND:
+        if too_many_digits(q, 1):
             raise RationalFormError(f"coefficient of z^{k} has more than {DIGIT_LIMIT} digits")
         coeffs.append(q)
     return tuple(coeffs)
@@ -57,7 +57,6 @@ def expand_rational(f: RationalFunctionForm, max_degree: int) -> Poly:
 # division, at the top level, separating numerator from denominator.
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(z)|([+\-*^()/])|(\S))")
-_COEFFICIENT_BOUND = 10**DIGIT_LIMIT
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
@@ -121,7 +120,7 @@ class _PolyParser:
         if a and b and len(a) + len(b) - 2 > self.top:
             self.dropped = True  # the leading term of the product is nonzero
         out = _poly_mul(a, b, self.top)
-        if any(abs(c) >= _COEFFICIENT_BOUND for c in out):
+        if any(too_many_digits(c, 1) for c in out):
             raise RationalFormError(f"a coefficient has more than {DIGIT_LIMIT} digits")
         return out
 

@@ -24,8 +24,6 @@ from sullivan.calculus import (
 )
 from sullivan.errors import (
     BasisSizeExceeded,
-    IncompleteDerivation,
-    IncompleteMorphism,
     NameClash,
     NotDifferentialIdeal,
     ParityError,
@@ -68,12 +66,12 @@ def test_derivation_kills_unit():
     assert model.d(model.algebra.one()).is_zero()
 
 
-def test_incomplete_derivation_raises_on_use():
+def test_derivation_maps_a_generator_without_a_value_to_zero():
     alg = FreeGradedAlgebra([Generator("v", 2), Generator("w", 3)])
     partial = Derivation(alg, 1, {"w": alg.gen("v") ** 2})
     assert partial(alg.gen("w")) == alg.gen("v") ** 2
-    with pytest.raises(IncompleteDerivation):
-        partial(alg.gen("v"))
+    assert partial(alg.gen("v")).is_zero()
+    assert partial.values == {"v": alg.zero(), "w": alg.gen("v") ** 2}
 
 
 def _naive_derivation_apply(der, e):
@@ -90,7 +88,7 @@ def _naive_derivation_apply(der, e):
             term = algebra.one() * (coeff * sign)
             for g in flat[:pos]:
                 term = term * algebra.gen(g.name)
-            term = term * der.value_on_generator(flat[pos].name)
+            term = term * der.values[flat[pos].name]
             for g in flat[pos + 1:]:
                 term = term * algebra.gen(g.name)
             out = out + term
@@ -186,11 +184,11 @@ def test_identity_morphism_is_identity():
         assert ident(e) == e
 
 
-def test_incomplete_morphism_raises():
+def test_morphism_maps_a_generator_without_a_value_to_zero():
     alg = FreeGradedAlgebra([Generator("v", 2)])
     m = Morphism(alg, alg, {})
-    with pytest.raises(IncompleteMorphism):
-        m(alg.gen("v"))
+    assert m(alg.gen("v")).is_zero()
+    assert m(alg.one() + alg.gen("v") ** 3) == alg.one()
 
 
 def test_morphism_composition():
@@ -569,7 +567,7 @@ def _naive_morphism_apply(m, e):
         term = m.target.one() * coeff
         for i, exp in word:
             for _ in range(exp):
-                term = term * m.image_of_generator(e.algebra.generators[i].name)
+                term = term * m.values[e.algebra.generators[i].name]
         out = out + term
     return out
 
@@ -649,16 +647,38 @@ def test_on_word_matches_naive_expansion_without_stored_zeros(data):
     assert 0 not in product.values()
 
 
-def test_on_word_raises_on_a_generator_without_a_value():
+def test_on_word_maps_a_generator_without_a_value_to_zero():
     alg = FreeGradedAlgebra([Generator("v", 2), Generator("w", 3)])
     v2w = ((0, 2), (1, 1))
     partial = Derivation(alg, 1, {"w": alg.gen("v") ** 2})
     assert partial.on_word(((1, 1),)) == {((0, 2),): 1}
-    with pytest.raises(IncompleteDerivation):
-        partial.on_word(v2w)
+    assert partial.on_word(v2w) == {((0, 4),): 1}  # d(v^2 w) = v^2 d(w), as d(v) = 0
     m = Morphism(alg, alg, {"w": alg.gen("w")})
-    with pytest.raises(IncompleteMorphism):
-        m.on_word(v2w)
+    assert m.on_word(((1, 1),)) == {((1, 1),): 1}
+    assert m.on_word(v2w) == {}
+
+
+def _with_values(f, values):
+    """A map of the same kind, source, target and degree as f, with other values."""
+    if isinstance(f, Morphism):
+        return Morphism(f.source, f.target, values)
+    return Derivation(f.source, f.degree, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_an_omitted_value_is_an_explicit_zero(data):
+    f, _, _ = data.draw(maps_on_words())
+    kept = data.draw(st.sets(st.sampled_from([g.name for g in _WORD_ALGEBRA.generators])))
+    zero = f.target.zero()
+    partial = _with_values(f, {name: f.values[name] for name in kept})
+    explicit = _with_values(f, {name: f.values[name] if name in kept else zero for name in f.values})
+    assert partial.values == explicit.values
+    for _ in range(3):
+        e = data.draw(words_of(_WORD_ALGEBRA, max_exp=6))
+        word = next(iter(e.terms))
+        assert partial.on_word(word) == explicit.on_word(word)
+        assert partial(e) == explicit(e)
 
 
 @settings(max_examples=40, deadline=None)

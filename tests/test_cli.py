@@ -207,6 +207,21 @@ def test_basis_cap_flag(s3s3_file):
     assert "cap" in result.stderr
 
 
+def test_negative_cap_is_rejected(capsys, cp2_file):
+    assert main(["betti", cp2_file, "--cap", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --cap must be non-negative\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cpn", "x"], "cpn parameter 'x' is not an integer"),
+    (["product", "cpn:x", "odd-sphere:1"], "cpn parameter 'x' is not an integer"),
+    (["cpn", "1" * (DIGIT_LIMIT + 1)], f"cpn parameter is not an integer of at most {DIGIT_LIMIT} digits"),
+], ids=["letter", "product-spec", "past-digit-limit"])
+def test_recipe_parameter_must_be_an_integer(capsys, argv, message):
+    assert main(["recipe", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_json_reports_are_byte_identical_across_runs(cp2_file):
     first = run_cli(["betti", cp2_file, "--max", "10", "--json"])
     second = run_cli(["betti", cp2_file, "--max", "10", "--json"])

@@ -1,5 +1,5 @@
 """Every benchmark job reproduces its golden report byte for byte, and the
-bench's tracer finds the names it wraps.
+bench's tracer finds the names it wraps and puts them back.
 
 Each job of `bench/workloads.py` runs in-process through `sullivan.cli.main`
 on the literal model texts of that file, and its stdout must equal
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from sullivan.calculus import Derivation, Morphism
 from sullivan.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -30,15 +31,19 @@ WORKLOADS = _load_bench("workloads")
 JOBS = [(w.name, job) for w in WORKLOADS.WORKLOADS.values() for job in w.jobs]
 
 
-@pytest.mark.parametrize("workload, job", JOBS, ids=[f"{w}/{job.id}" for w, job in JOBS])
-def test_job_reproduces_golden_report(workload, job, tmp_path, capsys):
+def _argv(job, tmp_path):
+    """The job's arguments, each {model} placeholder replaced by a file of that model."""
     paths = {}
     for name, text in WORKLOADS.MODELS.items():
         path = tmp_path / f"{name}.model"
         path.write_text(text, encoding="utf-8")
         paths[name] = str(path)
-    argv = [paths[a[1:-1]] if a.startswith("{") and a.endswith("}") else a for a in job.argv]
-    code = main(argv)
+    return [paths[a[1:-1]] if a.startswith("{") and a.endswith("}") else a for a in job.argv]
+
+
+@pytest.mark.parametrize("workload, job", JOBS, ids=[f"{w}/{job.id}" for w, job in JOBS])
+def test_job_reproduces_golden_report(workload, job, tmp_path, capsys):
+    code = main(_argv(job, tmp_path))
     stdout = capsys.readouterr().out
     assert code == job.exit_code
     assert stdout.encode("utf-8") == (BENCH / "golden" / workload / f"{job.id}.json").read_bytes()
@@ -60,3 +65,22 @@ def test_tracer_targets_exist_but_for_the_known_dead_ones():
         if owner is None:
             missing.add(f"{module_name}.{path}")
     assert missing <= _DEAD_TARGETS
+
+
+def test_tracer_records_both_maps_and_restores_them(tmp_path, capsys):
+    tracer = _load_bench("tracer")
+    for module_name in {module_name for module_name, _, _ in tracer.TARGETS}:
+        importlib.import_module(f"sullivan.{module_name}")  # install wraps loaded modules only
+    call = Derivation.__call__
+    assert Morphism.__call__ is call  # one __call__, inherited by both maps
+    (job,) = WORKLOADS.WORKLOADS["mult-dense"].jobs
+    spans = tracer.Tracer()
+    undo = tracer.install(spans)
+    try:
+        code = main(_argv(job, tmp_path))
+    finally:
+        tracer.uninstall(undo)
+    capsys.readouterr()
+    assert code == job.exit_code
+    assert {"calculus.d", "calculus.morphism"} <= {span[0] for span in spans.spans}
+    assert Derivation.__call__ is call and Morphism.__call__ is call

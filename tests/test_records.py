@@ -99,6 +99,12 @@ def test_cdga_checks_its_differential():
     assert repr(same) == f"CDGA(algebra={a!r}, differential={same.differential!r})"
 
 
+def test_d_of_an_unknown_name_raises_unknown_generator():
+    a = FreeGradedAlgebra([Generator("x", 2), Generator("w", 3)])
+    with pytest.raises(UnknownGenerator, match="'nope'"):
+        CDGA(a, {"w": a.gen("x") ** 2}).d_of("nope")
+
+
 def test_recipe_keeps_its_equality_and_str():
     assert odd_sphere(1) == Recipe("odd_sphere", (1,))
     assert odd_sphere(1) != Recipe("even_sphere", (1,))
