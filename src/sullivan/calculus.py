@@ -226,7 +226,7 @@ def check_chain_map(m: Morphism, d_source: Derivation, d_target: Derivation) -> 
     agreement everywhere.
     """
     for g in m.source.generators:
-        lhs = d_target(m(m.source.gen(g.name)))
+        lhs = d_target(m.values[g.name])
         rhs = m(d_source.values[g.name])
         if lhs != rhs:
             return g, lhs - rhs
@@ -318,8 +318,11 @@ def rename_generators(model: CDGA, mapping: Mapping[str, str]) -> CDGA:
     for name in mapping:
         model.algebra.generator(name)
     new_names: dict[str, str] = {g.name: mapping.get(g.name, g.name) for g in model.algebra.generators}
-    if len(set(new_names.values())) != len(new_names):
-        raise NameClash("renaming collapses two generators onto one name")
+    seen: set[str] = set()
+    for name in new_names.values():
+        if name in seen:
+            raise NameClash(f"renaming gives two generators the name {name!r}")
+        seen.add(name)
     new_alg = FreeGradedAlgebra(
         [Generator(new_names[g.name], g.degree) for g in model.algebra.generators]
     )

@@ -20,7 +20,8 @@ def too_many_digits(base: int, exponent: int) -> bool:
 
 
 # The deepest the model-file and rational-function grammars nest parentheses:
-# each level costs the recursive-descent parsers four interpreter frames.
+# each level costs their one recursive descent (`modelfile.Descent`) four
+# interpreter frames.
 NESTING_LIMIT = 100
 
 

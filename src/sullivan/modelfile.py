@@ -11,11 +11,18 @@ Statements are `generator <name> <degree>` and `d <name> = <expr>`;
 expressions combine rational coefficients (integer or integer/integer),
 generator names, + - * ^ and parentheses.  Omitted d lines mean a zero
 differential.  Every d target must be declared and every right-hand side
-must be homogeneous of degree |generator| + 1.
+must be homogeneous of degree |generator| + 1.  A file that declares no
+generators is the model of a point.
+
+Expressions are read by `Descent`, one recursive descent whose ring a
+subclass supplies: `_ExprParser` here reads elements of the model's
+algebra, and `series` reads integer polynomials in z with it, under the
+same tokens, nesting limit and digit limits.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -24,35 +31,25 @@ from .calculus import CDGA, require_valid
 from .errors import DIGIT_LIMIT, NESTING_LIMIT, ModelFileError, too_many_digits
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/])|(\S)")
+_TOKEN = re.compile(rf"(\d+)|({_NAME.pattern})|([+\-*^()/])|(\S)")
 
 
-class _ExprParser:
-    """Recursive descent over one expression, in degrees <= top (|d_of| + 1 on a d line).
+class Descent:
+    """Recursive descent over one expression: integers and names under
+    + - * ^ and parentheses, with an optional leading sign.
 
-    A power e^n is rejected before it is expanded when n times the highest
-    term degree of e exceeds `top`: such a power has a term above it (every
-    generator has degree >= 1, so products only raise degrees) unless terms
-    cancel.  This also stops a base that mixes a constant with terms of
-    positive degree, such as (1+v)^n.  A power of a constant alone, such as
-    7^n, is rejected before it is expanded, whatever `top` is, when its
-    numerator or denominator would have more digits than a report can write
-    (see `DIGIT_LIMIT`), even where a later factor would cancel it.  An
-    integer literal with more than `DIGIT_LIMIT` digits is rejected as it
-    is read, and so is a parenthesis nested deeper than `NESTING_LIMIT`.
-    A coefficient past that limit is rejected at the expression's
-    first column: in a product as soon as it is formed (even where a later
-    factor would cancel it), and from sums in the parsed value.  Outside a
-    d line (`parse_element`), a parsed value with a term above `top` is
-    rejected there too, however it is written.
+    A subclass supplies the ring (`number`, `name`, `add`, `neg`, `mul`,
+    `power`) and `error(message, column)`; a - b is add(a, neg(b)).  An
+    integer with more than `DIGIT_LIMIT` digits is rejected as it is read
+    (a literal is named `literal` in the message), and so is a parenthesis
+    nested deeper than `NESTING_LIMIT`; a '/' where an operand belongs is
+    the error `slash`.  Columns count from `offset` + 1.
     """
 
-    def __init__(self, text: str, line: int, offset: int, algebra: FreeGradedAlgebra,
-                 top: int, d_of: str | None):
-        self.line = line
-        self.algebra = algebra
-        self.top = top
-        self.d_of = d_of
+    literal: str
+    slash: str
+
+    def __init__(self, text: str, offset: int = 0):
         self.tokens: list[tuple[str, str, int]] = []  # (kind, text, column)
         pos = 0
         while pos < len(text):
@@ -69,16 +66,15 @@ class _ExprParser:
             elif m.group(3):
                 self.tokens.append(("op", m.group(3), column))
             else:
-                raise ModelFileError(f"unexpected character {m.group(4)!r}", line, column)
+                raise self.error(f"unexpected character {m.group(4)!r}", column)
             pos = m.end()
         self.pos = 0
         self.depth = 0  # parentheses open at pos
         self.end_column = offset + len(text) + 1
 
-    def error(self, message: str, column: int | None = None) -> ModelFileError:
-        if column is None:
-            column = self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.end_column
-        return ModelFileError(message, self.line, column)
+    def here(self) -> int:
+        """The column of the next token, or just past the text."""
+        return self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.end_column
 
     def peek_op(self, *ops: str) -> str | None:
         if self.pos < len(self.tokens):
@@ -94,22 +90,106 @@ class _ExprParser:
 
     def take(self) -> tuple[str, str, int]:
         if self.pos >= len(self.tokens):
-            raise self.error("unexpected end of expression")
+            raise self.error("unexpected end of expression", self.end_column)
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def parse(self) -> Element:
+    def parse(self):
         value = self.expr()
         if self.pos < len(self.tokens):
-            raise self.error(f"unexpected {self.tokens[self.pos][1]!r}")
-        self.check_digits(value)
-        column = self.tokens[0][2]
+            raise self.error(f"unexpected {self.tokens[self.pos][1]!r}", self.here())
+        return value
+
+    def expr(self):
+        sign = self.take()[1] if self.peek_op("+", "-") else "+"
+        acc = self.term()
+        if sign == "-":
+            acc = self.neg(acc)
+        while self.peek_op("+", "-"):
+            op = self.take()[1]
+            rhs = self.term()
+            acc = self.add(acc, self.neg(rhs) if op == "-" else rhs)
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.peek_op("*"):
+            self.take()
+            acc = self.mul(acc, self.factor())
+        return acc
+
+    def factor(self):
+        base = self.atom()
+        if not self.peek_op("^"):
+            return base
+        self.take()
+        kind, text, column = self.take()
+        if kind != "int":
+            raise self.error("exponent must be an integer", column)
+        return self.power(base, self.integer(text, column, "exponent"), column)
+
+    def atom(self):
+        kind, text, column = self.take()
+        if kind == "int":
+            return self.number(self.integer(text, column, self.literal), column)
+        if kind == "name":
+            return self.name(text, column)
+        if text == "(":
+            if self.depth == NESTING_LIMIT:
+                raise self.error(f"parentheses nested deeper than {NESTING_LIMIT}", column)
+            self.depth += 1
+            inner = self.expr()
+            if not self.peek_op(")"):
+                raise self.error("missing closing parenthesis", self.here())
+            self.take()
+            self.depth -= 1
+            return inner
+        raise self.error(self.slash if text == "/" else f"unexpected {text!r}", column)
+
+
+class _ExprParser(Descent):
+    """The model-file ring: elements of `algebra` in degrees <= top
+    (|d_of| + 1 on a d line), with integer/integer coefficients.
+
+    A power e^n is rejected before it is expanded when n times the highest
+    term degree of e exceeds `top`: such a power has a term above it (every
+    generator has degree >= 1, so products only raise degrees) unless terms
+    cancel.  This also stops a base that mixes a constant with terms of
+    positive degree, such as (1+v)^n.  A power of a constant alone, such as
+    7^n, is rejected before it is expanded, whatever `top` is, when its
+    numerator or denominator would have more digits than a report can write
+    (see `DIGIT_LIMIT`), even where a later factor would cancel it.
+    A coefficient past that limit is rejected at the expression's
+    first column: in a product as soon as it is formed (even where a later
+    factor would cancel it), and from sums in the parsed value.  Outside a
+    d line (`parse_element`), a parsed value with a term above `top` is
+    rejected there too, however it is written.
+    """
+
+    literal = "coefficient"
+    slash = "'/' is only allowed after an integer coefficient"
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+
+    def __init__(self, text: str, line: int, offset: int, algebra: FreeGradedAlgebra,
+                 top: int, d_of: str | None):
+        self.line = line
+        self.algebra = algebra
+        self.top = top
+        self.d_of = d_of
+        super().__init__(text, offset)
+
+    def error(self, message: str, column: int) -> ModelFileError:
+        return ModelFileError(message, self.line, column)
+
+    def parse(self) -> Element:
+        value = self.check_digits(super().parse())
         if self.d_of is None:
             highest = max(map(self.algebra.word_degree, value.terms), default=0)
             if highest > self.top:
                 message = f"element has terms up to degree {highest}, above degree {self.top}"
-                raise self.error(message, column)
+                raise self.error(message, self.tokens[0][2])
         return value
 
     def check_digits(self, value: Element) -> Element:
@@ -120,84 +200,47 @@ class _ExprParser:
                 raise self.error(f"coefficient has more than {DIGIT_LIMIT} digits", self.tokens[0][2])
         return value
 
-    def expr(self) -> Element:
-        sign = 1
-        if self.peek_op("+", "-"):
-            sign = -1 if self.take()[1] == "-" else 1
-        acc = self.term() * sign
-        while self.peek_op("+", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            acc = acc - rhs if op == "-" else acc + rhs
-        return acc
-
-    def term(self) -> Element:
-        acc = self.factor()
-        while self.peek_op("*"):
-            self.take()
-            acc = self.check_digits(acc * self.factor())
-        return acc
-
-    def factor(self) -> Element:
-        base = self.atom()
-        if self.peek_op("^"):
+    def number(self, value: int, column: int) -> Element:
+        coefficient = Fraction(value)
+        if self.peek_op("/"):
             self.take()
             kind, text, column = self.take()
             if kind != "int":
-                raise self.error("exponent must be an integer", column)
-            exponent = self.integer(text, column, "exponent")
-            if list(base.terms) == [UNIT_WORD]:
-                c = base.terms[UNIT_WORD]
-                if too_many_digits(c.numerator, exponent) or too_many_digits(c.denominator, exponent):
-                    shown = c if c.denominator == 1 and c > 0 else f"({c})"
-                    message = f"coefficient {shown}^{exponent} has more than {DIGIT_LIMIT} digits"
-                    raise self.error(message, column)
-            if not base.is_zero():
-                degrees = [self.algebra.word_degree(w) for w in base.terms]
-                lowest, highest = exponent * min(degrees), exponent * max(degrees)
-                if highest > self.top:
-                    if self.d_of is None:
-                        message = f"power has terms up to degree {highest}, above degree {self.top}"
-                    elif lowest > self.top:
-                        bound = "" if base.is_homogeneous() else "at least "
-                        message = f"d {self.d_of} has degree {bound}{lowest}, expected {self.top}"
-                    else:
-                        message = f"d {self.d_of} has terms up to degree {highest}, expected {self.top}"
-                    raise self.error(message, column)
-            return base ** exponent
-        return base
+                raise self.error("denominator must be an integer", column)
+            denominator = self.integer(text, column, "denominator")
+            if denominator == 0:
+                raise self.error("division by zero", column)
+            coefficient /= denominator
+        return self.algebra.one() * coefficient
 
-    def atom(self) -> Element:
-        kind, text, column = self.take()
-        if kind == "int":
-            value = Fraction(self.integer(text, column, "coefficient"))
-            if self.peek_op("/"):
-                self.take()
-                dkind, dtext, dcolumn = self.take()
-                if dkind != "int":
-                    raise self.error("denominator must be an integer", dcolumn)
-                denominator = self.integer(dtext, dcolumn, "denominator")
-                if denominator == 0:
-                    raise self.error("division by zero", dcolumn)
-                value /= denominator
-            return self.algebra.one() * value
-        if kind == "name":
-            if not self.algebra.has_generator(text):
-                raise self.error(f"unknown generator {text!r}", column)
-            return self.algebra.gen(text)
-        if kind == "op" and text == "(":
-            if self.depth == NESTING_LIMIT:
-                raise self.error(f"parentheses nested deeper than {NESTING_LIMIT}", column)
-            self.depth += 1
-            inner = self.expr()
-            if not self.peek_op(")"):
-                raise self.error("missing closing parenthesis")
-            self.take()
-            self.depth -= 1
-            return inner
-        if kind == "op" and text == "/":
-            raise self.error("'/' is only allowed after an integer coefficient", column)
-        raise self.error(f"unexpected {text!r}", column)
+    def name(self, text: str, column: int) -> Element:
+        if not self.algebra.has_generator(text):
+            raise self.error(f"unknown generator {text!r}", column)
+        return self.algebra.gen(text)
+
+    def mul(self, a: Element, b: Element) -> Element:
+        return self.check_digits(a * b)
+
+    def power(self, base: Element, exponent: int, column: int) -> Element:
+        if list(base.terms) == [UNIT_WORD]:
+            c = base.terms[UNIT_WORD]
+            if too_many_digits(c.numerator, exponent) or too_many_digits(c.denominator, exponent):
+                shown = c if c.denominator == 1 and c > 0 else f"({c})"
+                message = f"coefficient {shown}^{exponent} has more than {DIGIT_LIMIT} digits"
+                raise self.error(message, column)
+        if not base.is_zero():
+            degrees = [self.algebra.word_degree(w) for w in base.terms]
+            lowest, highest = exponent * min(degrees), exponent * max(degrees)
+            if highest > self.top:
+                if self.d_of is None:
+                    message = f"power has terms up to degree {highest}, above degree {self.top}"
+                elif lowest > self.top:
+                    bound = "" if base.is_homogeneous() else "at least "
+                    message = f"d {self.d_of} has degree {bound}{lowest}, expected {self.top}"
+                else:
+                    message = f"d {self.d_of} has terms up to degree {highest}, expected {self.top}"
+                raise self.error(message, column)
+        return base ** exponent
 
 
 def _split_statement(raw: str) -> str:
@@ -244,8 +287,6 @@ def parse(text: str, validate: bool = True) -> CDGA:
         else:
             raise ModelFileError(f"unrecognized statement {stripped.split()[0]!r}", lineno, indent + 1)
 
-    if not generators:
-        raise ModelFileError("model declares no generators", 1, 1)
     algebra = FreeGradedAlgebra(generators)
     values: dict[str, Element] = {}
     for target, lineno, expr_text, offset in d_lines:
@@ -286,8 +327,7 @@ def parse_path(path: str, validate: bool = True) -> CDGA:
 
 
 def emit(model: CDGA, header: tuple[str, ...] = ()) -> str:
-    """Canonical text for a model; parse(emit(m)) reproduces m exactly
-    when m has a generator (parse rejects a model that declares none)."""
+    """Canonical text for a model; parse(emit(m)) reproduces m exactly."""
     lines = [f"# {text}" for text in header]
     for g in model.algebra.generators:
         lines.append(f"generator {g.name} {g.degree}")

@@ -32,7 +32,7 @@ from .calculus import (
     suspension,
     tensor_cdga,
 )
-from .errors import DIGIT_LIMIT, NameClash, NotApplicable, WindowTooSmall
+from .errors import DIGIT_LIMIT, NameClash, NotApplicable, WindowTooSmall, too_many_digits
 
 # -- recipes ----------------------------------------------------------------------
 
@@ -134,12 +134,15 @@ def recipe_from_args(name: str, args: list[str]) -> Recipe:
 
 def _parameter(name: str, text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        # past the digit limit int() refuses even an integer; the text is not echoed
-        if len(text) > DIGIT_LIMIT:
-            raise ValueError(f"{name} parameter is not an integer of at most {DIGIT_LIMIT} digits") from None
-        raise ValueError(f"{name} parameter {text!r} is not an integer") from None
+        if len(text) <= DIGIT_LIMIT:
+            raise ValueError(f"{name} parameter {text!r} is not an integer") from None
+        value = None  # int() refuses even an integer past the interpreter's own limit
+    if value is None or too_many_digits(value, 1):
+        # the text is not echoed
+        raise ValueError(f"{name} parameter is not an integer of at most {DIGIT_LIMIT} digits")
+    return value
 
 
 def recipe_from_spec(spec: str) -> Recipe:

@@ -8,14 +8,19 @@ for an expansion to degree N drops every term above z^N as it multiplies,
 since the expansion never reads them, and takes powers by repeated
 squaring.  A literal, product or expansion coefficient with more than
 `DIGIT_LIMIT` digits is rejected, even where later terms would cancel it.
+
+A rational function is read by `modelfile.Descent`, the recursive descent
+of model files, over a second ring: integer polynomials in z.  The two
+grammars share their tokens, messages and limits; here one '/', at the top
+level, separates numerator from denominator.
 """
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
-from .errors import DIGIT_LIMIT, NESTING_LIMIT, PoleAtZero, RationalFormError, too_many_digits
+from .errors import DIGIT_LIMIT, PoleAtZero, RationalFormError, too_many_digits
+from .modelfile import Descent
 
 Poly = tuple[int, ...]
 
@@ -52,20 +57,11 @@ def expand_rational(f: RationalFunctionForm, max_degree: int) -> Poly:
 
 
 # -- the input grammar ------------------------------------------------------------
-#
-# Integer-coefficient polynomials in z with + - * ^ ( ), and at most one
-# division, at the top level, separating numerator from denominator.
-
-_TOKEN = re.compile(r"\s*(?:(\d+)|(z)|([+\-*^()/])|(\S))")
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
     n = max(len(a), len(b))
     return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-
-
-def _poly_neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
 
 
 def _poly_mul(a: Poly, b: Poly, top: int) -> Poly:
@@ -87,33 +83,32 @@ def _poly_trim(a: Poly) -> Poly:
     return a[:n]
 
 
-class _PolyParser:
-    """Recursive descent over one polynomial, with parentheses nested at most
-    `NESTING_LIMIT` deep.  Products and powers drop their terms above z^top;
-    `dropped` records whether a nonzero one was."""
+class _PolyParser(Descent):
+    """The polynomial ring: z is the one name.  Products and powers drop
+    their terms above z^top; `dropped` records whether a nonzero one was."""
+
+    literal = "integer"
+    slash = "division is only allowed once, at the top level"
+    add = staticmethod(_poly_add)
 
     def __init__(self, text: str, top: int):
         self.top = top
         self.dropped = False
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                break
-            if m.group(4):
-                raise RationalFormError(f"unexpected character {m.group(4)!r}")
-            token = m.group(1) or m.group(2) or m.group(3)
-            if token:
-                self.tokens.append(token)
-            pos = m.end()
-        self.pos = 0
-        self.depth = 0  # parentheses open at pos
+        super().__init__(text)
 
-    def integer(self, token: str, role: str) -> int:
-        if len(token) > DIGIT_LIMIT:
-            raise RationalFormError(f"{role} has more than {DIGIT_LIMIT} digits")
-        return int(token)
+    def error(self, message: str, column: int) -> RationalFormError:
+        return RationalFormError(message)
+
+    def number(self, value: int, column: int) -> Poly:
+        return (value,)
+
+    def name(self, text: str, column: int) -> Poly:
+        if text != "z":
+            raise self.error(f"unexpected {text!r}", column)
+        return (0, 1)
+
+    def neg(self, a: Poly) -> Poly:
+        return tuple(-c for c in a)
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         a, b = _poly_trim(a), _poly_trim(b)
@@ -124,7 +119,7 @@ class _PolyParser:
             raise RationalFormError(f"a coefficient has more than {DIGIT_LIMIT} digits")
         return out
 
-    def power(self, a: Poly, e: int) -> Poly:
+    def power(self, a: Poly, e: int, column: int) -> Poly:
         """a^e by repeated squaring."""
         out: Poly = (1,)
         while e:
@@ -134,71 +129,6 @@ class _PolyParser:
             if e:
                 a = self.mul(a, a)
         return out
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise RationalFormError("unexpected end of input")
-        self.pos += 1
-        return token
-
-    def parse(self) -> Poly:
-        poly = self.expr()
-        if self.peek() is not None:
-            raise RationalFormError(f"unexpected token {self.peek()!r}")
-        return poly
-
-    def expr(self) -> Poly:
-        sign = 1
-        if self.peek() in {"+", "-"}:
-            sign = -1 if self.take() == "-" else 1
-        acc = self.term()
-        if sign < 0:
-            acc = _poly_neg(acc)
-        while self.peek() in {"+", "-"}:
-            op = self.take()
-            rhs = self.term()
-            acc = _poly_add(acc, _poly_neg(rhs) if op == "-" else rhs)
-        return acc
-
-    def term(self) -> Poly:
-        acc = self.factor()
-        while self.peek() == "*":
-            self.take()
-            acc = self.mul(acc, self.factor())
-        return acc
-
-    def factor(self) -> Poly:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp_token = self.take()
-            if not exp_token.isdigit():
-                raise RationalFormError(f"exponent must be an integer, got {exp_token!r}")
-            return self.power(base, self.integer(exp_token, "exponent"))
-        return base
-
-    def atom(self) -> Poly:
-        token = self.take()
-        if token.isdigit():
-            return (self.integer(token, "integer"),)
-        if token == "z":
-            return (0, 1)
-        if token == "(":
-            if self.depth == NESTING_LIMIT:
-                raise RationalFormError(f"parentheses nested deeper than {NESTING_LIMIT}")
-            self.depth += 1
-            inner = self.expr()
-            if self.take() != ")":
-                raise RationalFormError("missing closing parenthesis")
-            self.depth -= 1
-            return inner
-        if token == "/":
-            raise RationalFormError("division is only allowed once, at the top level")
-        raise RationalFormError(f"unexpected token {token!r}")
 
 
 def parse_rational(text: str, max_degree: int) -> RationalFunctionForm:

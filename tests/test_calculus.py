@@ -351,6 +351,11 @@ def test_rename_introduces_koszul_sign():
     assert renamed.d_of("t") == -2 * (new_alg.gen("a") * new_alg.gen("y"))
 
 
+def test_rename_clash_names_the_shared_name():
+    with pytest.raises(NameClash, match="^renaming gives two generators the name 'w'$"):
+        rename_generators(cpn_model(2), {"v": "w"})
+
+
 def test_rename_roundtrip_is_identity():
     model = cpn_model(2)
     there = rename_generators(model, {"v": "p", "w": "q"})

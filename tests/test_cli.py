@@ -105,6 +105,13 @@ def test_loop_emission_renames_suspensions(cp2_file, tmp_path):
     assert "d s_w = -3*s_v*v^2" in text
 
 
+def test_loop_names_the_generator_a_suspension_clashes_with(capsys, tmp_path):
+    path = tmp_path / "clash.model"
+    path.write_text("generator v 2\ngenerator s_v 3\nd s_v = v^2\n")
+    assert main(["loop", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: renaming gives two generators the name 's_v'\n")
+
+
 def test_series_comparison_equal(s3s3_file, tmp_path):
     loop_file = tmp_path / "loop.model"
     run_cli(["loop", s3s3_file, "-o", str(loop_file)])
@@ -219,6 +226,18 @@ def test_negative_cap_is_rejected(capsys, cp2_file):
 ], ids=["letter", "product-spec", "past-digit-limit"])
 def test_recipe_parameter_must_be_an_integer(capsys, argv, message):
     assert main(["recipe", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_recipe_parameter_is_held_to_the_digit_limit_without_the_interpreter_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code = main(["recipe", "cpn", "1" * (DIGIT_LIMIT + 1)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    message = f"cpn parameter is not an integer of at most {DIGIT_LIMIT} digits"
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

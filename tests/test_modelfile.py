@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator
 from sullivan.calculus import CDGA, loop_model
-from sullivan.errors import DIGIT_LIMIT, InvalidDifferential, ModelFileError
+from sullivan.errors import DIGIT_LIMIT, NESTING_LIMIT, InvalidDifferential, ModelFileError, RationalFormError
 from sullivan.modelfile import emit, parse, parse_element, parse_path
+from sullivan.series import parse_rational
 
 from helpers import builtin_models, cpn_model
 
@@ -97,7 +98,7 @@ def test_rational_literal_rules():
 
 
 def test_round_trip_on_builtins_and_loops():
-    for name, model in builtin_models():
+    for name, model in builtin_models() + [("point", CDGA(FreeGradedAlgebra([])))]:
         assert parse(emit(model)) == model, name
         loop = loop_model(model)
         assert parse(emit(loop)) == loop, name
@@ -266,9 +267,34 @@ def test_element_term_above_the_degree_bound_is_rejected(expr, highest, column):
     assert not parse_element(expr, alg, highest).is_zero()
 
 
-def test_empty_model_rejected():
-    with pytest.raises(ModelFileError):
-        parse("# nothing here\n")
+def test_empty_model_round_trips():
+    # a file that declares no generators is the model of a point
+    point = parse("# nothing here\n")
+    assert point == CDGA(FreeGradedAlgebra([]))
+    assert emit(point) == "\n"
+    assert parse(emit(point)) == point
+
+
+@pytest.mark.parametrize("expr, column, message, series_message", [
+    ("(" * (NESTING_LIMIT + 1) + "v" + ")" * (NESTING_LIMIT + 1), NESTING_LIMIT + 1,
+     f"parentheses nested deeper than {NESTING_LIMIT}", None),
+    (f"v^{'1' * (DIGIT_LIMIT + 1)}", 3, f"exponent has more than {DIGIT_LIMIT} digits", None),
+    ("1" * (DIGIT_LIMIT + 1), 1, f"coefficient has more than {DIGIT_LIMIT} digits",
+     f"integer has more than {DIGIT_LIMIT} digits"),
+    ("v^v", 3, "exponent must be an integer", None),
+    ("v+", 3, "unexpected end of expression", None),
+    ("(v", 3, "missing closing parenthesis", None),
+], ids=["nesting", "exponent-digits", "literal-digits", "exponent-not-integer", "trailing-plus",
+        "unclosed-parenthesis"])
+def test_both_rings_of_the_one_descent_give_one_message(expr, column, message, series_message):
+    # the same text, with z for v, read as a model element and as a rational function
+    alg = FreeGradedAlgebra([Generator("v", 2)])
+    with pytest.raises(ModelFileError) as info:
+        parse_element(expr, alg, 2)
+    assert str(info.value) == f"line 1, column {column}: {message}"
+    with pytest.raises(RationalFormError) as info:
+        parse_rational(expr.replace("v", "z"), 4)
+    assert str(info.value) == (series_message or message)
 
 
 @settings(max_examples=300)

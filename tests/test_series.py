@@ -113,6 +113,16 @@ def test_grammar_errors():
         parse_rational("1+", 4)
 
 
+@settings(max_examples=300)
+@given(st.text(alphabet="z0123+-*^()/ qx$", max_size=60), st.integers(0, 8))
+def test_rational_parser_never_crashes_with_foreign_errors(text, max_degree):
+    # arbitrary junk either expands or fails with a rational-function error
+    try:
+        expand_rational(parse_rational(text, max_degree), max_degree)
+    except (RationalFormError, PoleAtZero):
+        pass
+
+
 def _poly_text(coefficients):
     return "+".join(f"({c})*z^{k}" if c < 0 else f"{c}*z^{k}" for k, c in enumerate(coefficients))
 
