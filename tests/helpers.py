@@ -171,6 +171,49 @@ def window_kernel(window, n):
     return sparse(oracle_kernel(window.matrix(n), window.dim(n)))
 
 
+# -- sparse rank modulo a large prime, sharing no code with `sullivan.linalg` ----------
+
+
+PRIME = 2**61 - 1
+
+
+def rank_mod_p(vectors) -> int:
+    """Rank of sparse rational vectors `{key: value}` modulo the prime p = 2^61 - 1.
+
+    Each vector is reduced at its lowest key against the kept ones, each kept
+    with a leading 1, in arithmetic mod p.  The mod-p rank never exceeds the
+    rational rank, and falls below it only when p divides a denominator or
+    every maximal nonzero minor.  The matrices checked here have small
+    integer or small-denominator entries, so a small prime could divide a
+    minor (2 divides d x = 2ab, say) while a minor divisible by a prime near
+    2.3e18 is vanishingly rare: that is why p is this large.  It is the
+    Mersenne prime 2^61 - 1, so every residue is still a small Python int.
+    """
+    kept: dict = {}
+    for vector in vectors:
+        residue = {}
+        for key, value in vector.items():
+            value = Fraction(value)
+            x = value.numerator * pow(value.denominator, -1, PRIME) % PRIME
+            if x:
+                residue[key] = x
+        while residue:
+            key = min(residue)
+            pivot = kept.get(key)
+            if pivot is None:
+                inverse = pow(residue[key], -1, PRIME)
+                kept[key] = {k: x * inverse % PRIME for k, x in residue.items()}
+                break
+            factor = residue[key]
+            for k, x in pivot.items():
+                y = (residue.get(k, 0) - factor * x) % PRIME
+                if y:
+                    residue[k] = y
+                else:
+                    residue.pop(k, None)
+    return len(kept)
+
+
 class NotACocycle(Exception):
     """`class_is_nontrivial` was given an element whose differential is not zero."""
 
