@@ -13,22 +13,27 @@ part of `on_word` on one-letter words; a chain map's linear part is read the
 same way.  Kernels and representatives are sparse; no result is dense
 except `matrix(n)`, which writes a differential out for inspection.
 
-A window degree is eliminated once, in `DegreeWindowComplex.cocycles(n)`.
-Forward elimination of the rows of d^n gives its free columns F.  The
-reduced-echelon kernel vector z_f of a free column f is 1 at f and zero at
-every other free column, so a cocycle is fixed by its free coordinates and
-H^n is Q^F modulo the boundaries cut to F.  Those (the columns of d^(n-1))
-are reduced with each pivot at its highest free column; the classes are the
-z_f whose f is no pivot, and only they are built.  Every reader tests
-cocycles (images, products) by extending that echelon.  All ranks are exact
-(see linalg); the report is a deterministic reduction over independent
-degrees.
+Each d^n is reduced once, by one column reduction with relations
+(`linalg.Echelon`), in one pass of `DegreeWindowComplex.cocycles()` from the
+top degree down.  The columns of d^N are reduced in full coordinates; those
+that reduce to zero are its free columns F_N, and the relation of a free
+column f is its reduced-echelon kernel vector z_f, 1 at f and zero at every
+other free column.  So a cocycle is fixed by its free coordinates, and
+cutting the columns of d^(n-1) to F_n keeps every relation among them.  For
+n = N down to 0, the columns of d^(n-1), cut to F_n and keyed -f so that
+each pivot is a highest free column, are reduced once: their pivots are the
+boundary pivots B_n, the classes of degree n are the z_f with f in F_n but
+not in B_n, and the columns that reduce to zero are F_(n-1) with their
+z_f.  This is the clearing of persistent homology (Chen & Kerber, 2011).
+Every reader tests cocycles (images, products) by extending the boundary
+echelon of their degree.  All ranks are exact (see linalg); the report is a
+deterministic reduction over independent degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import linalg
 from .algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Word, word_length
@@ -36,9 +41,10 @@ from .calculus import CDGA, Morphism, _sum_over_words, check_chain_map
 
 
 class Cocycles(NamedTuple):
-    """One window degree, eliminated once: the classes {z_f} ascending, the
-    free columns, and the boundaries restricted to the free columns, free
-    column f keyed -f so that a pivot is a highest free column."""
+    """The cohomology of one window degree n: the classes {z_f} ascending,
+    the free columns F_n of d^n, and the boundary echelon, the columns of
+    d^(n-1) cut to F_n with free column f keyed -f, so that a pivot is a
+    highest free column."""
 
     classes: list[linalg.SparseVector]
     free: frozenset[int]
@@ -46,7 +52,19 @@ class Cocycles(NamedTuple):
 
     def add(self, cocycle: linalg.SparseVector) -> bool:
         """Extend the boundary echelon by a cocycle; True iff its class is new."""
-        return self.boundaries.add({-c: x for c, x in cocycle.items() if c in self.free})
+        return self.boundaries.add({-c: x for c, x in cocycle.items() if c in self.free}) is None
+
+
+def _relations(echelon: linalg.Echelon,
+               columns: Iterable[linalg.SparseVector]) -> dict[int, linalg.SparseVector]:
+    """Add the columns to an empty echelon in order: the relation of each
+    column c that reduces to zero, keyed c."""
+    relations = {}
+    for c, column in enumerate(columns):
+        z = echelon.add(column)
+        if z is not None:
+            relations[c] = z
+    return relations
 
 
 class DegreeWindowComplex(NamedTuple):
@@ -74,14 +92,17 @@ class DegreeWindowComplex(NamedTuple):
                     for r in range(self.dim(n + 1))]
         return []
 
-    def cocycles(self, n: int) -> Cocycles:
-        """The free columns of d^n, the classes, and the boundary echelon."""
-        echelon = linalg.Echelon(linalg.transpose(self.columns[n], self.dim(n + 1)))
-        free = frozenset(range(self.dim(n))).difference(echelon.rows)
-        boundaries = linalg.Echelon({-c: x for c, x in column.items() if c in free}
-                                    for column in (self.columns[n - 1] if n else ()))
-        classes = echelon.kernel_vectors(f for f in sorted(free) if -f not in boundaries.rows)
-        return Cocycles(classes, free, boundaries)
+    def cocycles(self) -> Iterator[tuple[int, Cocycles]]:
+        """Each window degree with its `Cocycles`, from the top degree down,
+        each d^n reduced once (see the module docstring)."""
+        free = _relations(linalg.Echelon(), self.columns[self.max_degree])
+        for n in range(self.max_degree, -1, -1):
+            boundaries = linalg.Echelon()
+            below = _relations(boundaries, ({-f: x for f, x in column.items() if f in free}
+                                            for column in (self.columns[n - 1] if n else ())))
+            classes = [free[f] for f in sorted(free) if -f not in boundaries.columns]
+            yield n, Cocycles(classes, frozenset(free), boundaries)
+            free = below
 
 
 def _degreewise(image, sources, targets) -> tuple[tuple[linalg.SparseVector, ...], ...]:
@@ -114,15 +135,11 @@ def betti(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> Cohomol
 
 def betti_of_window(window: DegreeWindowComplex) -> CohomologyReport:
     algebra = window.model.algebra
-    reps = []
-    rank_below = 0  # rank d^(n-1), read from the forward elimination of degree n-1
-    for n in range(window.max_degree + 1):
+    reps: list[tuple[Element, ...]] = [()] * (window.max_degree + 1)
+    for n, cocycles in window.cocycles():
         basis = window.bases[n]
-        cocycles = window.cocycles(n)
-        assert len(cocycles.classes) == len(cocycles.free) - rank_below, n
-        rank_below = len(basis) - len(cocycles.free)
-        reps.append(tuple(Element(algebra, {basis[c]: z[c] for c in sorted(z)})
-                          for z in cocycles.classes))
+        reps[n] = tuple(Element(algebra, {basis[c]: z[c] for c in sorted(z)})
+                        for z in cocycles.classes)
     return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 
@@ -148,19 +165,18 @@ class QuasiIsoReport(NamedTuple):
         return all(v.isomorphism for v in self.per_degree)
 
 
-def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex,
-              on_word, max_degree: int) -> QuasiIsoReport:
-    """Ranks of H(m) in degrees 0..max_degree; on_word is m on a source word.
-    Only the source classes are mapped; their images extend the target's
-    boundary echelon."""
+def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex, on_word) -> QuasiIsoReport:
+    """Ranks of H(m) in the degrees of two windows of one size; on_word is m
+    on a source word.  Only the source classes are mapped; their images
+    extend the target's boundary echelon."""
     verdicts = []
-    for n in range(max_degree + 1):
-        classes, target_n = source.cocycles(n).classes, target.cocycles(n)
+    for (n, source_n), (_, target_n) in zip(source.cocycles(), target.cocycles()):
         basis = source.bases[n]
-        images = (_sum_over_words(on_word, {basis[c]: x for c, x in z.items()}) for z in classes)
+        images = (_sum_over_words(on_word, {basis[c]: x for c, x in z.items()})
+                  for z in source_n.classes)
         rank_h = sum(map(target_n.add, linalg.matrix_of(images, target.bases[n])))
-        verdicts.append(DegreeVerdict(n, len(classes), len(target_n.classes), rank_h))
-    return QuasiIsoReport(tuple(verdicts))
+        verdicts.append(DegreeVerdict(n, len(source_n.classes), len(target_n.classes), rank_h))
+    return QuasiIsoReport(tuple(reversed(verdicts)))
 
 
 def _require_chain_map(source: CDGA, target: CDGA, m: Morphism) -> None:
@@ -175,7 +191,7 @@ def quasi_iso_check(source: CDGA, target: CDGA, m: Morphism, max_degree: int,
     _require_chain_map(source, target, m)
     ws = assemble_window(source, max_degree, cap=cap)
     wt = assemble_window(target, max_degree, cap=cap)
-    return _verdicts(ws, wt, m.on_word, max_degree)
+    return _verdicts(ws, wt, m.on_word)
 
 
 def _generator_words(algebra: FreeGradedAlgebra, max_degree: int) -> tuple[tuple[Word, ...], ...]:
@@ -213,7 +229,7 @@ def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism) -> Qu
     max_degree = max(degrees, default=0)
     qs = _indecomposables_complex(source, max_degree)
     qt = _indecomposables_complex(target, max_degree)
-    return _verdicts(qs, qt, _linear_part(m.on_word), max_degree)
+    return _verdicts(qs, qt, _linear_part(m.on_word))
 
 
 # -- derived reports -------------------------------------------------------------------
@@ -231,8 +247,9 @@ def h_algebra_generator_counts(model: CDGA, max_degree: int,
     multiply = model.algebra.multiply_terms
     counts = [0]
     classes: list[list[dict[Word, Fraction]]] = [[]]  # term dicts of a basis of H^n
+    by_degree = dict(window.cocycles())
     for n in range(1, max_degree + 1):
-        cocycles = window.cocycles(n)
+        cocycles = by_degree[n]
         basis = window.bases[n]
         products = [multiply(left, right)
                     for p in range(1, n) for left in classes[p] for right in classes[n - p]]

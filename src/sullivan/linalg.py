@@ -1,24 +1,25 @@
-"""Exact rational linear algebra on one incremental sparse integer echelon.
+"""Exact rational linear algebra on one incremental sparse integer column echelon.
 
-An `Echelon` holds a row space as primitive integer rows keyed by pivot
-column, each row a sparse `{column: int}` dict whose lowest column is its
-pivot.  `add` scales an incoming rational row to integers once, reduces it
-fraction-free (one integer combination per step, as in Bareiss elimination)
-against the stored rows at its lowest column until that column is a new
-pivot or the row vanishes, divides out the gcd, and keeps the row iff a
-residue remains; the return value says whether the rank grew.  The columns
-that are no pivot are free.  `kernel_vectors` back-substitutes to reduced
-echelon form, which is unique and so does not depend on row order, and
-builds a kernel vector only for the free columns asked for: only those
-vectors hold `Fraction`s.
+An `Echelon` holds the span of the columns added to it, each kept column a
+sparse integer `{key: int}` dict keyed by pivot, its lowest key.  `add`
+scales an incoming rational column to integers once, by the lcm of its
+denominators, and reduces it fraction-free (one integer combination per
+step, as in Bareiss elimination) against the kept columns at its lowest key,
+until that key is a new pivot or the column vanishes.  Every column carries
+its relation: the integer combination of the added columns that it is, the
+scale folded in.  A column that adds a pivot is kept, made primitive with its
+relation, and `add` returns None.  A column that reduces to zero is dropped,
+and `add` returns its relation z, normalised to z[index] = 1, where index
+counts the columns added before it.  z lives on that column and on kept
+columns only, so it is the reduced-echelon kernel vector of that column in
+the matrix of all columns added so far, whatever the order of their keys.
 
-The one vector type is the sparse `{column: Fraction}` dict, zeros not
-stored.  Every linear map becomes a matrix in one place, `matrix_of`: one
-sparse column per source element, rows indexed by any hashable basis keys.
-`Echelon` and `rank` take such sparse rows, and every kernel vector is
-sparse; a caller tests a row against a span by extending its `Echelon`.  A
-linear system A x = b is consistent iff the last column of [A | -b] is
-free, and then its kernel vector is (x, 1).
+The one vector type is the sparse `{key: Fraction}` dict, zeros not stored.
+Every linear map becomes a matrix in one place, `matrix_of`: one sparse
+column per source element, rows indexed by any hashable basis keys.  A
+caller tests a vector against a span by adding it to that span's
+`Echelon`.  A linear system A x = b is consistent iff -b reduces to zero
+against the columns of A, and its relation is then (x, 1).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
 SparseVector = dict[int, Fraction]
-SparseRow = dict[int, int]
+IntegerVector = dict[int, int]
 
 
 def matrix_of(images: Iterable[Mapping[Hashable, Fraction]],
@@ -42,99 +43,60 @@ def matrix_of(images: Iterable[Mapping[Hashable, Fraction]],
     return [{index[key]: c for key, c in image.items() if c} for image in images]
 
 
-def transpose(columns: Iterable[SparseVector], nrows: int) -> list[SparseVector]:
-    """The `nrows` sparse rows of the matrix with the given sparse columns."""
-    rows: list[SparseVector] = [{} for _ in range(nrows)]
-    for c, column in enumerate(columns):
-        for r, v in column.items():
-            rows[r][c] = v
-    return rows
-
-
-def _sparse_integer_row(row: SparseVector) -> SparseRow:
-    """A sparse rational row, scaled to a sparse integer row without zeros."""
-    entries = {j: c for j, c in row.items() if c}
-    scale = lcm(*(c.denominator for c in entries.values())) if entries else 1
-    return {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
-
-
-def _eliminate(row: SparseRow, pivot_row: SparseRow, col: int) -> None:
-    """Clear `row[col]` in place by an integer combination with `pivot_row`."""
-    a, b = pivot_row[col], row[col]
-    g = gcd(a, b)
-    a, b = a // g, b // g
+def _combine(vector: IntegerVector, a: int, other: IntegerVector, b: int) -> None:
+    """vector = a * vector - b * other, in place, without zeros."""
     if a != 1:
-        for k in row:
-            row[k] *= a
-    for k, v in pivot_row.items():
-        x = row.get(k, 0) - b * v
+        for k in vector:
+            vector[k] *= a
+    for k, v in other.items():
+        x = vector.get(k, 0) - b * v
         if x:
-            row[k] = x
+            vector[k] = x
         else:
-            del row[k]
-
-
-def _make_primitive(row: SparseRow, pivot: int) -> None:
-    g = gcd(*row.values())
-    if row[pivot] < 0:
-        g = -g
-    if g != 1:
-        for k in row:
-            row[k] //= g
+            del vector[k]
 
 
 class Echelon:
-    """Row echelon basis of a growing row space: `rows[pivot_col] = {col: int}`."""
+    """Column echelon with relations: `columns[pivot] = (column, relation)`."""
 
-    def __init__(self, rows: Iterable[SparseVector] = ()) -> None:
-        self.rows: dict[int, SparseRow] = {}
-        for row in rows:
-            self.add(row)
+    def __init__(self, columns: Iterable[SparseVector] = ()) -> None:
+        self.columns: dict[int, tuple[IntegerVector, IntegerVector]] = {}
+        self.added = 0
+        for column in columns:
+            self.add(column)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.columns)
 
-    def add(self, row: SparseVector) -> bool:
-        """Reduce `row` against the basis; keep it and return True iff it adds a pivot."""
-        residue = _sparse_integer_row(row)
+    def add(self, column: SparseVector) -> SparseVector | None:
+        """Reduce `column`; keep it and return None iff it adds a pivot, else
+        return its relation z to the kept columns, with z[index] = 1."""
+        index = self.added
+        self.added += 1
+        scale = lcm(*[c.denominator for c in column.values()])
+        residue = {k: c.numerator * (scale // c.denominator) for k, c in column.items() if c}
+        relation = {index: scale}
         while residue:
-            col = min(residue)
-            pivot_row = self.rows.get(col)
-            if pivot_row is None:
-                _make_primitive(residue, col)
-                self.rows[col] = residue
-                return True
-            _eliminate(residue, pivot_row, col)
-        return False
-
-    def reduce(self) -> None:
-        """Bring the basis to reduced echelon form: each pivot column is zero in the other rows."""
-        for col in sorted(self.rows, reverse=True):
-            row = self.rows[col]
-            above = [k for k in row if k != col and k in self.rows]
-            for k in above:
-                _eliminate(row, self.rows[k], k)
-            if above:
-                _make_primitive(row, col)
-
-    def kernel_vectors(self, free: Iterable[int]) -> list[SparseVector]:
-        """The reduced-echelon kernel vector z_f of each given free column f, in order.
-
-        z_f holds 1 at f, 0 at every other free column, and -R[p][f]/R[p][p]
-        at each pivot p of the reduced rows R.
-        """
-        vectors = {f: {f: Fraction(1)} for f in free}
-        if not vectors:
-            return []
-        self.reduce()
-        for p, row in self.rows.items():
-            for k, v in row.items():
-                z = vectors.get(k)
-                if z is not None:
-                    z[p] = Fraction(-v, row[p])
-        return list(vectors.values())
+            key = min(residue)
+            kept = self.columns.get(key)
+            if kept is None:
+                g = gcd(*residue.values(), *relation.values())
+                if g != 1:
+                    residue = {k: v // g for k, v in residue.items()}
+                    relation = {k: v // g for k, v in relation.items()}
+                self.columns[key] = (residue, relation)
+                return None
+            pivot_column, pivot_relation = kept
+            a, b = pivot_column[key], residue[key]
+            g = gcd(a, b) if a > 0 else -gcd(a, b)  # a // g > 0 keeps z[index] > 0
+            a, b = a // g, b // g
+            _combine(residue, a, pivot_column, b)
+            _combine(relation, a, pivot_relation, b)
+        unit = relation[index]
+        return {k: Fraction(v, unit) for k, v in relation.items()}
 
 
 def rank(rows: Sequence[SparseVector]) -> int:
+    """The rank of a matrix given by its sparse rows, or as well by its columns."""
     return Echelon(rows).rank

@@ -247,22 +247,20 @@ def _solve_gamma(derivation, phi, original_degree, g, rhs):
     ]
     # A stacks the rows of D(gamma) = rhs, one per degree-(|g|+1) word, over
     # those of phi(gamma) = 0, one per degree-|g| word of the target.  x
-    # solves A x = rhs iff (x, 1) is in the kernel of [A | -rhs], so one
-    # does iff the last column is free, and its reduced-echelon kernel
-    # vector is (x, 1) with x the reduced-echelon particular solution.
+    # solves A x = rhs iff -rhs reduces to zero against the columns of A,
+    # and its relation is then (x, 1), with x the reduced-echelon solution.
     d_rows = big.basis_in_degree(g.degree + 1)
     phi_rows = target_alg.basis_in_degree(g.degree)
     columns = linalg.matrix_of(map(derivation.on_word, candidates), d_rows)
     for column, image in zip(columns, linalg.matrix_of(map(phi.on_word, candidates), phi_rows)):
         column.update((len(d_rows) + r, c) for r, c in image.items())
-    columns += linalg.matrix_of([{w: -c for w, c in rhs.terms.items()}], d_rows)
-    echelon = linalg.Echelon(linalg.transpose(columns, len(d_rows) + len(phi_rows)))
-    last = len(candidates)
-    if last in echelon.rows:
+    (minus_rhs,) = linalg.matrix_of([{w: -c for w, c in rhs.terms.items()}], d_rows)
+    solution = linalg.Echelon(columns).add(minus_rhs)
+    if solution is None:
         raise WindowTooSmall(
             f"no decomposable correction of degree {g.degree} for generator {g.name!r}"
         )
-    solution = echelon.kernel_vectors([last])[0]
+    last = len(candidates)
     return Element(big, {candidates[c]: x for c, x in sorted(solution.items()) if c != last})
 
 

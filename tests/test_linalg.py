@@ -38,22 +38,34 @@ def oracle_solve(rows, rhs):
     return x
 
 
-def kernel_of(rows, ncols):
-    """The kernel vector of every free column of the sparse rows, ascending."""
-    echelon = linalg.Echelon(rows)
-    return echelon.kernel_vectors(f for f in range(ncols) if f not in echelon.rows)
+def columns_of(rows):
+    """The sparse columns of the dense rows."""
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(len(rows[0]))]
 
 
-def solve_by_kernel(rows, rhs):
-    """x with rows @ x = rhs, read as the multiplication model reads it: the
-    last column of [rows | -rhs] is free and (x, 1) is its kernel vector, or
-    the system is inconsistent and None is returned."""
+def kernel_of(rows):
+    """The relation of every column of the dense rows that reduces to zero,
+    in column order: the kernel vector of each free column."""
+    echelon = linalg.Echelon()
+    return [z for z in map(echelon.add, columns_of(rows)) if z is not None]
+
+
+def kept_columns(rows):
+    """The columns of the dense rows that add a pivot: those independent of earlier ones."""
+    echelon = linalg.Echelon()
+    return [c for c, column in enumerate(columns_of(rows)) if echelon.add(column) is None]
+
+
+def solve_by_relation(rows, rhs):
+    """x with rows @ x = rhs, read as the multiplication model reads it: -rhs
+    reduces to zero against the columns of rows and its relation is (x, 1),
+    or the system is inconsistent and None is returned."""
     ncols = len(rows[0])
-    echelon = linalg.Echelon(sparse([row + [-b] for row, b in zip(rows, rhs)]))
-    if ncols in echelon.rows:
+    relation = linalg.Echelon(columns_of(rows)).add({r: -b for r, b in enumerate(rhs) if b})
+    if relation is None:
         return None
-    (solution,) = echelon.kernel_vectors([ncols])
-    return [solution.get(c, Fraction(0)) for c in range(ncols)]
+    assert relation[ncols] == 1
+    return [relation.get(c, Fraction(0)) for c in range(ncols)]
 
 
 matrices = st.integers(1, 5).flatmap(
@@ -87,7 +99,7 @@ def test_bareiss_rank_matches_naive_elimination(rows):
 @given(matrices)
 def test_kernel_vectors_are_killed(rows):
     ncols = len(rows[0])
-    kernel = kernel_of(sparse(rows), ncols)
+    kernel = kernel_of(rows)
     assert len(kernel) == ncols - naive_rank(rows)
     _, pivots = dense_bareiss_rref(rows)
     free = [f for f in range(ncols) if f not in pivots]
@@ -109,7 +121,7 @@ def test_solve_recovers_consistent_systems(rows, data):
                  min_size=ncols, max_size=ncols)
     )
     rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-    solution = solve_by_kernel(rows, rhs)
+    solution = solve_by_relation(rows, rhs)
     assert solution is not None
     for row, b in zip(rows, rhs):
         assert sum(a * s for a, s in zip(row, solution)) == b
@@ -117,7 +129,7 @@ def test_solve_recovers_consistent_systems(rows, data):
 
 def test_solve_detects_inconsistency():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve_by_kernel(rows, [Fraction(1), Fraction(3)]) is None
+    assert solve_by_relation(rows, [Fraction(1), Fraction(3)]) is None
     assert oracle_solve(rows, [Fraction(1), Fraction(3)]) is None
 
 
@@ -127,36 +139,42 @@ def test_rref_shape():
         [Fraction(1), Fraction(1), Fraction(1)],
         [Fraction(1), Fraction(3), Fraction(5)],
     ]
-    echelon = linalg.Echelon(sparse(rows))
-    assert echelon.kernel_vectors([2]) == [{2: Fraction(1), 0: Fraction(1), 1: Fraction(-2)}]
-    assert echelon.rows == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 2}}  # reduced by kernel_vectors
+    # columns (0, 1, 1) and (2, 1, 3) are kept, with their relations; the third
+    # reduces to zero, and its relation is the kernel vector (1, -2, 1)
+    echelon = linalg.Echelon()
+    assert [echelon.add(column) for column in columns_of(rows)] == [
+        None, None, {2: Fraction(1), 0: Fraction(1), 1: Fraction(-2)}]
+    assert echelon.columns == {1: ({1: 1, 2: 1}, {0: 1}), 0: ({0: 2, 1: 1, 2: 3}, {1: 1})}
 
 
-def test_echelon_add_is_false_exactly_on_the_row_span():
-    rows = [{0: Fraction(1)}, {1: Fraction(1)}]
-    assert not linalg.Echelon(rows).add({0: Fraction(3), 1: Fraction(7)})
-    assert linalg.Echelon([rows[0]]).add({1: Fraction(1)})
-    assert not linalg.Echelon([]).add({})
+def test_echelon_add_returns_a_relation_exactly_on_the_span():
+    columns = [{0: Fraction(1)}, {1: Fraction(1)}]
+    assert linalg.Echelon(columns).add({0: Fraction(3), 1: Fraction(7)}) == {
+        2: Fraction(1), 0: Fraction(-3), 1: Fraction(-7)}
+    assert linalg.Echelon([columns[0]]).add({1: Fraction(1)}) is None
+    assert linalg.Echelon([]).add({}) == {0: Fraction(1)}  # the zero column is its own relation
 
 
 @settings(max_examples=150)
 @given(any_matrix)
 def test_rref_matches_dense_bareiss_oracle(rows):
-    reduced, pivots = dense_bareiss_rref(rows)
+    # the kept columns are the pivot columns, the relations the kernel vectors,
+    # and each kept column is the combination of the columns its relation says
+    _, pivots = dense_bareiss_rref(rows)
     ncols = len(rows[0])
-    echelon = linalg.Echelon(sparse(rows))
-    assert sorted(echelon.rows) == pivots
-    assert echelon.kernel_vectors(f for f in range(ncols) if f not in pivots) == sparse(oracle_kernel(rows, ncols))
-    echelon.reduce()
-    unit_rows = {p: {k: Fraction(v, row[p]) for k, v in row.items()} for p, row in echelon.rows.items()}
-    assert unit_rows == dict(zip(pivots, sparse(reduced)))
+    assert kept_columns(rows) == pivots
+    assert kernel_of(rows) == sparse(oracle_kernel(rows, ncols))
+    columns = columns_of(rows)
+    for column, relation in linalg.Echelon(columns).columns.values():
+        combination = {r: sum(x * columns[c].get(r, 0) for c, x in relation.items())
+                       for r in range(len(rows))}
+        assert combination == {r: column.get(r, 0) for r in range(len(rows))}
 
 
 @settings(max_examples=150)
 @given(any_matrix)
 def test_kernel_basis_matches_dense_bareiss_oracle(rows):
-    ncols = len(rows[0])
-    assert kernel_of(sparse(rows), ncols) == sparse(oracle_kernel(rows, ncols))
+    assert kernel_of(rows) == sparse(oracle_kernel(rows, len(rows[0])))
 
 
 @settings(max_examples=150)
@@ -166,7 +184,7 @@ def test_solve_particular_matches_dense_bareiss_oracle(rows, data):
         st.lists(st.sampled_from((0, 0, 1, -1, 2)).map(Fraction),
                  min_size=len(rows), max_size=len(rows))
     )
-    assert solve_by_kernel(rows, rhs) == oracle_solve(rows, rhs)
+    assert solve_by_relation(rows, rhs) == oracle_solve(rows, rhs)
 
 
 @settings(max_examples=150)
@@ -175,16 +193,16 @@ def test_echelon_add_reports_rank_growth(rows):
     echelon = linalg.Echelon()
     for i, row in enumerate(sparse(rows)):
         grew = naive_rank(rows[: i + 1]) > naive_rank(rows[:i]) if i else bool(row)
-        assert echelon.add(row) == grew
+        assert (echelon.add(row) is None) == grew
     assert echelon.rank == naive_rank(rows)
 
 
 def test_echelon_add_refuses_vectors_in_the_span():
     # a vector already in the span is refused, a new direction is kept
     echelon = linalg.Echelon([{0: Fraction(2), 1: Fraction(4)}])
-    assert not echelon.add({0: Fraction(-1), 1: Fraction(-2)})
-    assert echelon.add({0: Fraction(1), 1: Fraction(2), 2: Fraction(1, 3)})
-    assert sorted(echelon.rows) == [0, 2]
+    assert echelon.add({0: Fraction(-1), 1: Fraction(-2)}) == {1: Fraction(1), 0: Fraction(1, 2)}
+    assert echelon.add({0: Fraction(1), 1: Fraction(2), 2: Fraction(1, 3)}) is None
+    assert sorted(echelon.columns) == [0, 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,7 +213,7 @@ def test_rank_and_kernel_match_sympy(rows):
     m = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
     assert linalg.rank(sparse(rows)) == m.rank()
     expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
-    assert kernel_of(sparse(rows), ncols) == sparse(expected)
+    assert kernel_of(rows) == sparse(expected)
 
 
 @settings(max_examples=150)
@@ -206,19 +224,18 @@ def test_sparse_columns_and_rows_give_the_dense_results(rows):
     columns = linalg.matrix_of(({r: row[c] for r, row in enumerate(rows)} for c in range(ncols)),
                                range(nrows))
     assert all(0 not in column.values() for column in columns)
-    sparse_rows = linalg.transpose(columns, nrows)
-    assert sparse_rows == sparse(rows)
-    assert linalg.rank(sparse_rows) == linalg.rank(columns) == naive_rank(rows)
-    assert kernel_of(sparse_rows, ncols) == sparse(oracle_kernel(rows, ncols))
-    for row in sparse_rows:
-        assert not linalg.Echelon(sparse_rows).add(row)
+    assert columns == columns_of(rows)
+    assert linalg.rank(sparse(rows)) == linalg.rank(columns) == naive_rank(rows)
+    assert kernel_of(rows) == sparse(oracle_kernel(rows, ncols))
+    for column in columns:
+        assert linalg.Echelon(columns).add(column) is not None
 
 
 @settings(max_examples=150)
 @given(any_matrix, st.data())
 def test_particular_solution_is_the_last_kernel_vector_of_the_augmented_matrix(rows, data):
-    # x solves rows @ x = rhs iff (x, 1) is in the kernel of [rows | -rhs];
-    # the multiplication model solves its correction equations this way.
+    # x solves rows @ x = rhs iff (x, 1) is in the kernel of [rows | -rhs], the
+    # relation of -rhs; the multiplication model solves its corrections this way.
     # Independent of the Bareiss oracle: the system is consistent iff the
     # augmented rank equals the rank, and the solution is zero at every free
     # column of rows (the reduced-echelon particular solution).
@@ -226,11 +243,11 @@ def test_particular_solution_is_the_last_kernel_vector_of_the_augmented_matrix(r
         st.lists(st.sampled_from((0, 0, 1, -1, 2)).map(Fraction),
                  min_size=len(rows), max_size=len(rows))
     )
-    solution = solve_by_kernel(rows, rhs)
+    solution = solve_by_relation(rows, rhs)
     augmented = [row + [b] for row, b in zip(rows, rhs)]
     assert (solution is not None) == (naive_rank(augmented) == naive_rank(rows))
     if solution is not None:
         for row, b in zip(rows, rhs):
             assert sum(a * x for a, x in zip(row, solution)) == b
-        pivots = set(linalg.Echelon(sparse(rows)).rows)
+        pivots = set(kept_columns(rows))
         assert all(not x for c, x in enumerate(solution) if c not in pivots)

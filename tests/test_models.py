@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sullivan.calculus import (
@@ -34,7 +36,15 @@ from sullivan.models import (
     vps_witnesses_for_model,
 )
 
-from helpers import builtin_models, class_is_nontrivial, cpn_model, s3_model, s3s3_model
+from helpers import (
+    builtin_models,
+    class_is_nontrivial,
+    cpn_model,
+    oracle_kernel,
+    s3_model,
+    s3s3_model,
+    sparse,
+)
 
 
 # -- recipes -----------------------------------------------------------------------
@@ -356,18 +366,40 @@ def test_assembly_builds_no_elements(monkeypatch):
     assert sum(len(b) for b in window.bases) > 500  # the window is not trivial
 
 
+def _record_solves(monkeypatch) -> dict[int, tuple[list, list]]:
+    """Per echelon: the columns added to it, and the last relation it returned."""
+    add = linalg.Echelon.add
+    solves: dict[int, tuple[list, list]] = {}
+
+    def recorded_add(echelon, column):
+        columns, last = solves.setdefault(id(echelon), ([], [None]))
+        columns.append(column)
+        last[0] = add(echelon, column)
+        return last[0]
+
+    monkeypatch.setattr(linalg.Echelon, "add", recorded_add)
+    return solves
+
+
 def test_multiplication_model_builds_fewer_elements_than_it_maps_words(monkeypatch):
     model = build(product(cpn(3), cpn(2), even_sphere(1)))
-    kernel_vectors = linalg.Echelon.kernel_vectors
-    mapped = [0]
-
-    def counted_kernel_vectors(echelon, free):
-        (last,) = free
-        mapped[0] += last  # one column per candidate word, then the right-hand side
-        return kernel_vectors(echelon, [last])
-
-    monkeypatch.setattr(linalg.Echelon, "kernel_vectors", counted_kernel_vectors)
+    solves = _record_solves(monkeypatch)
     count = _count_element_constructions(monkeypatch)
     mm = multiplication_model(model)
-    assert mapped[0] > 0 and count[0] < mapped[0], (count[0], mapped[0])
+    # one column per candidate word, then the right-hand side
+    mapped = sum(len(columns) - 1 for columns, _ in solves.values())
+    assert mapped > 0 and count[0] < mapped, (count[0], mapped)
     assert len(mm.model.algebra.generators) == 18
+
+
+def test_each_correction_is_the_dense_kernel_vector_of_its_right_hand_side(monkeypatch):
+    # the relation (x, 1) of -rhs is the reduced-echelon kernel vector of the
+    # last column of [A | -rhs], from the dense Bareiss oracle
+    solves = _record_solves(monkeypatch)
+    multiplication_model(build(product(cpn(2), even_sphere(1))))
+    monkeypatch.undo()
+    assert solves
+    for columns, (z,) in solves.values():
+        keys = sorted(set().union(*columns))
+        dense = [[c.get(k, Fraction(0)) for c in columns] for k in keys]
+        assert z == sparse(oracle_kernel(dense, len(columns)))[-1]
