@@ -58,7 +58,7 @@ class Cocycles(NamedTuple):
 def _relations(echelon: linalg.Echelon,
                columns: Iterable[linalg.SparseVector]) -> dict[int, linalg.SparseVector]:
     """Add the columns to an empty echelon in order: the relation of each
-    column c that reduces to zero, keyed c."""
+    column c that reduces to zero, keyed c, ascending."""
     relations = {}
     for c, column in enumerate(columns):
         z = echelon.add(column)
@@ -100,7 +100,7 @@ class DegreeWindowComplex(NamedTuple):
             boundaries = linalg.Echelon()
             below = _relations(boundaries, ({-f: x for f, x in column.items() if f in free}
                                             for column in (self.columns[n - 1] if n else ())))
-            classes = [free[f] for f in sorted(free) if -f not in boundaries.columns]
+            classes = [z for f, z in free.items() if -f not in boundaries.columns]
             yield n, Cocycles(classes, frozenset(free), boundaries)
             free = below
 

@@ -89,7 +89,7 @@ class Echelon:
                 return None
             pivot_column, pivot_relation = kept
             a, b = pivot_column[key], residue[key]
-            g = gcd(a, b) if a > 0 else -gcd(a, b)  # a // g > 0 keeps z[index] > 0
+            g = gcd(a, b) if a > 0 else -gcd(a, b)  # a // g > 0: a pivot entry -1 rescales nothing
             a, b = a // g, b // g
             _combine(residue, a, pivot_column, b)
             _combine(relation, a, pivot_relation, b)
