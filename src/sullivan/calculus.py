@@ -19,12 +19,12 @@ prefix * v_i^e * suffix  to the sum over its distinct letters v_i of
 where base is the word with one v_i removed (|d(v_i)| = |v_i| + k), so each
 term is one `multiply_words`.  `Morphism.on_word` multiplies cached powers
 f(v_i)^e.  For both, `__call__` sums `on_word` over an element's terms, and
-assembly feeds `on_word` to `linalg.matrix_of`, with no `Element` per word;
-on one-letter words, the one-letter part of `on_word` is the linear part
-that `homology` reads the indecomposables from.  Both extensions are
-unique, which is what the differential and chain-map checks exploit:
-verifying an identity of derivations (or of (m,m)-derivations) on
-generators verifies it everywhere.
+`homology` feeds `on_word` to `linalg.matrix_of`, with no `Element` per
+word.  The indecomposables complex is the window of the linear-part model
+(the one-letter parts of the values of d) over one-letter generator words.
+Both extensions are unique, which is what the differential and chain-map
+checks exploit: verifying an identity of derivations (or of
+(m,m)-derivations) on generators verifies it everywhere.
 
 Constructions are pure; a validated model is immutable and shareable.
 """

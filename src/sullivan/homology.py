@@ -1,28 +1,26 @@
 """Exact rational cohomology of a model in a degree window.
 
-A window holds monomial bases for degrees 0..N+1 and each differential
-d^n as the sparse columns `linalg.matrix_of` builds, from assembly on.
-Assembly feeds `on_word` of the differential (or of a chain map) straight to
-`matrix_of`, so no `Element` stands between d and a matrix column.
-b_N needs the degree-(N+1) piece, so the window extends one degree past
-the request.  `DegreeWindowComplex` is the one complex type: Betti numbers
-and quasi-isomorphism verdicts (on full windows, or on indecomposables as a
-window over one-letter generator words) all read it.  The indecomposables
-V of a Sullivan algebra carry the linear part of d, which is the one-letter
-part of `on_word` on one-letter words; a chain map's linear part is read the
-same way.  Kernels and representatives are sparse; no result is dense
-except `matrix(n)`, which writes a differential out for inspection.
+A window is a model and its monomial bases for degrees 0..N+1 (b_N needs
+degree N+1); assembly lists the bases and nothing else.  The one cohomology
+pass builds each d^n when it reaches degree n, as `columns(n)`: `on_word`
+of d fed straight to `matrix_of`, with no `Element` per column.
+`DegreeWindowComplex` is the one complex type: Betti numbers and
+quasi-isomorphism verdicts all read it.  The indecomposables V of a
+Sullivan algebra carry the linear part of d, the one-letter part of its
+generator values, so their complex is the window of the linear-part model
+over one-letter generator words.  Kernels and representatives are sparse;
+only `matrix(n)`, which writes a differential out, is dense.
 
 Each d^n is reduced once, by one column reduction with relations
 (`linalg.Echelon`), in one pass of `DegreeWindowComplex.cocycles()` from the
 top degree down.  The columns of d^N are reduced in full coordinates; those
-that reduce to zero are its free columns F_N, and the relation of a free
-column f is its reduced-echelon kernel vector z_f, 1 at f and zero at every
-other free column.  So a cocycle is fixed by its free coordinates, and
-cutting the columns of d^(n-1) to F_n keeps every relation among them.  For
-n = N down to 0, the columns of d^(n-1), cut to F_n and keyed -f so that
-each pivot is a highest free column, are reduced once: their pivots are the
-boundary pivots B_n, the classes of degree n are the z_f with f in F_n but
+that reduce to zero are its free columns F_N, and the integer relation z_f
+of a free column f is positive at f and zero at every other free column.
+So a cocycle is fixed by its free coordinates, and cutting the columns of
+d^(n-1) to F_n keeps every relation among them.  For n = N down to 0, the
+columns of d^(n-1), built now, cut to F_n and keyed -f so that each pivot
+is a highest free column, are reduced once: their pivots are the boundary
+pivots B_n, the classes of degree n are the z_f / z_f[f] with f in F_n but
 not in B_n, and the columns that reduce to zero are F_(n-1) with their
 z_f.  This is the clearing of persistent homology (Chen & Kerber, 2011).
 Every reader tests cocycles (images, products) by extending the boundary
@@ -33,7 +31,7 @@ deterministic reduction over independent degrees.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import linalg
 from .algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Word, word_length
@@ -41,10 +39,10 @@ from .calculus import CDGA, Morphism, _sum_over_words, check_chain_map
 
 
 class Cocycles(NamedTuple):
-    """The cohomology of one window degree n: the classes {z_f} ascending,
-    the free columns F_n of d^n, and the boundary echelon, the columns of
-    d^(n-1) cut to F_n with free column f keyed -f, so that a pivot is a
-    highest free column."""
+    """The cohomology of one window degree n: the classes z_f / z_f[f]
+    ascending in f, the free columns F_n of d^n, and the boundary echelon,
+    the columns of d^(n-1) cut to F_n with free column f keyed -f, so that
+    a pivot is a highest free column."""
 
     classes: list[linalg.SparseVector]
     free: frozenset[int]
@@ -56,9 +54,9 @@ class Cocycles(NamedTuple):
 
 
 def _relations(echelon: linalg.Echelon,
-               columns: Iterable[linalg.SparseVector]) -> dict[int, linalg.SparseVector]:
-    """Add the columns to an empty echelon in order: the relation of each
-    column c that reduces to zero, keyed c, ascending."""
+               columns: Iterable[linalg.SparseVector]) -> dict[int, linalg.IntegerVector]:
+    """Add the columns to an empty echelon in order: the integer relation of
+    each column c that reduces to zero, keyed c, ascending."""
     relations = {}
     for c, column in enumerate(columns):
         z = echelon.add(column)
@@ -68,57 +66,55 @@ def _relations(echelon: linalg.Echelon,
 
 
 class DegreeWindowComplex(NamedTuple):
-    """Bases for degrees 0..max_degree+1 and each d^n as sparse columns.
+    """A model with its monomial bases in degrees 0..max_degree+1.
 
-    `columns[n][c]` is the differential of the c-th degree-n basis word, as
-    a sparse column `{row: coefficient}` over the degree-(n+1) basis, so the
-    columns of d^(n-1) are also the boundary vectors in degree n.
+    `columns(n)[c]`, built on each call, is the differential of the c-th
+    degree-n basis word as a sparse column `{row: coefficient}` over the
+    degree-(n+1) basis; the columns of d^(n-1) are the degree-n boundaries.
     """
 
     model: CDGA
     max_degree: int
     bases: tuple[tuple[Word, ...], ...]
-    columns: tuple[tuple[linalg.SparseVector, ...], ...]
 
     def dim(self, n: int) -> int:
         if 0 <= n <= self.max_degree + 1:
             return len(self.bases[n])
         return 0
 
+    def columns(self, n: int) -> list[linalg.SparseVector]:
+        """d^n as sparse columns, one per degree-n basis word; [] outside 0..max_degree."""
+        if 0 <= n <= self.max_degree:
+            return linalg.matrix_of(map(self.model.differential.on_word, self.bases[n]),
+                                    self.bases[n + 1])
+        return []
+
     def matrix(self, n: int) -> list[list[Fraction]]:
         """d^n as dense rows (degree n+1 rows by degree n columns)."""
         if 0 <= n <= self.max_degree:
-            return [[col.get(r, Fraction(0)) for col in self.columns[n]]
-                    for r in range(self.dim(n + 1))]
+            columns = self.columns(n)
+            return [[col.get(r, Fraction(0)) for col in columns] for r in range(self.dim(n + 1))]
         return []
 
     def cocycles(self) -> Iterator[tuple[int, Cocycles]]:
         """Each window degree with its `Cocycles`, from the top degree down,
-        each d^n reduced once (see the module docstring)."""
-        free = _relations(linalg.Echelon(), self.columns[self.max_degree])
+        each d^n built and reduced once (see the module docstring)."""
+        free = _relations(linalg.Echelon(), self.columns(self.max_degree))
         for n in range(self.max_degree, -1, -1):
             boundaries = linalg.Echelon()
             below = _relations(boundaries, ({-f: x for f, x in column.items() if f in free}
-                                            for column in (self.columns[n - 1] if n else ())))
-            classes = [z for f, z in free.items() if -f not in boundaries.columns]
+                                            for column in self.columns(n - 1)))
+            classes = [{c: Fraction(x, z[f]) for c, x in z.items()}
+                       for f, z in free.items() if -f not in boundaries.columns]
             yield n, Cocycles(classes, frozenset(free), boundaries)
             free = below
 
 
-def _degreewise(image, sources, targets) -> tuple[tuple[linalg.SparseVector, ...], ...]:
-    """`matrix_of` in each degree: the image of every source word over the target basis."""
-    return tuple(
-        tuple(linalg.matrix_of(map(image, source), target))
-        for source, target in zip(sources, targets)
-    )
-
-
 def assemble_window(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> DegreeWindowComplex:
-    """Monomial bases and differential matrices for degrees 0..max_degree+1."""
-    algebra = model.algebra
-    bases = tuple(algebra.basis_in_degree(n, cap=cap) for n in range(max_degree + 2))
-    columns = _degreewise(model.differential.on_word, bases, bases[1:])
-    return DegreeWindowComplex(model, max_degree, bases, columns)
+    """The window of a model: its monomial bases for degrees 0..max_degree+1,
+    listed in ascending degree, so a cap overflow names the lowest degree over it."""
+    bases = tuple(model.algebra.basis_in_degree(n, cap=cap) for n in range(max_degree + 2))
+    return DegreeWindowComplex(model, max_degree, bases)
 
 
 class CohomologyReport(NamedTuple):
@@ -203,17 +199,18 @@ def _generator_words(algebra: FreeGradedAlgebra, max_degree: int) -> tuple[tuple
     return tuple(tuple(ws) for ws in words)
 
 
-def _linear_part(on_word):
-    """word -> the one-letter words of on_word(word): on a generator's word,
-    the linear part of a derivation or of a morphism."""
-    return lambda word: {w: c for w, c in on_word(word).items() if word_length(w) == 1}
+def _linear(values: Mapping[str, Element]) -> dict[str, Element]:
+    """The one-letter part of each generator value: the values of the linear
+    part of a derivation or of a morphism."""
+    return {name: Element(value.algebra, {w: c for w, c in value.terms.items() if word_length(w) == 1})
+            for name, value in values.items()}
 
 
 def _indecomposables_complex(model: CDGA, max_degree: int) -> DegreeWindowComplex:
-    """The indecomposables complex as a window over one-letter generator words."""
-    bases = _generator_words(model.algebra, max_degree + 1)
-    linear = _linear_part(model.differential.on_word)
-    return DegreeWindowComplex(model, max_degree, bases, _degreewise(linear, bases, bases[1:]))
+    """The indecomposables complex: the window of the linear-part model over
+    one-letter generator words."""
+    linear = CDGA(model.algebra, _linear(model.differential.values))
+    return DegreeWindowComplex(linear, max_degree, _generator_words(model.algebra, max_degree + 1))
 
 
 def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism) -> QuasiIsoReport:
@@ -229,7 +226,7 @@ def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism) -> Qu
     max_degree = max(degrees, default=0)
     qs = _indecomposables_complex(source, max_degree)
     qt = _indecomposables_complex(target, max_degree)
-    return _verdicts(qs, qt, _linear_part(m.on_word))
+    return _verdicts(qs, qt, Morphism(m.source, m.target, _linear(m.values)).on_word)
 
 
 # -- derived reports -------------------------------------------------------------------

@@ -9,17 +9,18 @@ until that key is a new pivot or the column vanishes.  Every column carries
 its relation: the integer combination of the added columns that it is, the
 scale folded in.  A column that adds a pivot is kept, made primitive with its
 relation, and `add` returns None.  A column that reduces to zero is dropped,
-and `add` returns its relation z, normalised to z[index] = 1, where index
+and `add` returns its integer relation z, with z[index] > 0, where index
 counts the columns added before it.  z lives on that column and on kept
-columns only, so it is the reduced-echelon kernel vector of that column in
-the matrix of all columns added so far, whatever the order of their keys.
+columns only, so z / z[index] is the reduced-echelon kernel vector of that
+column in the matrix of all columns added so far, whatever the order of
+their keys; a caller divides only the relations it reads.
 
 The one vector type is the sparse `{key: Fraction}` dict, zeros not stored.
 Every linear map becomes a matrix in one place, `matrix_of`: one sparse
 column per source element, rows indexed by any hashable basis keys.  A
 caller tests a vector against a span by adding it to that span's
 `Echelon`.  A linear system A x = b is consistent iff -b reduces to zero
-against the columns of A, and its relation is then (x, 1).
+against the columns of A, and its relation is then (u x, u) with u > 0.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class Echelon:
     def rank(self) -> int:
         return len(self.columns)
 
-    def add(self, column: SparseVector) -> SparseVector | None:
+    def add(self, column: SparseVector) -> IntegerVector | None:
         """Reduce `column`; keep it and return None iff it adds a pivot, else
-        return its relation z to the kept columns, with z[index] = 1."""
+        return its integer relation z to the kept columns, with z[index] > 0."""
         index = self.added
         self.added += 1
         scale = lcm(*[c.denominator for c in column.values()])
@@ -93,8 +94,7 @@ class Echelon:
             a, b = a // g, b // g
             _combine(residue, a, pivot_column, b)
             _combine(relation, a, pivot_relation, b)
-        unit = relation[index]
-        return {k: Fraction(v, unit) for k, v in relation.items()}
+        return relation
 
 
 def rank(rows: Sequence[SparseVector]) -> int:

@@ -14,6 +14,7 @@ a `CDGA` built from its algebra and the values of d.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
@@ -248,7 +249,7 @@ def _solve_gamma(derivation, phi, original_degree, g, rhs):
     # A stacks the rows of D(gamma) = rhs, one per degree-(|g|+1) word, over
     # those of phi(gamma) = 0, one per degree-|g| word of the target.  x
     # solves A x = rhs iff -rhs reduces to zero against the columns of A,
-    # and its relation is then (x, 1), with x the reduced-echelon solution.
+    # and its relation is then (u x, u), with x the reduced-echelon solution.
     d_rows = big.basis_in_degree(g.degree + 1)
     phi_rows = target_alg.basis_in_degree(g.degree)
     columns = linalg.matrix_of(map(derivation.on_word, candidates), d_rows)
@@ -261,7 +262,8 @@ def _solve_gamma(derivation, phi, original_degree, g, rhs):
             f"no decomposable correction of degree {g.degree} for generator {g.name!r}"
         )
     last = len(candidates)
-    return Element(big, {candidates[c]: x for c, x in sorted(solution.items()) if c != last})
+    return Element(big, {candidates[c]: Fraction(x, solution[last])
+                         for c, x in sorted(solution.items()) if c != last})
 
 
 def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:

@@ -99,6 +99,12 @@ def sparse(rows: list[list[Fraction]]) -> list[dict[int, Fraction]]:
     return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
+def normalised(z: dict[int, int] | None) -> dict[int, Fraction] | None:
+    """An integer relation of `linalg.Echelon.add` divided by its entry at its
+    own column, the highest key: the reduced-echelon kernel vector."""
+    return None if z is None else {k: Fraction(v, z[max(z)]) for k, v in z.items()}
+
+
 def element_coordinates(e: Element, basis: tuple[Word, ...]) -> list[Fraction]:
     """Dense coordinates of `e` over `basis`; every term of `e` must be a basis word."""
     assert set(e.terms) <= set(basis), "element has a term outside the basis"

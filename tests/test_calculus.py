@@ -497,16 +497,16 @@ def test_indecomposables_of_relative_model():
     model = _relative_model_of_multiplication_of_odd_sphere()
     q = _indecomposables_complex(model, 3)
     alg = model.algebra
-    (linear_sv,) = q.columns[2]  # sv, over the degree-3 words v1, v2
+    (linear_sv,) = q.columns(2)  # sv, over the degree-3 words v1, v2
     assert {q.bases[3][r]: c for r, c in linear_sv.items()} == (alg.gen("v2") - alg.gen("v1")).terms
-    assert q.columns[3] == ({}, {})  # v1 and v2
+    assert q.columns(3) == [{}, {}]  # v1 and v2
 
 
 def test_indecomposables_of_minimal_models_vanish():
     for name, model in builtin_models():
         top = max(g.degree for g in model.algebra.generators)
         q = _indecomposables_complex(model, top)
-        assert not any(column for columns in q.columns for column in columns), name
+        assert not any(column for n in range(top + 1) for column in q.columns(n)), name
 
 
 def test_minimality_of_relative_models():

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from sullivan.calculus import (
 )
 from sullivan.errors import BasisSizeExceeded
 from sullivan.homology import (
+    DegreeWindowComplex,
+    _indecomposables_complex,
     assemble_window,
     betti,
     betti_of_window,
@@ -33,6 +36,7 @@ from helpers import (
     element_coordinates,
     element_from_coordinates,
     even_sphere_model,
+    normalised,
     oracle_kernel,
     s3_model,
     s3s3_model,
@@ -82,6 +86,36 @@ def test_basis_cap_is_enforced():
         assemble_window(loop_model(s3s3_model()), 12, cap=3)
 
 
+def test_window_is_its_model_and_its_bases():
+    model = loop_model(s3_model())
+    window, q = assemble_window(model, 6), _indecomposables_complex(model, 3)
+    assert DegreeWindowComplex._fields == ("model", "max_degree", "bases")
+    assert copy.deepcopy(window) == window and copy.deepcopy(q) == q  # no field holds a callable
+
+
+def test_columns_are_empty_outside_the_window():
+    window = assemble_window(loop_model(s3s3_model()), 6)
+    assert window.columns(-1) == [] and window.columns(7) == []
+    assert window.matrix(-1) == [] and window.matrix(7) == []
+    assert [len(window.columns(n)) for n in range(7)] == [window.dim(n) for n in range(7)]
+
+
+def test_the_pass_builds_each_differential_once_and_in_turn(monkeypatch):
+    built: list[int] = []
+    columns = DegreeWindowComplex.columns
+
+    def recorded(window, n):
+        built.append(n)
+        return columns(window, n)
+
+    window = assemble_window(loop_model(build(S2S3)), 14)
+    monkeypatch.setattr(DegreeWindowComplex, "columns", recorded)
+    for n, _ in window.cocycles():
+        # degree n reads d^n and d^(n-1), and nothing below is built yet
+        assert min(built) >= n - 1, (n, built)
+    assert all(built.count(n) == 1 for n in range(15)), built
+
+
 # -- betti ----------------------------------------------------------------------------
 
 
@@ -115,7 +149,7 @@ def test_loop_betti_of_two_even_generator_products_in_closed_form():
 
 def boundaries_of(window, n):
     """The columns of d^(n-1): the degree-n boundaries, as sparse vectors."""
-    return list(window.columns[n - 1]) if n else []
+    return window.columns(n - 1)
 
 
 def test_cocycles_is_the_kernel_and_the_boundary_echelon():
@@ -135,7 +169,8 @@ def test_cocycles_is_the_kernel_and_the_boundary_echelon():
             cut = linalg.Echelon()
             relations = [cut.add({-f: x for f, x in column.items() if f in cocycles.free})
                          for column in boundaries_of(window, n)]
-            assert [z for z in relations if z is not None] == (window_kernel(window, n - 1) if n else [])
+            assert [normalised(z) for z in relations if z is not None] == (
+                window_kernel(window, n - 1) if n else [])
             assert all(not cocycles.add(v) for v in boundaries_of(window, n)), (name, n)
 
 

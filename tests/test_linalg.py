@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sullivan import linalg
 
-from helpers import dense_bareiss_rref, oracle_kernel, sparse
+from helpers import dense_bareiss_rref, normalised, oracle_kernel, sparse
 
 
 def naive_rank(rows):
@@ -45,9 +45,9 @@ def columns_of(rows):
 
 def kernel_of(rows):
     """The relation of every column of the dense rows that reduces to zero,
-    in column order: the kernel vector of each free column."""
+    in column order, normalised: the kernel vector of each free column."""
     echelon = linalg.Echelon()
-    return [z for z in map(echelon.add, columns_of(rows)) if z is not None]
+    return [normalised(z) for z in map(echelon.add, columns_of(rows)) if z is not None]
 
 
 def kept_columns(rows):
@@ -58,14 +58,15 @@ def kept_columns(rows):
 
 def solve_by_relation(rows, rhs):
     """x with rows @ x = rhs, read as the multiplication model reads it: -rhs
-    reduces to zero against the columns of rows and its relation is (x, 1),
-    or the system is inconsistent and None is returned."""
+    reduces to zero against the columns of rows and its relation is (u x, u)
+    with u > 0, or the system is inconsistent and None is returned."""
     ncols = len(rows[0])
     relation = linalg.Echelon(columns_of(rows)).add({r: -b for r, b in enumerate(rhs) if b})
     if relation is None:
         return None
-    assert relation[ncols] == 1
-    return [relation.get(c, Fraction(0)) for c in range(ncols)]
+    assert relation[ncols] > 0
+    x = normalised(relation)
+    return [x.get(c, Fraction(0)) for c in range(ncols)]
 
 
 matrices = st.integers(1, 5).flatmap(
@@ -142,17 +143,29 @@ def test_rref_shape():
     # columns (0, 1, 1) and (2, 1, 3) are kept, with their relations; the third
     # reduces to zero, and its relation is the kernel vector (1, -2, 1)
     echelon = linalg.Echelon()
-    assert [echelon.add(column) for column in columns_of(rows)] == [
+    assert [normalised(echelon.add(column)) for column in columns_of(rows)] == [
         None, None, {2: Fraction(1), 0: Fraction(1), 1: Fraction(-2)}]
     assert echelon.columns == {1: ({1: 1, 2: 1}, {0: 1}), 0: ({0: 2, 1: 1, 2: 3}, {1: 1})}
 
 
+@settings(max_examples=150)
+@given(any_matrix)
+def test_relations_are_integer_and_positive_at_their_column(rows):
+    # only a caller that reads a relation divides it by its own entry
+    echelon = linalg.Echelon()
+    for index, column in enumerate(columns_of(rows)):
+        z = echelon.add(column)
+        if z is not None:
+            assert all(type(v) is int and v for v in z.values())
+            assert max(z) == index and z[index] > 0
+
+
 def test_echelon_add_returns_a_relation_exactly_on_the_span():
     columns = [{0: Fraction(1)}, {1: Fraction(1)}]
-    assert linalg.Echelon(columns).add({0: Fraction(3), 1: Fraction(7)}) == {
+    assert normalised(linalg.Echelon(columns).add({0: Fraction(3), 1: Fraction(7)})) == {
         2: Fraction(1), 0: Fraction(-3), 1: Fraction(-7)}
     assert linalg.Echelon([columns[0]]).add({1: Fraction(1)}) is None
-    assert linalg.Echelon([]).add({}) == {0: Fraction(1)}  # the zero column is its own relation
+    assert normalised(linalg.Echelon([]).add({})) == {0: Fraction(1)}  # the zero column is its own relation
 
 
 @settings(max_examples=150)
@@ -200,7 +213,7 @@ def test_echelon_add_reports_rank_growth(rows):
 def test_echelon_add_refuses_vectors_in_the_span():
     # a vector already in the span is refused, a new direction is kept
     echelon = linalg.Echelon([{0: Fraction(2), 1: Fraction(4)}])
-    assert echelon.add({0: Fraction(-1), 1: Fraction(-2)}) == {1: Fraction(1), 0: Fraction(1, 2)}
+    assert normalised(echelon.add({0: Fraction(-1), 1: Fraction(-2)})) == {1: Fraction(1), 0: Fraction(1, 2)}
     assert echelon.add({0: Fraction(1), 1: Fraction(2), 2: Fraction(1, 3)}) is None
     assert sorted(echelon.columns) == [0, 2]
 
@@ -235,7 +248,7 @@ def test_sparse_columns_and_rows_give_the_dense_results(rows):
 @given(any_matrix, st.data())
 def test_particular_solution_is_the_last_kernel_vector_of_the_augmented_matrix(rows, data):
     # x solves rows @ x = rhs iff (x, 1) is in the kernel of [rows | -rhs], the
-    # relation of -rhs; the multiplication model solves its corrections this way.
+    # relation of -rhs normalised; the multiplication model solves its corrections this way.
     # Independent of the Bareiss oracle: the system is consistent iff the
     # augmented rank equals the rank, and the solution is zero at every free
     # column of rows (the reduced-echelon particular solution).

@@ -65,9 +65,9 @@ def test_rank_mod_p_sees_a_rank_that_a_small_prime_would_miss():
 @pytest.mark.parametrize("name, max_degree", LOOP_WINDOWS, ids=[n for n, _ in LOOP_WINDOWS])
 def test_loop_window_ranks_and_betti_match_rank_mod_p(name, max_degree):
     _, window = _loop_window(name, max_degree)
-    ranks = [rank_mod_p(window.columns[n]) for n in range(max_degree + 1)]
+    ranks = [rank_mod_p(window.columns(n)) for n in range(max_degree + 1)]
     for n in range(max_degree + 1):
-        assert linalg.rank(window.columns[n]) == ranks[n], (name, n)
+        assert linalg.rank(window.columns(n)) == ranks[n], (name, n)
     # the one pass reads rank d^n from its free columns and rank d^(n-1) from its boundaries
     for n, cocycles in window.cocycles():
         assert window.dim(n) - len(cocycles.free) == ranks[n], (name, n)
@@ -88,14 +88,14 @@ def test_loop_differential_preserves_weight_and_weights_split_betti(name, max_de
     weight = _weights(window, base)
     for n in range(max_degree + 1):
         source, target = window.bases[n], window.bases[n + 1]
-        for c, column in enumerate(window.columns[n]):
+        for c, column in enumerate(window.columns(n)):
             assert {weight(target[r]) for r in column} <= {weight(source[c])}, (name, n, c)
     # rank d^n and dim n of each weight block, and the Betti numbers they give
     dims = [Counter(map(weight, window.bases[n])) for n in range(max_degree + 1)]
     ranks = []
     for n in range(max_degree + 1):
         blocks: dict[int, list] = {}
-        for c, column in enumerate(window.columns[n]):
+        for c, column in enumerate(window.columns(n)):
             blocks.setdefault(weight(window.bases[n][c]), []).append(column)
         ranks.append(Counter({w: rank_mod_p(columns) for w, columns in blocks.items()}))
     per_weight = [{w: dims[n][w] - ranks[n][w] - (ranks[n - 1][w] if n else 0) for w in dims[n]}
