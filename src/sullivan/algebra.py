@@ -7,13 +7,16 @@ pairs with indices strictly increasing in the algebra's canonical order,
 which is (degree, name).  Elements are finite Fraction-weighted sums of
 canonical words.
 
+`FreeGradedAlgebra.bases(top, cap)` lists the monomial bases of degrees
+0..top in one table pass over the generators, counted before they are
+built; the algebra keeps no basis, so each caller owns what it lists.
+
 All values are immutable after construction and may be shared freely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator, read_only
@@ -24,8 +27,8 @@ Word = tuple[tuple[int, int], ...]
 
 UNIT_WORD: Word = ()
 
-# The default `cap` of a degree's basis (`basis_in_degree(n, cap)`) in the
-# cohomology readers and the command line.
+# The default `cap` on the size of each degree's basis (`bases(top, cap)`)
+# in the cohomology readers and the command line.
 DEFAULT_BASIS_CAP = 200_000
 
 
@@ -87,19 +90,6 @@ class FreeGradedAlgebra:
         self.generators: tuple[Generator, ...] = tuple(gens)
         self._index: dict[str, int] = {g.name: i for i, g in enumerate(self.generators)}
         self._odd: tuple[bool, ...] = tuple(g.is_odd for g in self.generators)
-        # _words[i, t]: the canonical words over generators i.. of degree t,
-        # built on demand (see _fill_words).  _reach[i] is (step, top) for
-        # the suffix i..: every degree its words have is a multiple of step,
-        # and at most top when all its generators are odd (top is None when
-        # one is even).
-        self._words: dict[tuple[int, int], tuple[Word, ...]] = {}
-        reach: list[tuple[int, int | None]] = [(1, 0)]  # the unit's suffix
-        step, top = 0, 0
-        for g in reversed(gens):
-            step = gcd(step, g.degree)
-            top = top + g.degree if g.is_odd and top is not None else None
-            reach.append((step, top))
-        self._reach = reach[::-1]
 
     # -- generator access ---------------------------------------------------
 
@@ -208,68 +198,47 @@ class FreeGradedAlgebra:
                 acc[w] = acc[w] + c if w in acc else c
         return {w: c for w, c in acc.items() if c}
 
-    def basis_in_degree(self, n: int, cap: int = DEFAULT_BASIS_CAP) -> tuple[Word, ...]:
-        """All canonical monomials of total degree n, lexicographically ordered
-        by exponent vector.  Complete and duplicate-free; degree 0 gives (1,).
-        Raises `BasisSizeExceeded` when there are more than `cap`, before
-        listing any of them.
-        """
-        if n < 0:
-            return ()
-        if (0, n) not in self._words:
-            self._fill_words(n, cap)
-        basis = self._words[0, n]
-        if len(basis) > cap:
-            raise BasisSizeExceeded(n, len(basis), cap)
-        return basis
+    def bases(self, top: int, cap: int = DEFAULT_BASIS_CAP) -> tuple[tuple[Word, ...], ...]:
+        """The bases of degrees 0..top: all canonical monomials of each degree,
+        ascending in exponent vector; degree 0 gives (1,).  Raises
+        `BasisSizeExceeded` for the lowest degree with more than `cap`, before
+        listing any word.
 
-    def _fill_words(self, n: int, cap: int) -> None:
-        """Memoize the words over generators i.. of degree t that the degree-n
-        basis needs: v_i^e * w for e ascending from 0 (at most 1 for odd v_i)
-        and w over i+1.. of a degree r = t - e|v_i| that suffix can reach.
-        One pass lists each missing (i, t)'s (e, r), suffix by suffix; a
-        second counts the words from the last suffix back, and a third builds
-        them, with no recursion.  Every (i, t) has at most as many words as
-        (0, n), so nothing is built when the count is over `cap`.
+        Both passes take the generators from the last to the first and follow
+        the Poincare series, prod (1 + t^|v|) over odd v times prod
+        1 / (1 - t^|v|) over even v.  Row t gains v_i times each word of row
+        t - |v_i|: for an odd v_i going down in t, so that row is still the
+        old one; for an even v_i going up, so it is the row just updated and
+        the product raises the exponent of v_i by one.  Each word is built
+        once, from one shared head tuple per exponent.
         """
-        memo, count = self._words, len(self.generators)
-        levels: list[dict[int, list[tuple[int, int]]]] = [{n: []}]
-        while levels[-1] and len(levels) <= count:
-            i = len(levels) - 1
+        counts = [1] + [0] * top
+        for g in reversed(self.generators):
+            d = g.degree
+            for t in range(top, d - 1, -1) if g.is_odd else range(d, top + 1):
+                counts[t] += counts[t - d]
+        for n, size in enumerate(counts):
+            if size > cap:
+                raise BasisSizeExceeded(n, size, cap)
+        words: list[tuple[Word, ...]] = [(UNIT_WORD,)] + [()] * top
+        for i in range(len(self.generators) - 1, -1, -1):
             d = self.generators[i].degree
-            step, top = self._reach[i + 1]
-            below: dict[int, list[tuple[int, int]]] = {}
-            for t, exponents in levels[i].items():
-                low = 0 if top is None else max(0, -(-(t - top) // d))
-                high = min(1, t // d) if self._odd[i] else t // d
-                for e in range(low, high + 1):
-                    r = t - e * d
-                    if r % step == 0:
-                        exponents.append((e, r))
-                        if (i + 1, r) not in memo:
-                            below[r] = []
-            levels.append(below)
-        sizes: dict[tuple[int, int], int] = {}
-        for i in range(len(levels) - 1, -1, -1):
-            for t, exponents in levels[i].items():
-                sizes[i, t] = int(t == 0) if i == count else sum(
-                    sizes[i + 1, r] if (i + 1, r) in sizes else len(memo[i + 1, r])
-                    for _, r in exponents)
-        if sizes[0, n] > cap:
-            raise BasisSizeExceeded(n, sizes[0, n], cap)
-        for i in range(len(levels) - 1, -1, -1):
-            for t, exponents in levels[i].items():
-                if i == count:
-                    memo[i, t] = (UNIT_WORD,) if t == 0 else ()
-                    continue
-                words: list[Word] = []
-                for e, r in exponents:
-                    if e:
-                        head = ((i, e),)
-                        words += [head + w for w in memo[i + 1, r]]
-                    else:
-                        words += memo[i + 1, r]
-                memo[i, t] = tuple(words)
+            if self._odd[i]:
+                head = ((i, 1),)
+                for t in range(top, d - 1, -1):
+                    if words[t - d]:
+                        words[t] += tuple([head + w for w in words[t - d]])
+                continue
+            heads = [((i, e),) for e in range(top // d + 1)]
+            for t in range(d, top + 1):
+                if words[t - d]:
+                    words[t] += tuple([heads[w[0][1] + 1] + w[1:] if w and w[0][0] == i else heads[1] + w
+                                       for w in words[t - d]])
+        return tuple(words)
+
+    def basis_in_degree(self, n: int, cap: int = DEFAULT_BASIS_CAP) -> tuple[Word, ...]:
+        """The basis of degree n, from `bases(n, cap)`; () for n < 0."""
+        return self.bases(n, cap)[n] if n >= 0 else ()
 
     # -- housekeeping ---------------------------------------------------------
 

@@ -418,7 +418,7 @@ def koszul_model(presentation: CDGA, z: Element, window: int,
         raise NameClash(f"generator name {name!r} already taken")
 
     # z is not a zero divisor in the window: a -> z*a injective per degree
-    bases = [alg.basis_in_degree(n, cap=cap) for n in range(window + degree + 1)]
+    bases = alg.bases(window + degree, cap)
     for n in range(window + 1):
         products = (alg.multiply_terms({w: _ONE}, z.terms) for w in bases[n])
         if linalg.rank(linalg.matrix_of(products, bases[n + degree])) != len(bases[n]):

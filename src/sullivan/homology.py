@@ -113,8 +113,7 @@ class DegreeWindowComplex(NamedTuple):
 def assemble_window(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> DegreeWindowComplex:
     """The window of a model: its monomial bases for degrees 0..max_degree+1,
     listed in ascending degree, so a cap overflow names the lowest degree over it."""
-    bases = tuple(model.algebra.basis_in_degree(n, cap=cap) for n in range(max_degree + 2))
-    return DegreeWindowComplex(model, max_degree, bases)
+    return DegreeWindowComplex(model, max_degree, model.algebra.bases(max_degree + 1, cap))
 
 
 class CohomologyReport(NamedTuple):

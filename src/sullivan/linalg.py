@@ -34,7 +34,7 @@ IntegerVector = dict[int, int]
 
 
 def matrix_of(images: Iterable[Mapping[Hashable, Fraction]],
-              target_basis: Sequence[Hashable]) -> list[SparseVector]:
+              target_basis: Iterable[Hashable]) -> list[SparseVector]:
     """One sparse column per image: `{position of key in target_basis: coefficient}`.
 
     An image maps basis keys to coefficients (an `Element.terms`, say); a key

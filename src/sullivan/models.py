@@ -209,6 +209,9 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
         raise NameClash("generator names collide under the copy/suspension scheme")
     big = FreeGradedAlgebra(big_gens)
 
+    top = max((g.degree for g in kept), default=0)
+    bases, target_bases = big.bases(top + 1), target_alg.bases(top)
+
     copy1 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_1") for g in kept})
     copy2 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_2") for g in kept})
     phi = Morphism(big, target_alg, {f"{g.name}_{k}": target_alg.gen(g.name) for g in kept for k in (1, 2)})
@@ -226,7 +229,8 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
         if rhs.is_zero():
             gamma = big.zero()
         else:
-            gamma = _solve_gamma(Derivation(big, 1, d_values), phi, original_degree, g, rhs)
+            gamma = _solve_gamma(Derivation(big, 1, d_values), phi, original_degree, g, rhs,
+                                 bases, target_bases)
         gammas[g.name] = gamma
         d_values[suspended_name(g.name)] = big.gen(f"{g.name}_1") - big.gen(f"{g.name}_2") - gamma
 
@@ -237,12 +241,12 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
     return MultiplicationModel(mm, phi, target, base, gammas)
 
 
-def _solve_gamma(derivation, phi, original_degree, g, rhs):
+def _solve_gamma(derivation, phi, original_degree, g, rhs, bases, target_bases):
     # the generators built before g are those from generators of lower degree
-    big, target_alg = derivation.source, phi.target
+    big = derivation.source
     candidates = [
         w
-        for w in big.basis_in_degree(g.degree)
+        for w in bases[g.degree]
         if word_length(w) >= 2
         and all(original_degree[big.generators[i].name] < g.degree for i, _ in w)
     ]
@@ -250,8 +254,7 @@ def _solve_gamma(derivation, phi, original_degree, g, rhs):
     # those of phi(gamma) = 0, one per degree-|g| word of the target.  x
     # solves A x = rhs iff -rhs reduces to zero against the columns of A,
     # and its relation is then (u x, u), with x the reduced-echelon solution.
-    d_rows = big.basis_in_degree(g.degree + 1)
-    phi_rows = target_alg.basis_in_degree(g.degree)
+    d_rows, phi_rows = bases[g.degree + 1], target_bases[g.degree]
     columns = linalg.matrix_of(map(derivation.on_word, candidates), d_rows)
     for column, image in zip(columns, linalg.matrix_of(map(phi.on_word, candidates), phi_rows)):
         column.update((len(d_rows) + r, c) for r, c in image.items())
@@ -404,7 +407,7 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
         raise NotApplicable("need two distinct odd generators")
 
     quotient = quotient_by_generators(loop, even_list)
-    s_only_alg, project = projection(quotient, [name for name in base if name not in even_list])
+    _, project = projection(quotient, [name for name in base if name not in even_list])
 
     sx = quotient.algebra.one()
     sx_degree = 0
@@ -435,8 +438,9 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
                 cocycles_ok = False
             labels.append(str(witness))
             vectors.append(project(witness).terms)
-        basis = s_only_alg.basis_in_degree(degree)
-        independent = linalg.rank(linalg.matrix_of(vectors, basis)) == len(vectors)
+        # ranked over the words the vectors use, not over a listed basis
+        words = {w for v in vectors for w in v}
+        independent = linalg.rank(linalg.matrix_of(vectors, words)) == len(vectors)
         entries.append(
             WitnessEntry(k, degree, tuple(pairs), tuple(labels), cocycles_ok, independent)
         )

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -179,11 +180,30 @@ def test_basis_matches_recursive_oracle(degrees, top, cap):
         cap = 10**6  # above every basis here: degree 22 over six generators has at most C(16, 5) words
     alg = FreeGradedAlgebra([Generator(f"g{i}", d) for i, d in enumerate(degrees)])
     oracle = FreeGradedAlgebra(alg.generators)
+    expected = _window_bases(_recursive_basis, oracle, top, cap)
     got = _window_bases(lambda a, n, c: a.basis_in_degree(n, cap=c), alg, top, cap)
-    assert got == _window_bases(_recursive_basis, oracle, top, cap)
+    assert got == expected
+    # one call lists the whole walk, or refuses the degree the walk stops at
+    try:
+        assert (list(alg.bases(top, cap)), None) == expected
+    except BasisSizeExceeded as exc:
+        assert (exc.degree, exc.size) == expected[1]
     # a later call for any single degree sees the same words and the same cap
     for n in (top, top // 2, -1):
         assert alg.basis_in_degree(n) == _recursive_basis(oracle, n)
+
+
+def _refusal_peak(call):
+    """The traced peak, in bytes, of a call that raises `BasisSizeExceeded`, with the error."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(BasisSizeExceeded) as info:
+            call()
+        return tracemalloc.get_traced_memory()[1] - base, info.value
+    finally:
+        tracemalloc.stop()
 
 
 def test_basis_cap_names_lowest_degree_over_cap_before_building_higher():
@@ -192,7 +212,10 @@ def test_basis_cap_names_lowest_degree_over_cap_before_building_higher():
         [alg.basis_in_degree(n, cap=3) for n in range(40)]
     expected = next(n for n in range(40) if len(_recursive_basis(alg, n)) > 3)
     assert (info.value.degree, info.value.size) == (expected, len(_recursive_basis(alg, expected)))
-    assert max(t for _, t in alg._words) < expected  # no word table from it up was built
+    # degrees 0..600 hold 90 301 words, about 6 MB; refusing them builds no word
+    peak, error = _refusal_peak(lambda: alg.bases(600, cap=3))
+    assert (error.degree, error.size) == (info.value.degree, info.value.size)
+    assert peak < 2**20, peak
 
 
 def test_basis_cap_is_checked_before_listing():
@@ -200,17 +223,15 @@ def test_basis_cap_is_checked_before_listing():
     # C(102, 3) = 171 700 in degree 300, counted and refused without a table
     alg = FreeGradedAlgebra([Generator(f"g{i}", 100) for i in range(100)])
     assert len(alg.basis_in_degree(200, cap=5050)) == 5050
-    with pytest.raises(BasisSizeExceeded) as info:
-        alg.basis_in_degree(300, cap=5050)
-    assert (info.value.degree, info.value.size, info.value.cap) == (300, 171700, 5050)
-    assert max(t for _, t in alg._words) == 200
+    peak, error = _refusal_peak(lambda: alg.basis_in_degree(300, cap=5050))
+    assert (error.degree, error.size, error.cap) == (300, 171700, 5050)
+    assert peak < 2**20, peak  # listing the 171 700 words would take over 10 MB
     # with no cap given, the default one holds: 700 degree-2 generators have
     # C(701, 2) = 245 350 words in degree 4
     wide = FreeGradedAlgebra([Generator(f"g{i}", 2) for i in range(700)])
-    with pytest.raises(BasisSizeExceeded) as info:
-        wide.basis_in_degree(4)
-    assert (info.value.degree, info.value.size, info.value.cap) == (4, 245350, DEFAULT_BASIS_CAP)
-    assert (0, 4) not in wide._words
+    peak, error = _refusal_peak(lambda: wide.basis_in_degree(4))
+    assert (error.degree, error.size, error.cap) == (4, 245350, DEFAULT_BASIS_CAP)
+    assert peak < 2**20, peak
 
 
 def test_basis_of_even_sphere_to_high_degree():

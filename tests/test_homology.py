@@ -1,4 +1,6 @@
 import copy
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,25 @@ def test_window_is_its_model_and_its_bases():
     window, q = assemble_window(model, 6), _indecomposables_complex(model, 3)
     assert DegreeWindowComplex._fields == ("model", "max_degree", "bases")
     assert copy.deepcopy(window) == window and copy.deepcopy(q) == q  # no field holds a callable
+
+
+def test_the_window_owns_its_bases():
+    # the algebra keeps no basis: dropping the window frees every listed word
+    model = loop_model(build(S2S3))
+    before = dict(vars(model.algebra))
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        window = assemble_window(model, 40)
+        assert sum(map(len, window.bases)) > 1000
+        del window
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
+    assert vars(model.algebra) == before
 
 
 def test_columns_are_empty_outside_the_window():

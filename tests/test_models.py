@@ -300,6 +300,21 @@ def test_vps_witnesses_with_even_generators():
         assert entry.degree == 1 + 2 * entry.k
 
 
+def test_vps_witnesses_list_no_basis(monkeypatch):
+    loops = [(loop_model(s3s3_model()), 5),
+             (loop_model(build(Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,)))))), 3)]
+    expected = [vps_witnesses_for_model(loop, k_max) for loop, k_max in loops]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("witness listed a basis")
+
+    monkeypatch.setattr(FreeGradedAlgebra, "bases", refuse)
+    monkeypatch.setattr(FreeGradedAlgebra, "basis_in_degree", refuse)
+    for (loop, k_max), report in zip(loops, expected):
+        assert vps_witnesses_for_model(loop, k_max) == report
+        assert report.all_certified and len(report.entries) == k_max + 1
+
+
 def test_vps_witnesses_not_applicable_for_single_odd_generator():
     with pytest.raises(NotApplicable):
         vps_witnesses_for_model(loop_model(s3_model()), 3)
