@@ -237,7 +237,13 @@ class FreeGradedAlgebra:
         return tuple(words)
 
     def basis_in_degree(self, n: int, cap: int = DEFAULT_BASIS_CAP) -> tuple[Word, ...]:
-        """The basis of degree n, from `bases(n, cap)`; () for n < 0."""
+        """The basis of degree n, from `bases(n, cap)`; () for n < 0.
+
+        Like `bases`, it lists every degree 0..n and refuses the lowest one
+        over `cap`, which may lie below n (the middle degrees of an exterior
+        algebra are its largest); a caller that needs several degrees should
+        call `bases` once.
+        """
         return self.bases(n, cap)[n] if n >= 0 else ()
 
     # -- housekeeping ---------------------------------------------------------

@@ -209,8 +209,11 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
         raise NameClash("generator names collide under the copy/suspension scheme")
     big = FreeGradedAlgebra(big_gens)
 
-    top = max((g.degree for g in kept), default=0)
-    bases, target_bases = big.bases(top + 1), target_alg.bases(top)
+    # gamma is solved for only where dv != 0 (then dv_1 - dv_2 != 0), in
+    # degree |v| with rows in degree |v| + 1, so list no higher and, when
+    # every dv is zero, nothing
+    top = max((g.degree for g in kept if not target.d_of(g.name).is_zero()), default=None)
+    bases, target_bases = (big.bases(top + 1), target_alg.bases(top)) if top is not None else ((), ())
 
     copy1 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_1") for g in kept})
     copy2 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_2") for g in kept})

@@ -145,6 +145,32 @@ def test_gamma_vanishes_for_zero_differentials():
     assert all(g.is_zero() for g in mm.gammas.values())
 
 
+def test_multiplication_model_lists_no_basis_when_every_d_is_zero(monkeypatch):
+    # (S^3)^6 x S^41: degree 42 of the carrier alone holds about 2.2M words
+    def refuse(*args, **kwargs):
+        raise AssertionError("mult-model listed a basis")
+
+    monkeypatch.setattr(FreeGradedAlgebra, "bases", refuse)
+    mm = multiplication_model(build(Recipe("h_space", (3,) * 6 + (41,))))
+    assert len(mm.gammas) == 7 and all(g.is_zero() for g in mm.gammas.values())
+
+
+def test_multiplication_model_lists_bases_to_the_top_nonzero_d(monkeypatch):
+    # CP^2 x S^41: only w (degree 5, d w = v^3) is solved for, so the carrier
+    # is listed to degree 6 and the target to 5, not to 42 and 41
+    tops = []
+    bases = FreeGradedAlgebra.bases
+
+    def recorded(alg, top, *args, **kwargs):
+        tops.append(top)
+        return bases(alg, top, *args, **kwargs)
+
+    monkeypatch.setattr(FreeGradedAlgebra, "bases", recorded)
+    mm = multiplication_model(build(product(cpn(2), odd_sphere(20))))
+    assert tops == [6, 5]
+    assert not mm.gammas["w_1"].is_zero() and mm.gammas["v_2"].is_zero()
+
+
 def test_indecomposables_of_multiplication_model():
     # linear part of D sends sv to v_1 - v_2 and the copies to zero
     mm = multiplication_model(cpn_model(2))
