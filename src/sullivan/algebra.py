@@ -16,10 +16,11 @@ All values are immutable after construction and may be shared freely.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator, read_only
+from .errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator
 
 # A canonical word: ((generator_index, exponent), ...), indices strictly
 # increasing, exponents >= 1, odd generators with exponent exactly 1.
@@ -32,31 +33,17 @@ UNIT_WORD: Word = ()
 DEFAULT_BASIS_CAP = 200_000
 
 
-class Generator:
-    """A named symbol of positive degree; immutable, equal by (name, degree)."""
+class Generator(namedtuple("Generator", "name degree")):
+    """A named symbol of positive degree: the tuple (name, degree)."""
 
-    __slots__ = ("name", "degree")
+    __slots__ = ()
 
-    def __init__(self, name: str, degree: int) -> None:
+    def __new__(cls, name: str, degree: int) -> "Generator":
         if not name:
             raise ValueError("generator name must be non-empty")
         if degree < 1:
             raise ValueError(f"generator {name!r} must have degree >= 1, got {degree}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "degree", degree)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __reduce__(self):
-        return Generator, (self.name, self.degree)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Generator:
-            return NotImplemented
-        return self.name == other.name and self.degree == other.degree
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.degree))
+        return super().__new__(cls, name, degree)
 
     @property
     def is_odd(self) -> bool:
@@ -79,16 +66,12 @@ class FreeGradedAlgebra:
     """
 
     def __init__(self, generators: Iterable[Generator]):
-        gens = sorted(generators, key=lambda g: (g.degree, g.name))
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
-            seen: set[str] = set()
-            for n in names:
-                if n in seen:
-                    raise ValueError(f"duplicate generator name {n!r}")
-                seen.add(n)
-        self.generators: tuple[Generator, ...] = tuple(gens)
-        self._index: dict[str, int] = {g.name: i for i, g in enumerate(self.generators)}
+        self.generators: tuple[Generator, ...] = tuple(sorted(generators, key=lambda g: (g.degree, g.name)))
+        self._index: dict[str, int] = {}
+        for i, g in enumerate(self.generators):
+            if self._index.setdefault(g.name, i) != i:
+                raise ValueError(f"duplicate generator name {g.name!r}")
+        self._degree: tuple[int, ...] = tuple(g.degree for g in self.generators)
         self._odd: tuple[bool, ...] = tuple(g.is_odd for g in self.generators)
 
     # -- generator access ---------------------------------------------------
@@ -122,7 +105,7 @@ class FreeGradedAlgebra:
     # -- words ---------------------------------------------------------------
 
     def word_degree(self, word: Word) -> int:
-        return sum(self.generators[i].degree * e for i, e in word)
+        return sum(self._degree[i] * e for i, e in word)
 
     def word_str(self, word: Word) -> str:
         if not word:
@@ -320,11 +303,7 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_same(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, Fraction(0)) - c
-        return Element(self.algebra, acc)
+        return self + -other
 
     def __neg__(self) -> "Element":
         return Element(self.algebra, {w: -c for w, c in self.terms.items()})
@@ -362,9 +341,6 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         return self.algebra == other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("elements are not hashable")
 
     def __str__(self) -> str:
         if not self.terms:

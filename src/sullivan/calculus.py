@@ -50,15 +50,6 @@ from .errors import (
 _ONE = Fraction(1)
 
 
-def _sum_over_words(on_word, terms: dict[Word, Fraction]) -> dict[Word, Fraction]:
-    """The linear extension of a map on words to an element's terms."""
-    acc: dict[Word, Fraction] = {}
-    for word, coeff in terms.items():
-        for w, c in on_word(word).items():
-            acc[w] = acc.get(w, 0) + coeff * c
-    return acc
-
-
 class _GeneratorMap:
     """A map out of a free algebra, given by its values on generators.
 
@@ -84,9 +75,14 @@ class _GeneratorMap:
         self._value_terms = tuple(value.terms for value in self.values.values())
 
     def __call__(self, e: Element) -> Element:
+        """The linear extension of `on_word` to an element."""
         if e.algebra != self.source:
             raise AlgebraMismatch("element does not live in the source algebra")
-        return Element(self.target, _sum_over_words(self.on_word, e.terms))
+        acc: dict[Word, Fraction] = {}
+        for word, coeff in e.terms.items():
+            for w, c in self.on_word(word).items():
+                acc[w] = acc.get(w, 0) + coeff * c
+        return Element(self.target, acc)
 
 
 class Morphism(_GeneratorMap):

@@ -26,7 +26,7 @@ NESTING_LIMIT = 100
 
 
 def read_only(self, *args) -> None:
-    """`__setattr__` and `__delattr__` of the immutable value classes."""
+    """`__setattr__` and `__delattr__` of the immutable `calculus.CDGA`."""
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 

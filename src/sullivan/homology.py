@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import linalg
 from .algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Word, word_length
-from .calculus import CDGA, Morphism, _sum_over_words, check_chain_map
+from .calculus import CDGA, Morphism, check_chain_map
 
 
 class Cocycles(NamedTuple):
@@ -160,14 +160,15 @@ class QuasiIsoReport(NamedTuple):
         return all(v.isomorphism for v in self.per_degree)
 
 
-def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex, on_word) -> QuasiIsoReport:
-    """Ranks of H(m) in the degrees of two windows of one size; on_word is m
-    on a source word.  Only the source classes are mapped; their images
-    extend the target's boundary echelon."""
+def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex, m: Morphism) -> QuasiIsoReport:
+    """Ranks of H(m) in the degrees of two windows of one size.  Only the
+    source classes are mapped; their images extend the target's boundary
+    echelon."""
+    algebra = source.model.algebra
     verdicts = []
     for (n, source_n), (_, target_n) in zip(source.cocycles(), target.cocycles()):
         basis = source.bases[n]
-        images = (_sum_over_words(on_word, {basis[c]: x for c, x in z.items()})
+        images = (m(Element(algebra, {basis[c]: x for c, x in z.items()})).terms
                   for z in source_n.classes)
         rank_h = sum(map(target_n.add, linalg.matrix_of(images, target.bases[n])))
         verdicts.append(DegreeVerdict(n, len(source_n.classes), len(target_n.classes), rank_h))
@@ -186,7 +187,7 @@ def quasi_iso_check(source: CDGA, target: CDGA, m: Morphism, max_degree: int,
     _require_chain_map(source, target, m)
     ws = assemble_window(source, max_degree, cap=cap)
     wt = assemble_window(target, max_degree, cap=cap)
-    return _verdicts(ws, wt, m.on_word)
+    return _verdicts(ws, wt, m)
 
 
 def _generator_words(algebra: FreeGradedAlgebra, max_degree: int) -> tuple[tuple[Word, ...], ...]:
@@ -225,7 +226,7 @@ def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism) -> Qu
     max_degree = max(degrees, default=0)
     qs = _indecomposables_complex(source, max_degree)
     qt = _indecomposables_complex(target, max_degree)
-    return _verdicts(qs, qt, Morphism(m.source, m.target, _linear(m.values)).on_word)
+    return _verdicts(qs, qt, Morphism(m.source, m.target, _linear(m.values)))
 
 
 # -- derived reports -------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .calculus import (
     suspension,
     tensor_cdga,
 )
-from .errors import DIGIT_LIMIT, NameClash, NotApplicable, WindowTooSmall, too_many_digits
+from .errors import DIGIT_LIMIT, NotApplicable, WindowTooSmall, too_many_digits
 
 # -- recipes ----------------------------------------------------------------------
 
@@ -205,8 +205,6 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
         big_gens.append(Generator(f"{g.name}_1", g.degree))
         big_gens.append(Generator(f"{g.name}_2", g.degree))
         big_gens.append(Generator(suspended_name(g.name), g.degree - 1))
-    if len({g.name for g in big_gens}) != len(big_gens):
-        raise NameClash("generator names collide under the copy/suspension scheme")
     big = FreeGradedAlgebra(big_gens)
 
     # gamma is solved for only where dv != 0 (then dv_1 - dv_2 != 0), in

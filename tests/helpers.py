@@ -71,9 +71,9 @@ def brute_force_basis_count(degrees: list[int], n: int) -> int:
 
 def random_monomial(rng: random.Random, algebra: FreeGradedAlgebra, max_degree: int) -> Element:
     """A random nonzero basis monomial of degree <= max_degree."""
-    degrees = [n for n in range(max_degree + 1) if algebra.basis_in_degree(n)]
-    n = rng.choice(degrees)
-    word = rng.choice(algebra.basis_in_degree(n))
+    bases = algebra.bases(max_degree)
+    n = rng.choice([n for n, basis in enumerate(bases) if basis])
+    word = rng.choice(bases[n])
     return Element(algebra, {word: Fraction(1)})
 
 

@@ -237,7 +237,7 @@ def test_basis_cap_is_checked_before_listing():
 def test_basis_of_even_sphere_to_high_degree():
     alg = algebra_v2_w3()
     # v^a w^b with 2a + 3b = n and b <= 1: one word in every degree but 1
-    assert [len(alg.basis_in_degree(n)) for n in range(1002)] == [1, 0] + [1] * 1000
+    assert [len(basis) for basis in alg.bases(1001)] == [1, 0] + [1] * 1000
     assert [alg.word_str(w) for w in alg.basis_in_degree(1001)] == ["v^499*w"]
 
 
@@ -274,9 +274,9 @@ _PROP_ALGEBRA = FreeGradedAlgebra(
 
 @st.composite
 def homogeneous_monomials(draw, max_degree=14):
-    degrees = [n for n in range(max_degree + 1) if _PROP_ALGEBRA.basis_in_degree(n)]
-    n = draw(st.sampled_from(degrees))
-    word = draw(st.sampled_from(_PROP_ALGEBRA.basis_in_degree(n)))
+    bases = _PROP_ALGEBRA.bases(max_degree)
+    n = draw(st.sampled_from([n for n, basis in enumerate(bases) if basis]))
+    word = draw(st.sampled_from(bases[n]))
     return Element(_PROP_ALGEBRA, {word: Fraction(1)})
 
 
@@ -315,6 +315,29 @@ def test_no_zero_coefficients_survive():
     y = alg.gen("y")
     assert (y - y).terms == {}
     assert (y - y).is_zero()
+
+
+def test_elements_are_unhashable():
+    e = algebra_v2_w3().gen("v")
+    with pytest.raises(TypeError, match="unhashable type: 'Element'"):
+        hash(e)
+    with pytest.raises(TypeError, match="unhashable type: 'Element'"):
+        {e}
+
+
+def test_subtraction_is_adding_the_negative():
+    alg = algebra_v2_w3()
+    a, b = alg.gen("v") ** 3 + alg.gen("v") * alg.gen("w"), 2 * alg.gen("v") ** 3
+    assert a - b == a + -b == alg.gen("v") * alg.gen("w") - alg.gen("v") ** 3
+    with pytest.raises(TypeError):
+        a - 1
+    with pytest.raises(AlgebraMismatch):
+        a - algebra_yz3().gen("y")
+
+
+def test_a_duplicate_generator_name_is_refused():
+    with pytest.raises(ValueError, match="^duplicate generator name 'x'$"):
+        FreeGradedAlgebra([Generator("x", 3), Generator("y", 2), Generator("x", 2)])
 
 
 def test_canonical_order_ignores_insertion_order():

@@ -77,6 +77,22 @@ def test_verify_detects_broken_differential(tmp_path):
     assert good.returncode == 0
 
 
+@pytest.mark.parametrize("text, code, verdicts, details", [
+    ("generator a 2\ngenerator x 3\ngenerator y 4\nd x = a^2\nd y = a*x\n", 1,
+     {"d_squared_zero": False, "homogeneous": True, "minimal": True},
+     {"d_squared_counterexample": {"generator": "y", "value": "a^3"}}),
+    ("generator v 4\ngenerator w 3\nd w = v\n", 0,
+     {"d_squared_zero": True, "homogeneous": True, "minimal": False},
+     {"minimality_violation": {"generator": "w", "linear_part": "v"}}),
+], ids=["d-squared", "non-minimal"])
+def test_verify_json_details_name_the_failure(text, code, verdicts, details, tmp_path, capsys):
+    path = tmp_path / "m.model"
+    path.write_text(text)
+    assert main(["verify", str(path), "--json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdicts"], report["details"]) == (verdicts, details)
+
+
 def test_parse_errors_exit_two(tmp_path):
     bad = tmp_path / "syntax.model"
     bad.write_text("generator v 2\nd v = ???\n")
@@ -185,6 +201,14 @@ def test_mult_model_command(cp2_file):
     report = json.loads(result.stdout)
     assert all(report["verdicts"].values())
     assert report["details"]["suspension_differentials"]["sv"] == "v_1 - v_2"
+
+
+def test_mult_model_refuses_names_that_collide_under_the_copy_scheme(tmp_path, capsys):
+    # the copy sa_1 of sa and the suspension sa_1 of a_1
+    path = tmp_path / "collide.model"
+    path.write_text("generator a_1 3\ngenerator sa 3\n")
+    assert main(["mult-model", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: duplicate generator name 'sa_1'\n")
 
 
 def test_witness_command(s3s3_file):

@@ -453,7 +453,7 @@ def test_elimination_bound_on_koszul_pairs():
     for n_rel in (1, 2, 3):
         z = presentation.algebra.gen("x") ** (n_rel + 1)
         koszul = koszul_model(presentation, z, 12)
-        h_a = [len(presentation.algebra.basis_in_degree(n)) for n in range(14)]
+        h_a = [len(basis) for basis in presentation.algebra.bases(13)]
         z_degree = 2 * (n_rel + 1)
         for n in range(13):
             upper = n + 1 - z_degree

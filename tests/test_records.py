@@ -80,6 +80,7 @@ def test_generator_checks_its_name_and_degree():
     assert Generator(name="x", degree=2) == Generator("x", 2)
     assert Generator("x", 2) != Generator("x", 3)
     assert hash(Generator("x", 2)) == hash(Generator("x", 2))
+    assert Generator("x", 2) == ("x", 2) and hash(Generator("x", 2)) == hash(("x", 2))
     assert repr(Generator("x", 2)) == "Generator('x', 2)"
 
 
