@@ -21,7 +21,7 @@ term is one `multiply_words`.  `Morphism.on_word` multiplies cached powers
 f(v_i)^e.  For both, `__call__` sums `on_word` over an element's terms, and
 `homology` feeds `on_word` to `linalg.matrix_of`, with no `Element` per
 word.  The indecomposables complex is the window of the linear-part model
-(the one-letter parts of the values of d) over one-letter generator words.
+(`linear_part` of each value of d) over one-letter generator words.
 Both extensions are unique, which is what the differential and chain-map
 checks exploit: verifying an identity of derivations (or of
 (m,m)-derivations) on generators verifies it everywhere.
@@ -31,6 +31,7 @@ Constructions are pure; a validated model is immutable and shareable.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -43,7 +44,6 @@ from .errors import (
     ParityError,
     SuspensionDegreeError,
     ZeroDivisor,
-    read_only,
 )
 
 
@@ -56,7 +56,8 @@ class _GeneratorMap:
     Each name must be a generator g of `source`, and each value an element
     of `target` that is zero or homogeneous of degree |g| + shift; a
     generator with no value maps to 0.  Subclasses extend the values to
-    words through `on_word`.
+    words through `on_word`.  Two maps are equal when they are of one kind,
+    between the same algebras, with the same shift and the same values.
     """
 
     def __init__(self, source: FreeGradedAlgebra, target: FreeGradedAlgebra, shift: int,
@@ -70,6 +71,7 @@ class _GeneratorMap:
         zero = target.zero()
         self.source = source
         self.target = target
+        self.shift = shift
         self.values = {g.name: values.get(g.name, zero) for g in source.generators}
         # _value_terms[i]: the terms of the value on generator i
         self._value_terms = tuple(value.terms for value in self.values.values())
@@ -83,6 +85,12 @@ class _GeneratorMap:
             for w, c in self.on_word(word).items():
                 acc[w] = acc.get(w, 0) + coeff * c
         return Element(self.target, acc)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _GeneratorMap):
+            return NotImplemented
+        return ((type(self), self.source, self.target, self.shift, self.values)
+                == (type(other), other.source, other.target, other.shift, other.values))
 
 
 class Morphism(_GeneratorMap):
@@ -112,11 +120,6 @@ class Morphism(_GeneratorMap):
                 break
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (self.source, self.target, self.values) == (other.source, other.target, other.values)
-
     def __repr__(self) -> str:
         return f"<Morphism on {len(self.values)} generators>"
 
@@ -130,7 +133,6 @@ class Derivation(_GeneratorMap):
 
     def __init__(self, source: FreeGradedAlgebra, degree: int, values: Mapping[str, Element]):
         super().__init__(source, source, degree, values)
-        self.degree = degree
 
     def on_word(self, word: Word) -> dict[Word, Fraction]:
         """The derivation on one canonical word, as terms without zeros: the
@@ -159,29 +161,28 @@ class Derivation(_GeneratorMap):
         return {w: c for w, c in acc.items() if c}
 
     def __repr__(self) -> str:
-        return f"<Derivation degree {self.degree:+d} on {len(self.values)} generators>"
+        return f"<Derivation degree {self.shift:+d} on {len(self.values)} generators>"
 
 
-class CDGA:
+class CDGA(namedtuple("CDGA", "algebra differential")):
     """A free graded-commutative algebra and the values of d on its generators.
 
     The differential is the degree +1 derivation with those values (a
     generator with no value has d = 0).  Construction checks each value's
     algebra and degree but not d*d = 0; run check_differential to certify
-    that.  Immutable; equal when the algebras and the values of d on
-    generators are.
+    that.  Equal when the algebras and the values of d on generators are.
     """
 
-    __slots__ = ("algebra", "differential")
+    __slots__ = ()
 
-    def __init__(self, algebra: FreeGradedAlgebra, values: Mapping[str, Element] = {}) -> None:
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "differential", Derivation(algebra, 1, values))
+    def __new__(cls, algebra: FreeGradedAlgebra, values: Mapping[str, Element] = {}) -> "CDGA":
+        return super().__new__(cls, algebra, Derivation(algebra, 1, values))
 
-    __setattr__ = __delattr__ = read_only
+    def __getnewargs__(self):
+        return self.algebra, self.differential.values
 
-    def __reduce__(self):
-        return CDGA, (self.algebra, self.differential.values)
+    def __hash__(self) -> int:
+        return hash(self.algebra)
 
     def d(self, e: Element) -> Element:
         return self.differential(e)
@@ -189,17 +190,6 @@ class CDGA:
     def d_of(self, name: str) -> Element:
         self.algebra.generator(name)  # an unknown name raises UnknownGenerator
         return self.differential.values[name]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CDGA):
-            return NotImplemented
-        return self.algebra == other.algebra and self.differential.values == other.differential.values
-
-    def __hash__(self) -> int:
-        return hash(self.algebra)
-
-    def __repr__(self) -> str:
-        return f"CDGA(algebra={self.algebra!r}, differential={self.differential!r})"
 
 
 def check_differential(model: CDGA) -> tuple[Generator, Element] | None:
@@ -428,7 +418,13 @@ def koszul_model(presentation: CDGA, z: Element, window: int,
     return KoszulModel(model, dims)
 
 
-# -- minimality -------------------------------------------------------------------
+# -- linear parts and minimality ---------------------------------------------------
+
+
+def linear_part(e: Element) -> Element:
+    """The one-letter terms of e: applied to the values of d (or of a
+    morphism), the values of its linear part."""
+    return Element(e.algebra, {w: c for w, c in e.terms.items() if word_length(w) == 1})
 
 
 def minimality_check(model: CDGA, base: Iterable[str] = ()) -> tuple[Generator, Element] | None:
@@ -444,14 +440,8 @@ def minimality_check(model: CDGA, base: Iterable[str] = ()) -> tuple[Generator, 
     for g in model.algebra.generators:
         if g.name in base_set:
             continue
-        offending: dict[Word, Fraction] = {}
-        for word, coeff in model.d_of(g.name).terms.items():
-            if word_length(word) != 1:
-                continue
-            index, _ = word[0]
-            if model.algebra.generators[index].name in base_set:
-                continue
-            offending[word] = coeff
+        offending = {w: c for w, c in linear_part(model.d_of(g.name)).terms.items()
+                     if model.algebra.generators[w[0][0]].name not in base_set}
         if offending:
             return g, Element(model.algebra, offending)
     return None

@@ -25,11 +25,6 @@ def too_many_digits(base: int, exponent: int) -> bool:
 NESTING_LIMIT = 100
 
 
-def read_only(self, *args) -> None:
-    """`__setattr__` and `__delattr__` of the immutable `calculus.CDGA`."""
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
 class SullivanError(Exception):
     """Base class for all structured errors raised by this package."""
 

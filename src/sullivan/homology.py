@@ -31,11 +31,11 @@ deterministic reduction over independent degrees.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import linalg
-from .algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Word, word_length
-from .calculus import CDGA, Morphism, check_chain_map
+from .algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Word
+from .calculus import CDGA, Morphism, check_chain_map, linear_part
 
 
 class Cocycles(NamedTuple):
@@ -199,17 +199,10 @@ def _generator_words(algebra: FreeGradedAlgebra, max_degree: int) -> tuple[tuple
     return tuple(tuple(ws) for ws in words)
 
 
-def _linear(values: Mapping[str, Element]) -> dict[str, Element]:
-    """The one-letter part of each generator value: the values of the linear
-    part of a derivation or of a morphism."""
-    return {name: Element(value.algebra, {w: c for w, c in value.terms.items() if word_length(w) == 1})
-            for name, value in values.items()}
-
-
 def _indecomposables_complex(model: CDGA, max_degree: int) -> DegreeWindowComplex:
     """The indecomposables complex: the window of the linear-part model over
     one-letter generator words."""
-    linear = CDGA(model.algebra, _linear(model.differential.values))
+    linear = CDGA(model.algebra, {name: linear_part(v) for name, v in model.differential.values.items()})
     return DegreeWindowComplex(linear, max_degree, _generator_words(model.algebra, max_degree + 1))
 
 
@@ -226,7 +219,8 @@ def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism) -> Qu
     max_degree = max(degrees, default=0)
     qs = _indecomposables_complex(source, max_degree)
     qt = _indecomposables_complex(target, max_degree)
-    return _verdicts(qs, qt, Morphism(m.source, m.target, _linear(m.values)))
+    linear = {name: linear_part(v) for name, v in m.values.items()}
+    return _verdicts(qs, qt, Morphism(m.source, m.target, linear))
 
 
 # -- derived reports -------------------------------------------------------------------

@@ -298,15 +298,8 @@ def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:
 class ClosedFormLoopCohomology(NamedTuple):
     """Basis labels with degrees, and the induced dimension vector."""
 
-    d: int
-    n: int
-    max_degree: int
     entries: tuple[tuple[int, str], ...]
     dims: tuple[int, ...]
-
-    @property
-    def all_dims_at_most_one(self) -> bool:
-        return all(b <= 1 for b in self.dims)
 
 
 def loop_cohomology_closed_form(d: int, n: int, max_degree: int) -> ClosedFormLoopCohomology:
@@ -320,7 +313,6 @@ def loop_cohomology_closed_form(d: int, n: int, max_degree: int) -> ClosedFormLo
         raise ValueError("need even d >= 2")
     if n < 1:
         raise ValueError("need n >= 1")
-    sv_deg = d - 1
     sw_deg = d * (n + 1) - 2
     entries: list[tuple[int, str]] = [(0, "1")]
 
@@ -329,26 +321,20 @@ def loop_cohomology_closed_form(d: int, n: int, max_degree: int) -> ClosedFormLo
             return ""
         return name if e == 1 else f"{name}^{e}"
 
-    for p in range(1, n + 1):
-        i = 0
-        while p * d + i * sw_deg <= max_degree:
-            label = "*".join(x for x in (power("v", p), power("sw", i)) if x)
-            entries.append((p * d + i * sw_deg, label))
-            i += 1
-    for p in range(0, n):
-        i = 0
-        while p * d + sv_deg + i * sw_deg <= max_degree:
-            label = "*".join(x for x in (power("v", p), "sv", power("sw", i)) if x)
-            entries.append((p * d + sv_deg + i * sw_deg, label))
-            i += 1
+    for sv, sv_deg, powers in (("", 0, range(1, n + 1)), ("sv", d - 1, range(n))):
+        for p in powers:
+            i = 0
+            while p * d + sv_deg + i * sw_deg <= max_degree:
+                label = "*".join(x for x in (power("v", p), sv, power("sw", i)) if x)
+                entries.append((p * d + sv_deg + i * sw_deg, label))
+                i += 1
     entries.sort()
     dims = [0] * (max_degree + 1)
     for degree, _ in entries:
         dims[degree] += 1
-    form = ClosedFormLoopCohomology(d, n, max_degree, tuple(entries), tuple(dims))
-    if not form.all_dims_at_most_one:
+    if max(dims) > 1:
         raise AssertionError("closed-form degrees collide; enumeration is wrong")
-    return form
+    return ClosedFormLoopCohomology(tuple(entries), tuple(dims))
 
 
 # -- witness families ---------------------------------------------------------------

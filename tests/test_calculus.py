@@ -15,6 +15,7 @@ from sullivan.calculus import (
     check_differential,
     killed_residues,
     koszul_model,
+    linear_part,
     loop_model,
     minimality_check,
     quotient_by_generators,
@@ -84,7 +85,7 @@ def _naive_derivation_apply(der, e):
             flat.extend([e.algebra.generators[i]] * exp)
         for pos in range(len(flat)):
             prefix_degree = sum(g.degree for g in flat[:pos])
-            sign = -1 if (der.degree * prefix_degree) % 2 else 1
+            sign = -1 if (der.shift * prefix_degree) % 2 else 1
             term = algebra.one() * (coeff * sign)
             for g in flat[:pos]:
                 term = term * algebra.gen(g.name)
@@ -509,6 +510,13 @@ def test_indecomposables_of_minimal_models_vanish():
         assert not any(column for n in range(top + 1) for column in q.columns(n)), name
 
 
+def test_linear_part_keeps_the_one_letter_terms():
+    alg = FreeGradedAlgebra([Generator("v", 2), Generator("w", 3)])
+    v, w = alg.gen("v"), alg.gen("w")
+    assert linear_part(v + v**2 + 3 * w) == v + 3 * w
+    assert linear_part(v * w + alg.one()).is_zero()
+
+
 def test_minimality_of_relative_models():
     model = _relative_model_of_multiplication_of_odd_sphere()
     assert minimality_check(model, base=["v1", "v2"]) is None
@@ -583,7 +591,7 @@ def maps_on_words(draw):
     shift and the algebra it maps into."""
     if draw(st.booleans()):
         der = draw(random_derivations(_WORD_ALGEBRA))
-        return der, der.degree, _WORD_ALGEBRA
+        return der, der.shift, _WORD_ALGEBRA
     target = loop_model(cpn_model(2)).algebra
     m = Morphism(
         _WORD_ALGEBRA,
@@ -668,7 +676,7 @@ def _with_values(f, values):
     """A map of the same kind, source, target and degree as f, with other values."""
     if isinstance(f, Morphism):
         return Morphism(f.source, f.target, values)
-    return Derivation(f.source, f.degree, values)
+    return Derivation(f.source, f.shift, values)
 
 
 @settings(max_examples=60, deadline=None)

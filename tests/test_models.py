@@ -258,7 +258,7 @@ def test_closed_form_s2_every_degree_has_dimension_one():
 def test_closed_form_cp2_degrees_alternate():
     # even entries v^p (sw)^i and odd entries v^p sv (sw)^i are all distinct
     form = loop_cohomology_closed_form(2, 2, 20)
-    assert form.all_dims_at_most_one
+    assert all(b <= 1 for b in form.dims)
     even = [deg for deg, label in form.entries if deg % 2 == 0]
     odd = [deg for deg, label in form.entries if deg % 2 == 1]
     assert len(set(even)) == len(even) and len(set(odd)) == len(odd)

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from sullivan.algebra import FreeGradedAlgebra, Generator
-from sullivan.calculus import CDGA, Morphism, koszul_model, loop_model
+from sullivan.calculus import CDGA, Derivation, Morphism, koszul_model, loop_model
 from sullivan.errors import AlgebraMismatch, UnknownGenerator
 from sullivan.homology import assemble_window, betti, quasi_iso_check
 from sullivan.models import (
@@ -51,6 +51,11 @@ RECORDS = one_of_each_record()
 
 def test_every_record_type_is_covered():
     assert len({type(record) for record, _ in RECORDS}) == 13
+
+
+def test_every_record_is_a_tuple():
+    for record, _ in RECORDS:
+        assert isinstance(record, tuple), type(record).__name__
 
 
 @pytest.mark.parametrize("record, field", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
@@ -98,6 +103,20 @@ def test_cdga_checks_its_differential():
     other = CDGA(a, {"x": a.zero(), "w": a.gen("x") ** 2})
     assert same == other and hash(same) == hash(other)
     assert repr(same) == f"CDGA(algebra={a!r}, differential={same.differential!r})"
+    assert len(same) == 2 and tuple(same) == (a, same.differential) and same == (a, other.differential)
+
+
+def test_derivations_compare_by_value():
+    a = FreeGradedAlgebra([Generator("x", 2), Generator("w", 3)])
+    values = {"w": a.gen("x") ** 2}
+    d = CDGA(a, values).differential
+    assert d == CDGA(a, dict(values)).differential and d != CDGA(a).differential
+    assert Derivation(a, 1, {}) != Derivation(a, -1, {})
+    identity = {"x": a.gen("x"), "w": a.gen("w")}
+    assert Derivation(a, 0, identity) != Morphism(a, a, identity)
+    assert Morphism(a, a, identity) == Morphism.inclusion(a, a)
+    with pytest.raises(TypeError):
+        hash(d)
 
 
 def test_d_of_an_unknown_name_raises_unknown_generator():
