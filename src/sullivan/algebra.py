@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator
+from .errors import AlgebraMismatch, BasisSizeExceeded, NameClash, UnknownGenerator
 
 # A canonical word: ((generator_index, exponent), ...), indices strictly
 # increasing, exponents >= 1, odd generators with exponent exactly 1.
@@ -62,7 +62,8 @@ class FreeGradedAlgebra:
     """The free graded-commutative algebra on a finite generator set.
 
     Generators are kept in canonical order (degree, name), independent of
-    the order they were supplied in.
+    the order they were supplied in.  A repeated name is a `NameClash`: this
+    is the one check every construction of a new algebra relies on.
     """
 
     def __init__(self, generators: Iterable[Generator]):
@@ -70,7 +71,7 @@ class FreeGradedAlgebra:
         self._index: dict[str, int] = {}
         for i, g in enumerate(self.generators):
             if self._index.setdefault(g.name, i) != i:
-                raise ValueError(f"duplicate generator name {g.name!r}")
+                raise NameClash(f"duplicate generator name {g.name!r}")
         self._degree: tuple[int, ...] = tuple(g.degree for g in self.generators)
         self._odd: tuple[bool, ...] = tuple(g.is_odd for g in self.generators)
 

@@ -6,7 +6,8 @@ alike.  So a Sullivan algebra (ΛV, d) is built from its free algebra and
 the values of d: `CDGA(algebra, values)`.  Every construction here (loop,
 tensor, renaming, quotient, Koszul) is a new free algebra plus new values
 of d, and the suspension and the projection give values only where they
-are nonzero.
+are nonzero.  The new algebra refuses a repeated generator name
+(`NameClash`), so no construction checks names itself.
 
 A derivation acts on one free algebra and extends from its generator
 values by the graded Leibniz rule.  `Derivation.on_word` is the one Leibniz
@@ -39,7 +40,6 @@ from .algebra import DEFAULT_BASIS_CAP, UNIT_WORD, Element, FreeGradedAlgebra, G
 from .errors import (
     AlgebraMismatch,
     InvalidDifferential,
-    NameClash,
     NotDifferentialIdeal,
     ParityError,
     SuspensionDegreeError,
@@ -245,13 +245,6 @@ def suspension(model: CDGA) -> tuple[FreeGradedAlgebra, Derivation]:
             raise SuspensionDegreeError(
                 f"generator {g.name!r} has degree {g.degree}; suspension needs degree >= 2"
             )
-    names = {g.name for g in old}
-    for g in old:
-        if suspended_name(g.name) in names:
-            raise NameClash(
-                f"algebra already contains {suspended_name(g.name)!r}; "
-                "iterated suspension is not supported"
-            )
     big = FreeGradedAlgebra(
         list(old) + [Generator(suspended_name(g.name), g.degree - 1) for g in old]
     )
@@ -281,11 +274,6 @@ def loop_model(model: CDGA) -> CDGA:
 
 def tensor_cdga(left: CDGA, right: CDGA) -> CDGA:
     """Tensor product model: generator union, differentials side by side."""
-    clash = {g.name for g in left.algebra.generators} & {
-        g.name for g in right.algebra.generators
-    }
-    if clash:
-        raise NameClash(f"generator names appear on both sides: {sorted(clash)}")
     big = FreeGradedAlgebra(list(left.algebra.generators) + list(right.algebra.generators))
     values: dict[str, Element] = {}
     for factor in (left, right):
@@ -304,11 +292,6 @@ def rename_generators(model: CDGA, mapping: Mapping[str, str]) -> CDGA:
     for name in mapping:
         model.algebra.generator(name)
     new_names: dict[str, str] = {g.name: mapping.get(g.name, g.name) for g in model.algebra.generators}
-    seen: set[str] = set()
-    for name in new_names.values():
-        if name in seen:
-            raise NameClash(f"renaming gives two generators the name {name!r}")
-        seen.add(name)
     new_alg = FreeGradedAlgebra(
         [Generator(new_names[g.name], g.degree) for g in model.algebra.generators]
     )
@@ -399,9 +382,8 @@ def koszul_model(presentation: CDGA, z: Element, window: int,
     if not z.is_homogeneous() or z.degree() == 0 or z.degree() % 2:
         raise ParityError(f"Koszul cocycle must be homogeneous of positive even degree, got {z}")
     degree = z.degree()
-    name = "sz"
-    if alg.has_generator(name):
-        raise NameClash(f"generator name {name!r} already taken")
+    # built first, so that a generator already named sz is refused before any basis is listed
+    big = FreeGradedAlgebra(list(alg.generators) + [Generator("sz", degree - 1)])
 
     # z is not a zero divisor in the window: a -> z*a injective per degree
     bases = alg.bases(window + degree, cap)
@@ -410,8 +392,7 @@ def koszul_model(presentation: CDGA, z: Element, window: int,
         if linalg.rank(linalg.matrix_of(products, bases[n + degree])) != len(bases[n]):
             raise ZeroDivisor(n, z)
 
-    big = FreeGradedAlgebra(list(alg.generators) + [Generator(name, degree - 1)])
-    model = CDGA(big, {name: Morphism.inclusion(alg, big)(z)})
+    model = CDGA(big, {"sz": Morphism.inclusion(alg, big)(z)})
 
     dims = tuple(len(bases[n]) - (len(bases[n - degree]) if n >= degree else 0)
                  for n in range(window + 1))

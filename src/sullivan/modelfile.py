@@ -7,12 +7,12 @@ A model file declares generators and differentials:
     generator w 5
     d w = v^3
 
-Statements are `generator <name> <degree>` and `d <name> = <expr>`;
-expressions combine rational coefficients (integer or integer/integer),
-generator names, + - * ^ and parentheses.  Omitted d lines mean a zero
-differential.  Every d target must be declared and every right-hand side
-must be homogeneous of degree |generator| + 1.  A file that declares no
-generators is the model of a point.
+Statements are `generator <name> <degree>` and `d <name> = <expr>`, each
+named by its whole first word; expressions combine rational coefficients
+(integer or integer/integer), generator names, + - * ^ and parentheses.
+Omitted d lines mean a zero differential.  Every d target must be declared
+and every right-hand side must be homogeneous of degree |generator| + 1.
+A file that declares no generators is the model of a point.
 
 Expressions are read by `Descent`, one recursive descent whose ring a
 subclass supplies: `_ExprParser` here reads elements of the model's
@@ -42,8 +42,9 @@ class Descent:
     `power`) and `error(message, column)`; a - b is add(a, neg(b)).  An
     integer with more than `DIGIT_LIMIT` digits is rejected as it is read
     (a literal is named `literal` in the message), and so is a parenthesis
-    nested deeper than `NESTING_LIMIT`; a '/' where an operand belongs is
-    the error `slash`.  Columns count from `offset` + 1.
+    nested deeper than `NESTING_LIMIT`; a '/' that the ring does not read
+    (where an operand, a ')' or the end belongs) is the error `slash`.
+    Columns count from `offset` + 1.
     """
 
     literal: str
@@ -97,9 +98,14 @@ class Descent:
 
     def parse(self):
         value = self.expr()
-        if self.pos < len(self.tokens):
-            raise self.error(f"unexpected {self.tokens[self.pos][1]!r}", self.here())
+        self.end()
         return value
+
+    def end(self):
+        """Refuse any token left after the expression."""
+        if self.pos < len(self.tokens):
+            text = self.tokens[self.pos][1]
+            raise self.error(self.slash if text == "/" else f"unexpected {text!r}", self.here())
 
     def expr(self):
         sign = self.take()[1] if self.peek_op("+", "-") else "+"
@@ -141,7 +147,8 @@ class Descent:
             self.depth += 1
             inner = self.expr()
             if not self.peek_op(")"):
-                raise self.error("missing closing parenthesis", self.here())
+                message = self.slash if self.peek_op("/") else "missing closing parenthesis"
+                raise self.error(message, self.here())
             self.take()
             self.depth -= 1
             return inner
@@ -259,8 +266,8 @@ def parse(text: str, validate: bool = True) -> CDGA:
             continue
         stripped = line.strip()
         indent = len(line) - len(line.lstrip())
-        if stripped.startswith("generator"):
-            parts = stripped.split()
+        parts = stripped.split()
+        if parts[0] == "generator":
             if len(parts) != 3:
                 raise ModelFileError("expected: generator <name> <degree>", lineno, indent + 1)
             _, name, degree_text = parts
@@ -276,7 +283,7 @@ def parse(text: str, validate: bool = True) -> CDGA:
                 raise ModelFileError(f"generator {name!r} declared twice", lineno, indent + 1)
             declared[name] = lineno
             generators.append(Generator(name, degree))
-        elif stripped == "d" or stripped.startswith("d ") or stripped.startswith("d\t"):
+        elif parts[0] == "d":
             m = re.match(r"d\s+([A-Za-z_][A-Za-z0-9_]*)\s*=", stripped)
             if m is None:
                 raise ModelFileError("expected: d <name> = <expr>", lineno, indent + 1)
@@ -285,7 +292,7 @@ def parse(text: str, validate: bool = True) -> CDGA:
             offset = indent + m.end()
             d_lines.append((target, lineno, expr_text, offset))
         else:
-            raise ModelFileError(f"unrecognized statement {stripped.split()[0]!r}", lineno, indent + 1)
+            raise ModelFileError(f"unrecognized statement {parts[0]!r}", lineno, indent + 1)
 
     algebra = FreeGradedAlgebra(generators)
     values: dict[str, Element] = {}

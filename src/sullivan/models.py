@@ -197,15 +197,10 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
     target_alg = target.algebra
     kept = target_alg.generators
 
-    big_gens: list[Generator] = []
-    original_degree: dict[str, int] = {}
-    for g in kept:
-        for name in (f"{g.name}_1", f"{g.name}_2", suspended_name(g.name)):
-            original_degree[name] = g.degree
-        big_gens.append(Generator(f"{g.name}_1", g.degree))
-        big_gens.append(Generator(f"{g.name}_2", g.degree))
-        big_gens.append(Generator(suspended_name(g.name), g.degree - 1))
-    big = FreeGradedAlgebra(big_gens)
+    # each generator v has the copies v_1 and v_2 in the base and the suspension sv
+    copies = {g.name: (f"{g.name}_1", f"{g.name}_2") for g in kept}
+    big = FreeGradedAlgebra([Generator(c, g.degree) for g in kept for c in copies[g.name]]
+                            + [Generator(suspended_name(g.name), g.degree - 1) for g in kept])
 
     # gamma is solved for only where dv != 0 (then dv_1 - dv_2 != 0), in
     # degree |v| with rows in degree |v| + 1, so list no higher and, when
@@ -213,44 +208,37 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
     top = max((g.degree for g in kept if not target.d_of(g.name).is_zero()), default=None)
     bases, target_bases = (big.bases(top + 1), target_alg.bases(top)) if top is not None else ((), ())
 
-    copy1 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_1") for g in kept})
-    copy2 = Morphism(target_alg, big, {g.name: big.gen(f"{g.name}_2") for g in kept})
-    phi = Morphism(big, target_alg, {f"{g.name}_{k}": target_alg.gen(g.name) for g in kept for k in (1, 2)})
+    copy_maps = [Morphism(target_alg, big, {v: big.gen(pair[k]) for v, pair in copies.items()})
+                 for k in (0, 1)]
+    phi = Morphism(big, target_alg, {c: target_alg.gen(v) for v, pair in copies.items() for c in pair})
 
     d_values: dict[str, Element] = {}
     gammas: dict[str, Element] = {}
     for g in kept:
+        v1, v2 = copies[g.name]
         dv = target.d_of(g.name)
-        dv1 = copy1(dv)
-        dv2 = copy2(dv)
-        d_values[f"{g.name}_1"] = dv1
-        d_values[f"{g.name}_2"] = dv2
-
-        rhs = dv1 - dv2
+        d_values[v1], d_values[v2] = (m(dv) for m in copy_maps)
+        rhs = d_values[v1] - d_values[v2]
         if rhs.is_zero():
             gamma = big.zero()
         else:
-            gamma = _solve_gamma(Derivation(big, 1, d_values), phi, original_degree, g, rhs,
-                                 bases, target_bases)
+            gamma = _solve_gamma(Derivation(big, 1, d_values), phi, g, rhs, bases, target_bases)
         gammas[g.name] = gamma
-        d_values[suspended_name(g.name)] = big.gen(f"{g.name}_1") - big.gen(f"{g.name}_2") - gamma
+        d_values[suspended_name(g.name)] = big.gen(v1) - big.gen(v2) - gamma
 
-    mm = CDGA(big, d_values)
-    base = tuple(
-        name for g in kept for name in (f"{g.name}_1", f"{g.name}_2")
-    )
-    return MultiplicationModel(mm, phi, target, base, gammas)
+    base = tuple(c for pair in copies.values() for c in pair)
+    return MultiplicationModel(CDGA(big, d_values), phi, target, base, gammas)
 
 
-def _solve_gamma(derivation, phi, original_degree, g, rhs, bases, target_bases):
-    # the generators built before g are those from generators of lower degree
+def _solve_gamma(derivation, phi, g, rhs, bases, target_bases):
+    # Every letter has degree >= 1, so a word of two or more letters in
+    # degree |g| holds only letters of degree < |g|: copies of generators of
+    # lower degree, and suspensions of generators of degree <= |g|.  Of
+    # these, only the suspensions of the generators of degree |g| are not
+    # built before g.
     big = derivation.source
-    candidates = [
-        w
-        for w in bases[g.degree]
-        if word_length(w) >= 2
-        and all(original_degree[big.generators[i].name] < g.degree for i, _ in w)
-    ]
+    unbuilt = {big.index_of(suspended_name(h.name)) for h in phi.target.generators if h.degree == g.degree}
+    candidates = [w for w in bases[g.degree] if word_length(w) >= 2 and not any(i in unbuilt for i, _ in w)]
     # A stacks the rows of D(gamma) = rhs, one per degree-(|g|+1) word, over
     # those of phi(gamma) = 0, one per degree-|g| word of the target.  x
     # solves A x = rhs iff -rhs reduces to zero against the columns of A,

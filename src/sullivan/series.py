@@ -11,8 +11,8 @@ squaring.  A literal, product or expansion coefficient with more than
 
 A rational function is read by `modelfile.Descent`, the recursive descent
 of model files, over a second ring: integer polynomials in z.  The two
-grammars share their tokens, messages and limits; here one '/', at the top
-level, separates numerator from denominator.
+grammars share their tokens, messages and limits; here the descent reads
+one '/', at the top level, between numerator and denominator.
 """
 
 from __future__ import annotations
@@ -132,30 +132,23 @@ class _PolyParser(Descent):
 
 
 def parse_rational(text: str, max_degree: int) -> RationalFunctionForm:
-    """Parse "<poly>" or "<poly>/<poly>" with the single slash at depth zero.
+    """Parse "<poly>" or "<poly>/<poly>": the descent reads the numerator,
+    then at most one '/' at the top level and the denominator.
 
     Both polynomials lose their terms above z^max_degree, which
     `expand_rational` to that degree never reads.
     """
-    depth = 0
-    split = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if split is not None:
-                raise RationalFormError("more than one top-level division")
-            split = i
-    if split is None:
-        num_text, den_text = text, "1"
-    else:
-        num_text, den_text = text[:split], text[split + 1 :]
-    num = _poly_trim(_PolyParser(num_text, max_degree).parse())
-    den_parser = _PolyParser(den_text, max_degree)
-    den = _poly_trim(den_parser.parse())
-    if not den and not den_parser.dropped:
+    parser = _PolyParser(text, max_degree)
+    num = _poly_trim(parser.expr())
+    den: Poly = (1,)
+    parser.dropped = False  # only the denominator's dropped terms are read
+    if parser.peek_op("/"):
+        parser.take()
+        den = _poly_trim(parser.expr())
+        if parser.peek_op("/"):
+            raise RationalFormError("more than one top-level division")
+    parser.end()
+    if not den and not parser.dropped:
         raise RationalFormError("denominator is identically zero")
     if not den or den[0] == 0:
         raise PoleAtZero("denominator vanishes at z = 0")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sullivan.algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Generator, monomial
 from sullivan.calculus import Morphism
-from sullivan.errors import AlgebraMismatch, BasisSizeExceeded, UnknownGenerator
+from sullivan.errors import AlgebraMismatch, BasisSizeExceeded, NameClash, UnknownGenerator
 
 from helpers import algebra_v2_w3, algebra_v3_sv2, algebra_yz3, brute_force_basis_count
 
@@ -335,7 +335,7 @@ def test_subtraction_is_adding_the_negative():
 
 
 def test_a_duplicate_generator_name_is_refused():
-    with pytest.raises(ValueError, match="^duplicate generator name 'x'$"):
+    with pytest.raises(NameClash, match="^duplicate generator name 'x'$"):
         FreeGradedAlgebra([Generator("x", 3), Generator("y", 2), Generator("x", 2)])
 
 

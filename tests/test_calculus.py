@@ -353,8 +353,26 @@ def test_rename_introduces_koszul_sign():
 
 
 def test_rename_clash_names_the_shared_name():
-    with pytest.raises(NameClash, match="^renaming gives two generators the name 'w'$"):
+    with pytest.raises(NameClash, match="^duplicate generator name 'w'$"):
         rename_generators(cpn_model(2), {"v": "w"})
+
+
+def _presentation_with_sz() -> CDGA:
+    return CDGA(FreeGradedAlgebra([Generator("x", 2), Generator("sz", 3)]))
+
+
+@pytest.mark.parametrize("construct, name", [
+    (lambda: tensor_cdga(s3_model(), s3_model()), "v"),
+    (lambda: suspension(loop_model(s3_model())), "sv"),
+    (lambda: rename_generators(cpn_model(2), {"v": "w"}), "w"),
+    # refused before any basis is listed: a cap of 1 would refuse degree 2
+    (lambda: koszul_model(_presentation_with_sz(), _presentation_with_sz().algebra.gen("x"), 50, cap=1),
+     "sz"),
+], ids=["tensor", "suspension", "rename", "koszul"])
+def test_every_construction_names_its_clash_through_the_algebra(construct, name):
+    with pytest.raises(NameClash) as info:
+        construct()
+    assert str(info.value) == f"duplicate generator name {name!r}"
 
 
 def test_rename_roundtrip_is_identity():

@@ -125,7 +125,7 @@ def test_loop_names_the_generator_a_suspension_clashes_with(capsys, tmp_path):
     path = tmp_path / "clash.model"
     path.write_text("generator v 2\ngenerator s_v 3\nd s_v = v^2\n")
     assert main(["loop", str(path)]) == 2
-    assert capsys.readouterr() == ("", "error: renaming gives two generators the name 's_v'\n")
+    assert capsys.readouterr() == ("", "error: duplicate generator name 's_v'\n")
 
 
 def test_series_comparison_equal(s3s3_file, tmp_path):

@@ -76,6 +76,40 @@ def test_duplicates_rejected():
         parse("generator v 2\ngenerator w 5\nd w = v^3\nd w = v^3\n")
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("generator v\n", 1, 1, "expected: generator <name> <degree>"),
+    ("  generator v 2 3\n", 1, 3, "expected: generator <name> <degree>"),
+    ("generator 2v 2\n", 1, 1, "invalid generator name '2v'"),
+    ("generator v two\n", 1, 1, "invalid degree 'two'"),
+    (" generator v 0\n", 1, 2, "generator degree must be >= 1"),
+    ("generator v 2\n\tgenerator v 3\n", 2, 2, "generator 'v' declared twice"),
+    ("generator v 3\n  d v + 1\n", 2, 3, "expected: d <name> = <expr>"),
+    ("generator v 3\nd\n", 2, 1, "expected: d <name> = <expr>"),
+    ("  hello v 2\n", 1, 3, "unrecognized statement 'hello'"),
+    ("generator v 2\ndw = v\n", 2, 1, "unrecognized statement 'dw'"),
+    ("generator v 2\nd q = v\n", 2, 1, "d target 'q' is not a declared generator"),
+    ("generator v 3\nd v = 0\nd v = 0\n", 3, 1, "duplicate d line for 'v'"),
+], ids=["part-count", "part-count-indented", "name", "degree", "degree-positive", "declared-twice",
+        "d-shape", "bare-d", "unrecognized", "unrecognized-d-prefix", "undeclared-d-target",
+        "duplicate-d-line"])
+def test_each_statement_error_has_its_message_and_column(text, line, column, message):
+    with pytest.raises(ModelFileError) as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
+def test_a_statement_keyword_is_its_whole_first_word():
+    # a longer first word that starts with a keyword is not that statement
+    for text, word in (("generatorfoo v 2\n", "generatorfoo"), ("generators w 3\n", "generators")):
+        with pytest.raises(ModelFileError) as info:
+            parse(text)
+        assert str(info.value) == f"line 1, column 1: unrecognized statement {word!r}"
+    # whitespace of any kind still ends the keyword
+    model = parse("generator\tv 2\ngenerator w  5\nd\tw = v^3\n")
+    assert model == cpn_model(2)
+
+
 def test_differential_must_square_to_zero():
     text = "generator v 2\ngenerator w 3\nd v = w\nd w = v^2\n"
     with pytest.raises(InvalidDifferential) as info:
@@ -284,8 +318,11 @@ def test_empty_model_round_trips():
     ("v^v", 3, "exponent must be an integer", None),
     ("v+", 3, "unexpected end of expression", None),
     ("(v", 3, "missing closing parenthesis", None),
+    ("(v/2)", 3, "'/' is only allowed after an integer coefficient",
+     "division is only allowed once, at the top level"),
+    ("v/2/2", 2, "'/' is only allowed after an integer coefficient", "more than one top-level division"),
 ], ids=["nesting", "exponent-digits", "literal-digits", "exponent-not-integer", "trailing-plus",
-        "unclosed-parenthesis"])
+        "unclosed-parenthesis", "slash-in-parentheses", "slash-after-the-expression"])
 def test_both_rings_of_the_one_descent_give_one_message(expr, column, message, series_message):
     # the same text, with z for v, read as a model element and as a rational function
     alg = FreeGradedAlgebra([Generator("v", 2)])

@@ -410,13 +410,17 @@ def test_assembly_builds_no_elements(monkeypatch):
     assert sum(map(len, columns)) > 400
 
 
-def _record_solves(monkeypatch) -> dict[int, tuple[list, list]]:
-    """Per echelon: the columns added to it, and the last relation it returned."""
+def _record_solves(monkeypatch) -> dict[linalg.Echelon, tuple[list, list]]:
+    """Per echelon: the columns added to it, and the last relation it returned.
+
+    Keyed by the echelon itself, which the dict keeps alive: an id() key
+    could be reused by a later echelon once an earlier one is freed, and
+    merge two solves."""
     add = linalg.Echelon.add
-    solves: dict[int, tuple[list, list]] = {}
+    solves: dict[linalg.Echelon, tuple[list, list]] = {}
 
     def recorded_add(echelon, column):
-        columns, last = solves.setdefault(id(echelon), ([], [None]))
+        columns, last = solves.setdefault(echelon, ([], [None]))
         columns.append(column)
         last[0] = add(echelon, column)
         return last[0]
