@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import AlgebraMismatch, BasisSizeExceeded, NameClash, UnknownGenerator
 
@@ -77,13 +77,10 @@ class FreeGradedAlgebra:
 
     # -- generator access ---------------------------------------------------
 
-    def index_of(self, gen: Generator | str) -> int:
-        name = gen if isinstance(gen, str) else gen.name
+    def index_of(self, name: str) -> int:
         i = self._index.get(name)
         if i is None:
             raise UnknownGenerator(f"no generator named {name!r} in this algebra")
-        if not isinstance(gen, str) and self.generators[i] != gen:
-            raise UnknownGenerator(f"generator {gen!r} does not belong to this algebra")
         return i
 
     def generator(self, name: str) -> Generator:
@@ -116,28 +113,6 @@ class FreeGradedAlgebra:
             name = self.generators[i].name
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
-
-    def normalize_monomial(self, factors: Sequence[Generator | str]) -> tuple[Word, int] | None:
-        """Sort a word of generators into canonical order with its Koszul sign.
-
-        Returns (canonical word, sign) or None when an odd generator repeats
-        (the product is zero).  The sign is -1 to the number of transpositions
-        of odd-degree factor pairs; even generators commute freely.
-        """
-        idx = [self.index_of(g) for g in factors]
-        odd_seq = [i for i in idx if self._odd[i]]
-        inversions = 0
-        for a in range(len(odd_seq)):
-            for b in range(a + 1, len(odd_seq)):
-                if odd_seq[a] > odd_seq[b]:
-                    inversions += 1
-                elif odd_seq[a] == odd_seq[b]:
-                    return None
-        counts: dict[int, int] = {}
-        for i in idx:
-            counts[i] = counts.get(i, 0) + 1
-        word = tuple((i, counts[i]) for i in sorted(counts))
-        return word, (-1 if inversions % 2 else 1)
 
     def multiply_words(self, wa: Word, wb: Word) -> tuple[Word, int] | None:
         """Product of two canonical words, or None when an odd square appears."""
@@ -279,9 +254,6 @@ class Element:
             raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def coefficient(self, word: Word) -> Fraction:
-        return self.terms.get(word, Fraction(0))
-
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms ordered by (degree, word): deterministic for printing."""
         return sorted(self.terms.items(), key=lambda wc: (self.algebra.word_degree(wc[0]), wc[0]))
@@ -363,13 +335,3 @@ class Element:
 
     def __repr__(self) -> str:
         return f"<Element {self}>"
-
-
-def monomial(algebra: FreeGradedAlgebra, factors: Sequence[Generator | str]) -> Element:
-    """The product of the given generators as an element (0 on odd repeats)."""
-    norm = algebra.normalize_monomial(factors)
-    if norm is None:
-        return algebra.zero()
-    word, sign = norm
-    return Element(algebra, {word: Fraction(sign)})
-

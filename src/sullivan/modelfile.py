@@ -258,7 +258,7 @@ def parse(text: str, validate: bool = True) -> CDGA:
     """Parse a model file into a CDGA; validate certifies d*d = 0."""
     generators: list[Generator] = []
     declared: dict[str, int] = {}
-    d_lines: list[tuple[str, int, str, int]] = []  # (target, line no, expr text, expr offset)
+    d_lines: list[tuple[str, int, int, str, int]] = []  # (target, line no, column, expr text, expr offset)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _split_statement(raw)
@@ -290,17 +290,17 @@ def parse(text: str, validate: bool = True) -> CDGA:
             target = m.group(1)
             expr_text = stripped[m.end():]
             offset = indent + m.end()
-            d_lines.append((target, lineno, expr_text, offset))
+            d_lines.append((target, lineno, indent + 1, expr_text, offset))
         else:
             raise ModelFileError(f"unrecognized statement {parts[0]!r}", lineno, indent + 1)
 
     algebra = FreeGradedAlgebra(generators)
     values: dict[str, Element] = {}
-    for target, lineno, expr_text, offset in d_lines:
+    for target, lineno, column, expr_text, offset in d_lines:
         if target not in declared:
-            raise ModelFileError(f"d target {target!r} is not a declared generator", lineno, 1)
+            raise ModelFileError(f"d target {target!r} is not a declared generator", lineno, column)
         if target in values:
-            raise ModelFileError(f"duplicate d line for {target!r}", lineno, 1)
+            raise ModelFileError(f"duplicate d line for {target!r}", lineno, column)
         expected = algebra.generator(target).degree + 1
         value = _ExprParser(expr_text, lineno, offset, algebra, expected, target).parse()
         if not value.is_zero():

@@ -30,7 +30,6 @@ from .calculus import (
     rename_generators,
     require_valid,
     suspended_name,
-    suspension,
     tensor_cdga,
 )
 from .errors import DIGIT_LIMIT, NotApplicable, WindowTooSmall, too_many_digits
@@ -161,13 +160,13 @@ class MultiplicationModel(NamedTuple):
     The carrier holds two renamed copies of every generator plus one
     suspended generator each; phi is the quasi-isomorphism onto the
     diagonal sending both copies to the original and suspensions to zero.
+    The correction of v is gamma = v_1 - v_2 - D(sv).
     """
 
     model: CDGA
     phi: Morphism
     target: CDGA
     base: tuple[str, ...]
-    gammas: dict[str, Element]
 
 
 def multiplication_model(model: CDGA, max_degree: int | None = None) -> MultiplicationModel:
@@ -213,7 +212,6 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
     phi = Morphism(big, target_alg, {c: target_alg.gen(v) for v, pair in copies.items() for c in pair})
 
     d_values: dict[str, Element] = {}
-    gammas: dict[str, Element] = {}
     for g in kept:
         v1, v2 = copies[g.name]
         dv = target.d_of(g.name)
@@ -223,11 +221,10 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
             gamma = big.zero()
         else:
             gamma = _solve_gamma(Derivation(big, 1, d_values), phi, g, rhs, bases, target_bases)
-        gammas[g.name] = gamma
         d_values[suspended_name(g.name)] = big.gen(v1) - big.gen(v2) - gamma
 
     base = tuple(c for pair in copies.values() for c in pair)
-    return MultiplicationModel(CDGA(big, d_values), phi, target, base, gammas)
+    return MultiplicationModel(CDGA(big, d_values), phi, target, base)
 
 
 def _solve_gamma(derivation, phi, g, rhs, bases, target_bases):
@@ -256,28 +253,6 @@ def _solve_gamma(derivation, phi, g, rhs, bases, target_bases):
     last = len(candidates)
     return Element(big, {candidates[c]: Fraction(x, solution[last])
                          for c, x in sorted(solution.items()) if c != last})
-
-
-def collapse_multiplication_model(mm: MultiplicationModel) -> CDGA:
-    """Pushout of the multiplication: identify the two copies.
-
-    The result lives on the original generators plus their suspensions and
-    is a free-loop-space model of the target.
-    """
-    target = mm.target
-    loop_alg, _ = suspension(target)
-    values = {}
-    for g in target.algebra.generators:
-        values[f"{g.name}_1"] = loop_alg.gen(g.name)
-        values[f"{g.name}_2"] = loop_alg.gen(g.name)
-        values[suspended_name(g.name)] = loop_alg.gen(suspended_name(g.name))
-    rho = Morphism(mm.model.algebra, loop_alg, values)
-    include = Morphism.inclusion(target.algebra, loop_alg)
-    d_values = {}
-    for g in target.algebra.generators:
-        d_values[g.name] = include(target.d_of(g.name))
-        d_values[suspended_name(g.name)] = rho(mm.model.d_of(suspended_name(g.name)))
-    return CDGA(loop_alg, d_values)
 
 
 # -- closed-form loop cohomology for truncated polynomial spaces -------------------
@@ -347,10 +322,6 @@ class WitnessReport(NamedTuple):
     z: str
     period: int
     entries: tuple[WitnessEntry, ...]
-
-    @property
-    def all_certified(self) -> bool:
-        return all(e.cocycles_verified and e.independent for e in self.entries)
 
 
 def _loop_base_names(loop: CDGA) -> list[str]:

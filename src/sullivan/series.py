@@ -30,11 +30,6 @@ class RationalFunctionForm(NamedTuple):
     denominator: Poly
 
 
-def multiply_series(a: Poly, b: Poly) -> Poly:
-    """Cauchy product truncated to the shorter input."""
-    return _poly_mul(a, b, min(len(a), len(b)) - 1)
-
-
 def expand_rational(f: RationalFunctionForm, max_degree: int) -> Poly:
     """Power series coefficients of numerator/denominator up to max_degree."""
     num, den = f.numerator, f.denominator
@@ -88,7 +83,7 @@ class _PolyParser(Descent):
     their terms above z^top; `dropped` records whether a nonzero one was."""
 
     literal = "integer"
-    slash = "division is only allowed once, at the top level"
+    slash = "'/' is only allowed once, at the top level, after a numerator"
     add = staticmethod(_poly_add)
 
     def __init__(self, text: str, top: int):

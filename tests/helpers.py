@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator, Word
-from sullivan.calculus import CDGA
-from sullivan.models import Recipe, build
+from sullivan.calculus import CDGA, suspended_name
+from sullivan.models import MultiplicationModel, Recipe, build
 
 
 def algebra_v3_sv2() -> FreeGradedAlgebra:
@@ -77,18 +78,41 @@ def random_monomial(rng: random.Random, algebra: FreeGradedAlgebra, max_degree: 
     return Element(algebra, {word: Fraction(1)})
 
 
-def random_element(rng: random.Random, algebra: FreeGradedAlgebra, degree: int,
-                   max_terms: int = 3) -> Element:
-    """A random homogeneous element of the given degree (possibly zero)."""
-    basis = algebra.basis_in_degree(degree)
-    out = algebra.zero()
-    if not basis:
-        return out
-    for _ in range(rng.randint(1, max_terms)):
-        word = rng.choice(basis)
-        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        out = out + Element(algebra, {word: coeff})
-    return out
+# -- products written from public data alone -------------------------------------------
+
+
+def koszul_sorted(degrees, letters):
+    """Oracle product of generators: `letters` are generator indices, in any
+    order, and `degrees[i]` is the degree of generator i.
+
+    Insertion-sorts the letters, flipping the sign at each swap of two odd
+    letters, and returns (canonical word, sign), or None when an odd letter
+    repeats (the product is zero).
+    """
+    letters = list(letters)
+    sign = 1
+    for j in range(1, len(letters)):
+        while j and letters[j - 1] > letters[j]:
+            if degrees[letters[j - 1]] % 2 and degrees[letters[j]] % 2:
+                sign = -sign
+            letters[j - 1], letters[j] = letters[j], letters[j - 1]
+            j -= 1
+    counts = Counter(letters)
+    if any(degrees[i] % 2 and e > 1 for i, e in counts.items()):
+        return None
+    return tuple(sorted(counts.items())), sign
+
+
+def cauchy_product(a, b):
+    """Oracle product of two truncated series, to the length of the shorter."""
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b))))
+
+
+def gamma(mm: MultiplicationModel, name: str) -> Element:
+    """The decomposable correction of generator `name` in a multiplication
+    model: v_1 - v_2 - D(sv)."""
+    alg = mm.model.algebra
+    return alg.gen(f"{name}_1") - alg.gen(f"{name}_2") - mm.model.d_of(suspended_name(name))
 
 
 # -- dense test-only oracles, independent of `sullivan.linalg` --------------------------
@@ -108,7 +132,7 @@ def normalised(z: dict[int, int] | None) -> dict[int, Fraction] | None:
 def element_coordinates(e: Element, basis: tuple[Word, ...]) -> list[Fraction]:
     """Dense coordinates of `e` over `basis`; every term of `e` must be a basis word."""
     assert set(e.terms) <= set(basis), "element has a term outside the basis"
-    return [e.coefficient(w) for w in basis]
+    return [e.terms.get(w, Fraction(0)) for w in basis]
 
 
 def element_from_coordinates(algebra: FreeGradedAlgebra, basis: tuple[Word, ...],

@@ -156,7 +156,7 @@ def test_criterion_8_witness_lower_bounds():
     loop = loop_model(model)
     witness_report = vps_witnesses_for_model(loop, 6)
     loop_betti = betti(loop, 12).betti
-    ok = witness_report.all_certified
+    ok = all(e.cocycles_verified and e.independent for e in witness_report.entries)
     for entry in witness_report.entries:
         ok = ok and entry.count == entry.k + 1 and entry.degree == 2 * entry.k
         if entry.degree <= 12:

@@ -5,54 +5,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Generator, monomial
+from sullivan.algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Generator
 from sullivan.calculus import Morphism
 from sullivan.errors import AlgebraMismatch, BasisSizeExceeded, NameClash, UnknownGenerator
 
-from helpers import algebra_v2_w3, algebra_v3_sv2, algebra_yz3, brute_force_basis_count
+from helpers import algebra_v2_w3, algebra_v3_sv2, algebra_yz3, brute_force_basis_count, koszul_sorted
 
 
-# -- normalize_monomial -------------------------------------------------------
+# -- products of generators ----------------------------------------------------
 
 
 def test_even_factor_commutes_freely():
     alg = algebra_v2_w3()  # |x|=2 written v, |y|=3 written w
-    word, sign = alg.normalize_monomial(["w", "v"])
-    assert alg.word_str(word) == "v*w"
-    assert sign == 1
+    v, w = alg.gen("v"), alg.gen("w")
+    assert str(w * v) == "v*w"
+    assert w * v == v * w
 
 
 def test_odd_odd_swap_changes_sign():
     alg = algebra_yz3()
-    word, sign = alg.normalize_monomial(["y", "z"])
-    assert alg.word_str(word) == "y*z" and sign == 1
-    word, sign = alg.normalize_monomial(["z", "y"])
-    assert alg.word_str(word) == "y*z" and sign == -1
+    y, z = alg.gen("y"), alg.gen("z")
+    assert str(y * z) == "y*z"
+    assert str(z * y) == "-y*z"
+    assert z * y == -(y * z)
 
 
 def test_exterior_square_is_zero():
     alg = algebra_yz3()
-    assert alg.normalize_monomial(["y", "y"]) is None
-    assert monomial(alg, ["y", "y"]).is_zero()
+    assert (alg.gen("y") * alg.gen("y")).is_zero()
 
 
 def test_normalize_unknown_generator():
     alg = algebra_yz3()
     with pytest.raises(UnknownGenerator):
-        alg.normalize_monomial(["y", "nope"])
+        alg.gen("y") * alg.gen("nope")
 
 
 def test_normalize_is_idempotent_on_canonical_words():
     alg = FreeGradedAlgebra(
         [Generator("a", 2), Generator("b", 3), Generator("c", 3), Generator("e", 4)]
     )
+    degrees = [g.degree for g in alg.generators]
     for basis in alg.bases(12)[1:]:
         for word in basis:
-            flat = []
-            for i, exp in word:
-                flat.extend([alg.generators[i].name] * exp)
-            renorm = alg.normalize_monomial(flat)
-            assert renorm == (word, 1)
+            letters = [i for i, exp in word for _ in range(exp)]
+            product = alg.one()
+            for i in letters:
+                product = product * alg.gen(alg.generators[i].name)
+            assert product == Element(alg, {word: Fraction(1)})
+            assert koszul_sorted(degrees, letters) == (word, 1)
 
 
 # -- multiply -------------------------------------------------------------------
@@ -61,7 +62,7 @@ def test_normalize_is_idempotent_on_canonical_words():
 def test_square_of_even_generator():
     alg = algebra_v3_sv2()
     sv = alg.gen("sv")
-    assert (sv * sv) == monomial(alg, ["sv", "sv"])
+    assert (sv * sv) == Element(alg, {((0, 2),): Fraction(1)})  # sv, of degree 2, comes first
     assert not (sv * sv).is_zero()
 
 

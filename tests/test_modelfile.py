@@ -88,10 +88,12 @@ def test_duplicates_rejected():
     ("  hello v 2\n", 1, 3, "unrecognized statement 'hello'"),
     ("generator v 2\ndw = v\n", 2, 1, "unrecognized statement 'dw'"),
     ("generator v 2\nd q = v\n", 2, 1, "d target 'q' is not a declared generator"),
+    ("generator v 2\n    d q = v\n", 2, 5, "d target 'q' is not a declared generator"),
     ("generator v 3\nd v = 0\nd v = 0\n", 3, 1, "duplicate d line for 'v'"),
+    ("generator v 3\nd v = 0\n  d v = 0\n", 3, 3, "duplicate d line for 'v'"),
 ], ids=["part-count", "part-count-indented", "name", "degree", "degree-positive", "declared-twice",
         "d-shape", "bare-d", "unrecognized", "unrecognized-d-prefix", "undeclared-d-target",
-        "duplicate-d-line"])
+        "undeclared-d-target-indented", "duplicate-d-line", "duplicate-d-line-indented"])
 def test_each_statement_error_has_its_message_and_column(text, line, column, message):
     with pytest.raises(ModelFileError) as info:
         parse(text)
@@ -319,7 +321,7 @@ def test_empty_model_round_trips():
     ("v+", 3, "unexpected end of expression", None),
     ("(v", 3, "missing closing parenthesis", None),
     ("(v/2)", 3, "'/' is only allowed after an integer coefficient",
-     "division is only allowed once, at the top level"),
+     "'/' is only allowed once, at the top level, after a numerator"),
     ("v/2/2", 2, "'/' is only allowed after an integer coefficient", "more than one top-level division"),
 ], ids=["nesting", "exponent-digits", "literal-digits", "exponent-not-integer", "trailing-plus",
         "unclosed-parenthesis", "slash-in-parentheses", "slash-after-the-expression"])

@@ -8,11 +8,10 @@ from sullivan.homology import betti
 from sullivan.series import (
     RationalFunctionForm,
     expand_rational,
-    multiply_series,
     parse_rational,
 )
 
-from helpers import even_sphere_model, s3_model, s3s3_model
+from helpers import cauchy_product, even_sphere_model, s3_model, s3s3_model
 
 
 # -- series from reports -----------------------------------------------------------
@@ -45,14 +44,14 @@ def test_cauchy_product_against_long_division():
     # (1+z^3) * 1/(1-z) == (1+z^3)/(1-z)
     numerator = (1, 0, 0, 1, 0, 0, 0, 0, 0)
     geometric = expand_rational(RationalFunctionForm((1,), (1, -1)), 8)
-    product = multiply_series(numerator, geometric)
+    product = cauchy_product(numerator, geometric)
     direct = expand_rational(RationalFunctionForm((1, 0, 0, 1), (1, -1)), 8)
     assert product == direct
 
 
 def test_squared_loop_series_is_product_series():
     s3_series = betti(loop_model(s3_model()), 12).betti
-    squared = multiply_series(s3_series, s3_series)
+    squared = cauchy_product(s3_series, s3_series)
     s3s3_series = betti(loop_model(s3s3_model()), 12).betti
     assert squared == s3s3_series
 
@@ -60,7 +59,7 @@ def test_squared_loop_series_is_product_series():
 def test_multiplication_by_one():
     series = (1, 2, 3, 4)
     one = (1, 0, 0, 0)
-    assert multiply_series(series, one) == series
+    assert cauchy_product(series, one) == series
 
 
 def test_kunneth_on_even_sphere_product():
@@ -70,7 +69,7 @@ def test_kunneth_on_even_sphere_product():
     tensor = tensor_cdga(left, right)
     direct = betti(tensor, 10).betti
     factor = betti(left, 10).betti
-    assert direct == multiply_series(factor, factor)
+    assert direct == cauchy_product(factor, factor)
 
 
 # -- rational function expansion ----------------------------------------------------------
@@ -105,8 +104,10 @@ def test_non_integral_expansion_rejected():
 def test_grammar_errors():
     with pytest.raises(RationalFormError):
         parse_rational("1/(1-z)/2", 4)
-    with pytest.raises(RationalFormError):
-        parse_rational("(1/2)+z", 4)
+    for text in ("/z", "1+/z", "(/z)", "(1/2)+z"):  # one message for every misplaced '/'
+        with pytest.raises(RationalFormError) as info:
+            parse_rational(text, 4)
+        assert str(info.value) == "'/' is only allowed once, at the top level, after a numerator"
     with pytest.raises(RationalFormError):
         parse_rational("q+1", 4)
     with pytest.raises(RationalFormError):
@@ -179,11 +180,10 @@ unit_constant_polys = st.tuples(
 @settings(max_examples=120)
 @given(small_polys, unit_constant_polys, small_polys, unit_constant_polys)
 def test_expansion_of_products_is_product_of_expansions(na, da, nb, db):
-    from sullivan.series import _poly_mul
-
     fa = RationalFunctionForm(na, da)
     fb = RationalFunctionForm(nb, db)
-    combined = RationalFunctionForm(_poly_mul(na, nb, 10), _poly_mul(da, db, 10))
+    pad = (0,) * 10  # every product has degree at most 6, so no term is cut
+    combined = RationalFunctionForm(cauchy_product(na + pad, nb + pad), cauchy_product(da + pad, db + pad))
     lhs = expand_rational(combined, 10)
-    rhs = multiply_series(expand_rational(fa, 10), expand_rational(fb, 10))
+    rhs = cauchy_product(expand_rational(fa, 10), expand_rational(fb, 10))
     assert lhs == rhs
