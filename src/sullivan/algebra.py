@@ -4,8 +4,9 @@ A generator is a named symbol with a positive integer degree.  Odd-degree
 generators are exterior (square zero), even-degree generators are polynomial.
 Monomials are stored as canonical words: tuples of (generator index, exponent)
 pairs with indices strictly increasing in the algebra's canonical order,
-which is (degree, name).  Elements are finite Fraction-weighted sums of
-canonical words.
+which is (degree, name).  Elements are finite rational sums of canonical
+words.  A coefficient is whatever exact Python arithmetic gives: an `int`
+stays an `int`, and a `Fraction` is made only where the program divides.
 
 `FreeGradedAlgebra.bases(top, cap)` lists the monomial bases of degrees
 0..top in one table pass over the generators, counted before they are
@@ -27,6 +28,8 @@ from .errors import AlgebraMismatch, BasisSizeExceeded, NameClash, UnknownGenera
 Word = tuple[tuple[int, int], ...]
 
 UNIT_WORD: Word = ()
+
+Coefficient = int | Fraction
 
 # The default `cap` on the size of each degree's basis (`bases(top, cap)`)
 # in the cohomology readers and the command line.
@@ -92,13 +95,13 @@ class FreeGradedAlgebra:
     def gen(self, name: str) -> "Element":
         """The generator as an element."""
         i = self.index_of(name)
-        return Element(self, {((i, 1),): Fraction(1)})
+        return Element(self, {((i, 1),): 1})
 
     def zero(self) -> "Element":
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {UNIT_WORD: Fraction(1)})
+        return Element(self, {UNIT_WORD: 1})
 
     # -- words ---------------------------------------------------------------
 
@@ -143,9 +146,10 @@ class FreeGradedAlgebra:
         out.extend(wb[b:])
         return tuple(out), sign
 
-    def multiply_terms(self, a: Mapping[Word, Fraction], b: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
+    def multiply_terms(self, a: Mapping[Word, Coefficient],
+                       b: Mapping[Word, Coefficient]) -> dict[Word, Coefficient]:
         """Product of two term maps (word -> coefficient), without zero coefficients."""
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Coefficient] = {}
         multiply = self.multiply_words
         for wa, ca in a.items():
             for wb, cb in b.items():
@@ -232,9 +236,9 @@ class Element:
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: FreeGradedAlgebra, terms: dict[Word, Fraction]):
+    def __init__(self, algebra: FreeGradedAlgebra, terms: dict[Word, Coefficient]):
         self.algebra = algebra
-        self.terms: dict[Word, Fraction] = {w: c for w, c in terms.items() if c != 0}
+        self.terms: dict[Word, Coefficient] = {w: c for w, c in terms.items() if c != 0}
 
     # -- queries --------------------------------------------------------------
 
@@ -254,7 +258,7 @@ class Element:
             raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Word, Coefficient]]:
         """Terms ordered by (degree, word): deterministic for printing."""
         return sorted(self.terms.items(), key=lambda wc: (self.algebra.word_degree(wc[0]), wc[0]))
 
@@ -270,7 +274,7 @@ class Element:
         self._check_same(other)
         acc = dict(self.terms)
         for w, c in other.terms.items():
-            acc[w] = acc.get(w, Fraction(0)) + c
+            acc[w] = acc.get(w, 0) + c
         return Element(self.algebra, acc)
 
     def __sub__(self, other: "Element") -> "Element":
@@ -283,8 +287,7 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Element(self.algebra, {w: c * q for w, c in self.terms.items()})
+            return Element(self.algebra, {w: c * other for w, c in self.terms.items()})
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
@@ -300,7 +303,7 @@ class Element:
             raise ValueError("negative powers are not defined")
         # repeated squaring: O(log e) products
         multiply = self.algebra.multiply_terms
-        result: dict[Word, Fraction] = {UNIT_WORD: Fraction(1)}
+        result: dict[Word, Coefficient] = {UNIT_WORD: 1}
         square = self.terms
         while e:
             if e & 1:

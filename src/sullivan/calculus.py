@@ -33,10 +33,10 @@ Constructions are pure; a validated model is immutable and shareable.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .algebra import DEFAULT_BASIS_CAP, UNIT_WORD, Element, FreeGradedAlgebra, Generator, Word, word_length
+from .algebra import (DEFAULT_BASIS_CAP, UNIT_WORD, Coefficient, Element, FreeGradedAlgebra, Generator, Word,
+                      word_length)
 from .errors import (
     AlgebraMismatch,
     InvalidDifferential,
@@ -45,9 +45,6 @@ from .errors import (
     SuspensionDegreeError,
     ZeroDivisor,
 )
-
-
-_ONE = Fraction(1)
 
 
 class _GeneratorMap:
@@ -80,7 +77,7 @@ class _GeneratorMap:
         """The linear extension of `on_word` to an element."""
         if e.algebra != self.source:
             raise AlgebraMismatch("element does not live in the source algebra")
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Coefficient] = {}
         for word, coeff in e.terms.items():
             for w, c in self.on_word(word).items():
                 acc[w] = acc.get(w, 0) + coeff * c
@@ -98,7 +95,7 @@ class Morphism(_GeneratorMap):
 
     def __init__(self, source: FreeGradedAlgebra, target: FreeGradedAlgebra, values: Mapping[str, Element]):
         super().__init__(source, target, 0, values)
-        self._powers: dict[tuple[int, int], dict[Word, Fraction]] = {}  # (i, e) -> f(v_i)^e
+        self._powers: dict[tuple[int, int], dict[Word, Coefficient]] = {}  # (i, e) -> f(v_i)^e
 
     @classmethod
     def inclusion(cls, source: FreeGradedAlgebra, target: FreeGradedAlgebra) -> "Morphism":
@@ -106,10 +103,10 @@ class Morphism(_GeneratorMap):
         `inclusion(a, a)` is the identity of a."""
         return cls(source, target, {g.name: target.gen(g.name) for g in source.generators})
 
-    def on_word(self, word: Word) -> dict[Word, Fraction]:
+    def on_word(self, word: Word) -> dict[Word, Coefficient]:
         """The image of one canonical word as terms: the product over its
         letters v_i^e of the terms of f(v_i)^e, each power computed once."""
-        out = {UNIT_WORD: _ONE}
+        out = {UNIT_WORD: 1}
         for i, exp in word:
             power = self._powers.get((i, exp))
             if power is None:
@@ -134,12 +131,12 @@ class Derivation(_GeneratorMap):
     def __init__(self, source: FreeGradedAlgebra, degree: int, values: Mapping[str, Element]):
         super().__init__(source, source, degree, values)
 
-    def on_word(self, word: Word) -> dict[Word, Fraction]:
+    def on_word(self, word: Word) -> dict[Word, Coefficient]:
         """The derivation on one canonical word, as terms without zeros: the
         Leibniz sum of the module docstring, one term per distinct letter."""
         odd = self.source._odd
         multiply = self.source.multiply_words
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Coefficient] = {}
         prefix_odd = False
         for pos, (i, exp) in enumerate(word):
             value = self._value_terms[i]
@@ -388,7 +385,7 @@ def koszul_model(presentation: CDGA, z: Element, window: int,
     # z is not a zero divisor in the window: a -> z*a injective per degree
     bases = alg.bases(window + degree, cap)
     for n in range(window + 1):
-        products = (alg.multiply_terms({w: _ONE}, z.terms) for w in bases[n])
+        products = (alg.multiply_terms({w: 1}, z.terms) for w in bases[n])
         if linalg.rank(linalg.matrix_of(products, bases[n + degree])) != len(bases[n]):
             raise ZeroDivisor(n, z)
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from . import linalg
-from .algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Word
+from .algebra import DEFAULT_BASIS_CAP, Coefficient, Element, FreeGradedAlgebra, Word
 from .calculus import CDGA, Morphism, check_chain_map, linear_part
 
 
@@ -89,11 +89,11 @@ class DegreeWindowComplex(NamedTuple):
                                     self.bases[n + 1])
         return []
 
-    def matrix(self, n: int) -> list[list[Fraction]]:
+    def matrix(self, n: int) -> list[list[Coefficient]]:
         """d^n as dense rows (degree n+1 rows by degree n columns)."""
         if 0 <= n <= self.max_degree:
             columns = self.columns(n)
-            return [[col.get(r, Fraction(0)) for col in columns] for r in range(self.dim(n + 1))]
+            return [[col.get(r, 0) for col in columns] for r in range(self.dim(n + 1))]
         return []
 
     def cocycles(self) -> Iterator[tuple[int, Cocycles]]:

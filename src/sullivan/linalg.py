@@ -15,10 +15,10 @@ columns only, so z / z[index] is the reduced-echelon kernel vector of that
 column in the matrix of all columns added so far, whatever the order of
 their keys; a caller divides only the relations it reads.
 
-The one vector type is the sparse `{key: Fraction}` dict, zeros not stored.
-Every linear map becomes a matrix in one place, `matrix_of`: one sparse
-column per source element, rows indexed by any hashable basis keys.  A
-caller tests a vector against a span by adding it to that span's
+The one vector type is the sparse `{key: coefficient}` dict, zeros not
+stored.  Every linear map becomes a matrix in one place, `matrix_of`: one
+sparse column per source element, rows indexed by any hashable basis keys.
+A caller tests a vector against a span by adding it to that span's
 `Echelon`.  A linear system A x = b is consistent iff -b reduces to zero
 against the columns of A, and its relation is then (u x, u) with u > 0.
 """
@@ -29,11 +29,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-SparseVector = dict[int, Fraction]
+SparseVector = dict[int, int | Fraction]
 IntegerVector = dict[int, int]
 
 
-def matrix_of(images: Iterable[Mapping[Hashable, Fraction]],
+def matrix_of(images: Iterable[Mapping[Hashable, int | Fraction]],
               target_basis: Iterable[Hashable]) -> list[SparseVector]:
     """One sparse column per image: `{position of key in target_basis: coefficient}`.
 

@@ -208,7 +208,6 @@ class _ExprParser(Descent):
         return value
 
     def number(self, value: int, column: int) -> Element:
-        coefficient = Fraction(value)
         if self.peek_op("/"):
             self.take()
             kind, text, column = self.take()
@@ -217,8 +216,8 @@ class _ExprParser(Descent):
             denominator = self.integer(text, column, "denominator")
             if denominator == 0:
                 raise self.error("division by zero", column)
-            coefficient /= denominator
-        return self.algebra.one() * coefficient
+            value = Fraction(value, denominator)
+        return self.algebra.one() * value
 
     def name(self, text: str, column: int) -> Element:
         if not self.algebra.has_generator(text):

@@ -263,24 +263,28 @@ def test_incremental_selection_matches_quadratic_rescan(model, max_degree):
     assert_selection_matches_quadratic_rescan(assemble_window(model, max_degree))
 
 
+def _random_polynomial(draw, algebra, evens, degree, keep=lambda exponents: True):
+    """A random rational combination of the monomials of `degree` in the
+    generators `evens`, over those whose `{name: exponent}` passes `keep`."""
+    even_monomials = FreeGradedAlgebra(evens)
+    value = algebra.zero()
+    for word in even_monomials.basis_in_degree(degree):
+        exponents = {even_monomials.generators[i].name: e for i, e in word}
+        if keep(exponents):
+            monomial = algebra.one()
+            for name, exponent in exponents.items():
+                monomial = monomial * algebra.gen(name) ** exponent
+            value = value + monomial * Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return value
+
+
 @st.composite
 def pure_models(draw):
     """Even generators with d = 0; odd generators with d a random polynomial in the even ones."""
     evens = [Generator(f"a{i}", draw(st.sampled_from([2, 4]))) for i in range(draw(st.integers(1, 2)))]
     odds = [Generator(f"y{j}", draw(st.sampled_from([3, 5, 7]))) for j in range(draw(st.integers(1, 2)))]
     algebra = FreeGradedAlgebra(evens + odds)
-    even_monomials = FreeGradedAlgebra(evens)
-    values = {}
-    for y in odds:
-        value = algebra.zero()
-        for word in even_monomials.basis_in_degree(y.degree + 1):
-            coefficient = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-            monomial = algebra.one()
-            for i, exponent in word:
-                monomial = monomial * algebra.gen(even_monomials.generators[i].name) ** exponent
-            value = value + monomial * coefficient
-        values[y.name] = value
-    return CDGA(algebra, values)
+    return CDGA(algebra, {y.name: _random_polynomial(draw, algebra, evens, y.degree + 1) for y in odds})
 
 
 @settings(max_examples=40, deadline=None)
@@ -288,6 +292,49 @@ def pure_models(draw):
 def test_selection_matches_quadratic_rescan_on_random_pure_models(model):
     assert_selection_matches_quadratic_rescan(assemble_window(model, 12))
     assert_selection_matches_quadratic_rescan(assemble_window(loop_model(model), 8))
+
+
+@st.composite
+def halperin_models(draw):
+    """A positively elliptic pure model and its pairs (k_j, |x_j|): even x_j
+    with d = 0, and odd y_j with d y_j = x_j^k_j + g_j, where g_j is a random
+    rational combination of the monomials of that degree that hold an earlier
+    x_i.  Modulo x_1..x_(j-1), d y_j is x_j^k_j, so the d y_j have the origin
+    as their only common zero and form a regular sequence."""
+    pairs = [(draw(st.integers(2, 4)), draw(st.sampled_from([2, 4]))) for _ in range(draw(st.integers(1, 3)))]
+    evens = [Generator(f"x{j}", degree) for j, (_, degree) in enumerate(pairs)]
+    odds = [Generator(f"y{j}", k * degree - 1) for j, (k, degree) in enumerate(pairs)]
+    algebra = FreeGradedAlgebra(evens + odds)
+    values = {}
+    for j, (k, degree) in enumerate(pairs):
+        earlier = {f"x{i}" for i in range(j)}
+        g = _random_polynomial(draw, algebra, evens, k * degree, lambda exponents: not earlier.isdisjoint(exponents))
+        values[f"y{j}"] = algebra.gen(f"x{j}") ** k + g
+    return CDGA(algebra, values), pairs
+
+
+def halperin_series(pairs, top):
+    """Coefficients 0..top of prod_j (1 - t^(k_j |x_j|)) / (1 - t^|x_j|), each
+    factor the polynomial 1 + t^|x_j| + ... + t^((k_j - 1)|x_j|)."""
+    series = [1] + [0] * top
+    for k, degree in pairs:
+        series = [sum(series[n - e * degree] for e in range(k) if e * degree <= n) for n in range(top + 1)]
+    return series
+
+
+def test_halperin_series_of_cp2_times_s4():
+    # (1 + t^2 + t^4)(1 + t^4)
+    assert halperin_series([(3, 2), (2, 4)], 10) == [1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(halperin_models())
+def test_betti_of_a_positively_elliptic_pure_model_is_halperins_series(model_and_pairs):
+    # Felix, Halperin & Thomas, Rational Homotopy Theory, GTM 205, section 32:
+    # H = Q[x] / (d y_1, ..., d y_n), whose Poincare series is the product
+    model, pairs = model_and_pairs
+    top = sum((k - 1) * degree for k, degree in pairs) + 2
+    assert list(betti(model, top).betti) == halperin_series(pairs, top)
 
 
 def test_betti_ignores_generator_insertion_order():
