@@ -291,7 +291,8 @@ def cmd_mult_model(args) -> tuple:
     chain = (
         check_chain_map(mm.phi, mm.model.differential, mm.target.differential) is None
     )
-    quasi = quasi_iso_via_indecomposables(mm.model, mm.target, mm.phi).is_quasi_iso
+    # only a chain map has a map on cohomology to judge
+    quasi = chain and quasi_iso_via_indecomposables(mm.model, mm.target, mm.phi).is_quasi_iso
     minimal = minimality_check(mm.model, mm.base) is None
     verdicts = {
         "d_squared_zero": d2,
@@ -299,25 +300,20 @@ def cmd_mult_model(args) -> tuple:
         "quasi_iso_indecomposables": quasi,
         "minimal": minimal,
     }
+    differentials = {
+        suspended_name(g.name): str(mm.model.d_of(suspended_name(g.name)))
+        for g in mm.target.algebra.generators
+    }
     report = _report(
         "mult-model",
         model_hash=model_hash(model),
         window=args.max,
         verdicts=verdicts,
         model_file=modelfile.emit(mm.model),
-        details={
-            "suspension_differentials": {
-                suspended_name(g.name): str(mm.model.d_of(suspended_name(g.name)))
-                for g in mm.target.algebra.generators
-            }
-        },
+        details={"suspension_differentials": differentials},
     )
-    lines = []
-    for g in mm.target.algebra.generators:
-        s = suspended_name(g.name)
-        lines.append(f"D({s}) = {mm.model.d_of(s)}")
-    for key in sorted(verdicts):
-        lines.append(f"{key}: {'ok' if verdicts[key] else 'FAIL'}")
+    lines = [f"D({s}) = {value}" for s, value in differentials.items()]
+    lines += [f"{key}: {'ok' if verdicts[key] else 'FAIL'}" for key in sorted(verdicts)]
     return report, lines, all(verdicts.values())
 
 

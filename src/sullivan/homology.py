@@ -18,10 +18,10 @@ that reduce to zero are its free columns F_N, and the integer relation z_f
 of a free column f is positive at f and zero at every other free column.
 So a cocycle is fixed by its free coordinates, and cutting the columns of
 d^(n-1) to F_n keeps every relation among them.  For n = N down to 0, the
-columns of d^(n-1), built now, cut to F_n and keyed -f so that each pivot
-is a highest free column, are reduced once: their pivots are the boundary
-pivots B_n, the classes of degree n are the z_f / z_f[f] with f in F_n but
-not in B_n, and the columns that reduce to zero are F_(n-1) with their
+columns of d^(n-1), built now and cut to F_n, are reduced once, each pivot
+a highest free column: their pivots are the boundary pivots B_n, the
+classes of degree n are the kernel vectors z_f / z_f[f] with f in F_n but
+not in B_n, and the relations the echelon keeps are F_(n-1) with their
 z_f.  This is the clearing of persistent homology (Chen & Kerber, 2011).
 Every reader tests cocycles (images, products) by extending the boundary
 echelon of their degree.  All ranks are exact (see linalg); the report is a
@@ -30,8 +30,7 @@ deterministic reduction over independent degrees.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import linalg
 from .algebra import DEFAULT_BASIS_CAP, Coefficient, Element, FreeGradedAlgebra, Word
@@ -41,8 +40,7 @@ from .calculus import CDGA, Morphism, check_chain_map, linear_part
 class Cocycles(NamedTuple):
     """The cohomology of one window degree n: the classes z_f / z_f[f]
     ascending in f, the free columns F_n of d^n, and the boundary echelon,
-    the columns of d^(n-1) cut to F_n with free column f keyed -f, so that
-    a pivot is a highest free column."""
+    the columns of d^(n-1) cut to F_n, each pivot a highest free column."""
 
     classes: list[linalg.SparseVector]
     free: frozenset[int]
@@ -50,19 +48,7 @@ class Cocycles(NamedTuple):
 
     def add(self, cocycle: linalg.SparseVector) -> bool:
         """Extend the boundary echelon by a cocycle; True iff its class is new."""
-        return self.boundaries.add({-c: x for c, x in cocycle.items() if c in self.free}) is None
-
-
-def _relations(echelon: linalg.Echelon,
-               columns: Iterable[linalg.SparseVector]) -> dict[int, linalg.IntegerVector]:
-    """Add the columns to an empty echelon in order: the integer relation of
-    each column c that reduces to zero, keyed c, ascending."""
-    relations = {}
-    for c, column in enumerate(columns):
-        z = echelon.add(column)
-        if z is not None:
-            relations[c] = z
-    return relations
+        return self.boundaries.add({c: x for c, x in cocycle.items() if c in self.free}) is None
 
 
 class DegreeWindowComplex(NamedTuple):
@@ -99,15 +85,13 @@ class DegreeWindowComplex(NamedTuple):
     def cocycles(self) -> Iterator[tuple[int, Cocycles]]:
         """Each window degree with its `Cocycles`, from the top degree down,
         each d^n built and reduced once (see the module docstring)."""
-        free = _relations(linalg.Echelon(), self.columns(self.max_degree))
+        free = linalg.Echelon(self.columns(self.max_degree)).relations
         for n in range(self.max_degree, -1, -1):
-            boundaries = linalg.Echelon()
-            below = _relations(boundaries, ({-f: x for f, x in column.items() if f in free}
-                                            for column in self.columns(n - 1)))
-            classes = [{c: Fraction(x, z[f]) for c, x in z.items()}
-                       for f, z in free.items() if -f not in boundaries.columns]
+            boundaries = linalg.Echelon({f: x for f, x in column.items() if f in free}
+                                        for column in self.columns(n - 1))
+            classes = [linalg.kernel_vector(z, f) for f, z in free.items() if f not in boundaries.columns]
             yield n, Cocycles(classes, frozenset(free), boundaries)
-            free = below
+            free = boundaries.relations
 
 
 def assemble_window(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> DegreeWindowComplex:
@@ -133,7 +117,7 @@ def betti_of_window(window: DegreeWindowComplex) -> CohomologyReport:
     reps: list[tuple[Element, ...]] = [()] * (window.max_degree + 1)
     for n, cocycles in window.cocycles():
         basis = window.bases[n]
-        reps[n] = tuple(Element(algebra, {basis[c]: z[c] for c in sorted(z)})
+        reps[n] = tuple(Element(algebra, {basis[c]: x for c, x in z.items()})
                         for z in cocycles.classes)
     return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
@@ -237,7 +221,7 @@ def h_algebra_generator_counts(model: CDGA, max_degree: int,
     window = assemble_window(model, max_degree, cap=cap)
     multiply = model.algebra.multiply_terms
     counts = [0]
-    classes: list[list[dict[Word, Fraction]]] = [[]]  # term dicts of a basis of H^n
+    classes: list[list[dict[Word, Coefficient]]] = [[]]  # term dicts of a basis of H^n
     by_degree = dict(window.cocycles())
     for n in range(1, max_degree + 1):
         cocycles = by_degree[n]

@@ -1,19 +1,21 @@
 """Exact rational linear algebra on one incremental sparse integer column echelon.
 
 An `Echelon` holds the span of the columns added to it, each kept column a
-sparse integer `{key: int}` dict keyed by pivot, its lowest key.  `add`
+sparse integer `{key: int}` dict keyed by pivot, its highest key.  `add`
 scales an incoming rational column to integers once, by the lcm of its
 denominators, and reduces it fraction-free (one integer combination per
-step, as in Bareiss elimination) against the kept columns at its lowest key,
-until that key is a new pivot or the column vanishes.  Every column carries
-its relation: the integer combination of the added columns that it is, the
-scale folded in.  A column that adds a pivot is kept, made primitive with its
-relation, and `add` returns None.  A column that reduces to zero is dropped,
-and `add` returns its integer relation z, with z[index] > 0, where index
-counts the columns added before it.  z lives on that column and on kept
-columns only, so z / z[index] is the reduced-echelon kernel vector of that
-column in the matrix of all columns added so far, whatever the order of
-their keys; a caller divides only the relations it reads.
+step, as in Bareiss elimination) against the kept columns at its highest
+key, until that key is a new pivot or the column vanishes.  Every column
+carries its relation: the integer combination of the added columns that it
+is, the scale folded in.  A column that adds a pivot is kept, made primitive
+with its relation, and `add` returns None.  A column that reduces to zero is
+dropped, and `add` returns its integer relation z, with z[index] > 0, where
+index counts the columns added before it.  An echelon built from columns
+keeps those relations as `relations[index]`; a later `add` stores nothing.
+z lives on that column and on kept columns only, so `kernel_vector(z,
+index)`, z / z[index], is the reduced-echelon kernel vector of that column
+in the matrix of all columns added so far, whatever the order of their keys.
+It is the one division of the elimination.
 
 The one vector type is the sparse `{key: coefficient}` dict, zeros not
 stored.  Every linear map becomes a matrix in one place, `matrix_of`: one
@@ -58,13 +60,17 @@ def _combine(vector: IntegerVector, a: int, other: IntegerVector, b: int) -> Non
 
 
 class Echelon:
-    """Column echelon with relations: `columns[pivot] = (column, relation)`."""
+    """Column echelon with relations: `columns[pivot] = (column, relation)`,
+    and `relations[index]` for each column it was built from that reduces to zero."""
 
     def __init__(self, columns: Iterable[SparseVector] = ()) -> None:
         self.columns: dict[int, tuple[IntegerVector, IntegerVector]] = {}
+        self.relations: dict[int, IntegerVector] = {}
         self.added = 0
-        for column in columns:
-            self.add(column)
+        for index, column in enumerate(columns):
+            z = self.add(column)
+            if z is not None:
+                self.relations[index] = z
 
     @property
     def rank(self) -> int:
@@ -79,7 +85,7 @@ class Echelon:
         residue = {k: c.numerator * (scale // c.denominator) for k, c in column.items() if c}
         relation = {index: scale}
         while residue:
-            key = min(residue)
+            key = max(residue)
             kept = self.columns.get(key)
             if kept is None:
                 g = gcd(*residue.values(), *relation.values())
@@ -95,6 +101,12 @@ class Echelon:
             _combine(residue, a, pivot_column, b)
             _combine(relation, a, pivot_relation, b)
         return relation
+
+
+def kernel_vector(z: IntegerVector, index: int) -> dict[int, Fraction]:
+    """The relation z of column `index` divided by z[index]: that column's
+    reduced-echelon kernel vector."""
+    return {c: Fraction(x, z[index]) for c, x in z.items()}
 
 
 def rank(rows: Sequence[SparseVector]) -> int:

@@ -14,7 +14,6 @@ a `CDGA` built from its algebra and the values of d.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
@@ -43,18 +42,6 @@ class Recipe(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.kind}({', '.join(str(p) for p in self.params)})"
-
-
-def odd_sphere(n: int) -> Recipe:
-    return Recipe("odd_sphere", (n,))
-
-
-def even_sphere(n: int) -> Recipe:
-    return Recipe("even_sphere", (n,))
-
-
-def cpn(n: int) -> Recipe:
-    return Recipe("truncated_poly", (2, n))
 
 
 def product(*recipes: Recipe) -> Recipe:
@@ -239,20 +226,21 @@ def _solve_gamma(derivation, phi, g, rhs, bases, target_bases):
     # A stacks the rows of D(gamma) = rhs, one per degree-(|g|+1) word, over
     # those of phi(gamma) = 0, one per degree-|g| word of the target.  x
     # solves A x = rhs iff -rhs reduces to zero against the columns of A,
-    # and its relation is then (u x, u), with x the reduced-echelon solution.
+    # and the kernel vector of -rhs is then (x, 1), with x the
+    # reduced-echelon solution.
     d_rows, phi_rows = bases[g.degree + 1], target_bases[g.degree]
     columns = linalg.matrix_of(map(derivation.on_word, candidates), d_rows)
     for column, image in zip(columns, linalg.matrix_of(map(phi.on_word, candidates), phi_rows)):
         column.update((len(d_rows) + r, c) for r, c in image.items())
     (minus_rhs,) = linalg.matrix_of([{w: -c for w, c in rhs.terms.items()}], d_rows)
-    solution = linalg.Echelon(columns).add(minus_rhs)
+    last = len(candidates)
+    solution = linalg.Echelon(columns + [minus_rhs]).relations.get(last)
     if solution is None:
         raise WindowTooSmall(
             f"no decomposable correction of degree {g.degree} for generator {g.name!r}"
         )
-    last = len(candidates)
-    return Element(big, {candidates[c]: Fraction(x, solution[last])
-                         for c, x in sorted(solution.items()) if c != last})
+    return Element(big, {candidates[c]: x for c, x in linalg.kernel_vector(solution, last).items()
+                         if c != last})
 
 
 # -- closed-form loop cohomology for truncated polynomial spaces -------------------

@@ -10,7 +10,7 @@ from math import lcm
 
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator, Word
 from sullivan.calculus import CDGA, suspended_name
-from sullivan.models import MultiplicationModel, Recipe, build
+from sullivan.models import MultiplicationModel, Recipe, build, product
 
 
 def algebra_v3_sv2() -> FreeGradedAlgebra:
@@ -25,20 +25,32 @@ def algebra_yz3() -> FreeGradedAlgebra:
     return FreeGradedAlgebra([Generator("y", 3), Generator("z", 3)])
 
 
+def odd_sphere(n: int) -> Recipe:
+    return Recipe("odd_sphere", (n,))
+
+
+def even_sphere(n: int) -> Recipe:
+    return Recipe("even_sphere", (n,))
+
+
+def cpn(n: int) -> Recipe:
+    return Recipe("truncated_poly", (2, n))
+
+
 def even_sphere_model(n: int = 1) -> CDGA:
-    return build(Recipe("even_sphere", (n,)))
+    return build(even_sphere(n))
 
 
 def cpn_model(n: int) -> CDGA:
-    return build(Recipe("truncated_poly", (2, n)))
+    return build(cpn(n))
 
 
 def s3_model() -> CDGA:
-    return build(Recipe("odd_sphere", (1,)))
+    return build(odd_sphere(1))
 
 
 def s3s3_model() -> CDGA:
-    return build(Recipe("product", (Recipe("odd_sphere", (1,)), Recipe("odd_sphere", (1,)))))
+    return build(product(odd_sphere(1), odd_sphere(1)))
 
 
 def builtin_models() -> list[tuple[str, CDGA]]:

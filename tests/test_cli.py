@@ -203,6 +203,31 @@ def test_mult_model_command(cp2_file):
     assert report["details"]["suspension_differentials"]["sv"] == "v_1 - v_2"
 
 
+def test_mult_model_reports_a_failed_chain_map_and_exits_1(cp2_file, monkeypatch, capsys):
+    # phi sends v_2 to 2v, so phi(D sv) = -v differs from d(phi sv) = 0: the
+    # verification fails and is reported, it is not an input error
+    from sullivan import models
+    from sullivan.calculus import Morphism
+
+    build = models.multiplication_model
+
+    def broken(model, max_degree=None):
+        mm = build(model, max_degree)
+        values = dict(mm.phi.values, v_2=2 * mm.target.algebra.gen("v"))
+        return mm._replace(phi=Morphism(mm.phi.source, mm.phi.target, values))
+
+    monkeypatch.setattr(models, "multiplication_model", broken)
+    assert main(["mult-model", cp2_file]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "chain_map: FAIL" in out.splitlines()
+    assert "quasi_iso_indecomposables: FAIL" in out.splitlines()
+    assert main(["mult-model", cp2_file, "--json"]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts["chain_map"] is False and verdicts["quasi_iso_indecomposables"] is False
+    assert verdicts["d_squared_zero"] is True and verdicts["minimal"] is True
+
+
 def test_mult_model_refuses_names_that_collide_under_the_copy_scheme(tmp_path, capsys):
     # the copy sa_1 of sa and the suspension sa_1 of a_1
     path = tmp_path / "collide.model"

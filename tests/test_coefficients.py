@@ -17,12 +17,12 @@ from helpers import builtin_models
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sullivan"
 
-# The three divisions: the `/` literal of a model file, a class z_f / z_f[f],
-# and the correction of a multiplication model.
+# The two divisions: the `/` literal of a model file, and the kernel vector
+# z / z[index] of a relation, which makes both a class and the correction of
+# a multiplication model.
 DIVISIONS = [
-    ("homology.py", "DegreeWindowComplex.cocycles"),
+    ("linalg.py", "kernel_vector"),
     ("modelfile.py", "_ExprParser.number"),
-    ("models.py", "_solve_gamma"),
 ]
 
 

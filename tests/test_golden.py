@@ -3,7 +3,9 @@ bench's tracer finds the names it wraps and puts them back.
 
 Each job of `bench/workloads.py` runs in-process through `sullivan.cli.main`
 on the literal model texts of that file, and its stdout must equal
-`bench/golden/<workload>/<job>.json`.  The tests only read `bench/`.
+`bench/golden/<workload>/<job>.json`.  Run again without `--json`, its text
+stdout must equal `tests/expected/text/<workload>/<job>.txt`, with the same
+exit code.  The tests only read `bench/`.
 """
 
 import importlib
@@ -17,6 +19,7 @@ from sullivan.calculus import Derivation, Morphism
 from sullivan.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+TEXT = Path(__file__).resolve().parent / "expected" / "text"
 
 
 def _load_bench(name):
@@ -29,6 +32,8 @@ def _load_bench(name):
 
 WORKLOADS = _load_bench("workloads")
 JOBS = [(w.name, job) for w in WORKLOADS.WORKLOADS.values() for job in w.jobs]
+FORMS = [(w, job, form) for form in ("json", "text") for w, job in JOBS]
+FORM_IDS = [f"{w}/{job.id}" + ("/text" if form == "text" else "") for w, job, form in FORMS]
 
 
 def _argv(job, tmp_path):
@@ -41,12 +46,19 @@ def _argv(job, tmp_path):
     return [paths[a[1:-1]] if a.startswith("{") and a.endswith("}") else a for a in job.argv]
 
 
-@pytest.mark.parametrize("workload, job", JOBS, ids=[f"{w}/{job.id}" for w, job in JOBS])
-def test_job_reproduces_golden_report(workload, job, tmp_path, capsys):
-    code = main(_argv(job, tmp_path))
+@pytest.mark.parametrize("workload, job, form", FORMS, ids=FORM_IDS)
+def test_job_reproduces_golden_report(workload, job, form, tmp_path, capsys):
+    argv = _argv(job, tmp_path)
+    if form == "text":
+        argv.remove("--json")
+    code = main(argv)
     stdout = capsys.readouterr().out
     assert code == job.exit_code
-    assert stdout.encode("utf-8") == (BENCH / "golden" / workload / f"{job.id}.json").read_bytes()
+    if form == "json":
+        golden = BENCH / "golden" / workload / f"{job.id}.json"
+    else:
+        golden = TEXT / workload / f"{job.id}.txt"
+    assert stdout.encode("utf-8") == golden.read_bytes()
 
 
 # Tracer targets whose code was deleted before the tracer was pointed elsewhere;

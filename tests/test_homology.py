@@ -181,14 +181,14 @@ def test_cocycles_is_the_kernel_and_the_boundary_echelon():
         for n, cocycles in window.cocycles():
             kernel = window_kernel(window, n)
             assert cocycles.free == frozenset(map(max, kernel)), (name, n)
-            classes = [z for z in kernel if -max(z) not in cocycles.boundaries.columns]
+            classes = [z for z in kernel if max(z) not in cocycles.boundaries.columns]
             assert cocycles.classes == classes, (name, n)
             previous = window.matrix(n - 1) if n else []
             assert cocycles.boundaries.rank == linalg.rank(sparse(previous)), (name, n)
             # cut to the free columns of d^n, the columns of d^(n-1) keep their
             # relations: each is the kernel vector of its free column
             cut = linalg.Echelon()
-            relations = [cut.add({-f: x for f, x in column.items() if f in cocycles.free})
+            relations = [cut.add({f: x for f, x in column.items() if f in cocycles.free})
                          for column in boundaries_of(window, n)]
             assert [normalised(z) for z in relations if z is not None] == (
                 window_kernel(window, n - 1) if n else [])

@@ -140,12 +140,13 @@ def test_rref_shape():
         [Fraction(1), Fraction(1), Fraction(1)],
         [Fraction(1), Fraction(3), Fraction(5)],
     ]
-    # columns (0, 1, 1) and (2, 1, 3) are kept, with their relations; the third
-    # reduces to zero, and its relation is the kernel vector (1, -2, 1)
+    # columns c0 = (0, 1, 1) and c1 = (2, 1, 3) are kept, c1 reduced at the
+    # highest key to c1 - 3 c0 = (2, -2, 0); the third reduces to zero, and
+    # its relation is the kernel vector (1, -2, 1)
     echelon = linalg.Echelon()
     assert [normalised(echelon.add(column)) for column in columns_of(rows)] == [
         None, None, {2: Fraction(1), 0: Fraction(1), 1: Fraction(-2)}]
-    assert echelon.columns == {1: ({1: 1, 2: 1}, {0: 1}), 0: ({0: 2, 1: 1, 2: 3}, {1: 1})}
+    assert echelon.columns == {2: ({1: 1, 2: 1}, {0: 1}), 1: ({0: 2, 1: -2}, {1: 1, 0: -3})}
 
 
 @settings(max_examples=150)
@@ -158,6 +159,32 @@ def test_relations_are_integer_and_positive_at_their_column(rows):
         if z is not None:
             assert all(type(v) is int and v for v in z.values())
             assert max(z) == index and z[index] > 0
+
+
+@settings(max_examples=150)
+@given(any_matrix)
+def test_an_echelon_keeps_the_relations_of_the_columns_it_is_built_from(rows):
+    columns = columns_of(rows)
+    echelon = linalg.Echelon()
+    one_at_a_time = {c: z for c, z in enumerate(map(echelon.add, columns)) if z is not None}
+    built = linalg.Echelon(columns)
+    assert built.relations == one_at_a_time
+    # a later add returns its relation and stores nothing
+    kept = dict(built.relations)
+    for column in columns:
+        assert built.add(column) is not None
+    assert built.relations == kept
+
+
+@settings(max_examples=150)
+@given(any_matrix)
+def test_kernel_vector_is_one_at_its_column_and_killed_by_the_columns(rows):
+    columns = columns_of(rows)
+    for index, z in linalg.Echelon(columns).relations.items():
+        vector = linalg.kernel_vector(z, index)
+        assert vector[index] == 1
+        assert all(sum(x * columns[c].get(r, 0) for c, x in vector.items()) == 0
+                   for r in range(len(rows)))
 
 
 def test_echelon_add_returns_a_relation_exactly_on_the_span():
@@ -215,7 +242,7 @@ def test_echelon_add_refuses_vectors_in_the_span():
     echelon = linalg.Echelon([{0: Fraction(2), 1: Fraction(4)}])
     assert normalised(echelon.add({0: Fraction(-1), 1: Fraction(-2)})) == {1: Fraction(1), 0: Fraction(1, 2)}
     assert echelon.add({0: Fraction(1), 1: Fraction(2), 2: Fraction(1, 3)}) is None
-    assert sorted(echelon.columns) == [0, 2]
+    assert sorted(echelon.columns) == [1, 2]
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,9 +24,6 @@ from sullivan.homology import (
 from sullivan.models import (
     Recipe,
     build,
-    cpn,
-    even_sphere,
-    odd_sphere,
     product,
     loop_cohomology_closed_form,
     multiplication_model,
@@ -40,9 +37,12 @@ from helpers import (
     builtin_models,
     cauchy_product,
     class_is_nontrivial,
+    cpn,
     cpn_model,
+    even_sphere,
     gamma,
     normalised,
+    odd_sphere,
     oracle_kernel,
     s3_model,
     s3s3_model,

@@ -19,9 +19,9 @@ from sullivan import linalg
 from sullivan.calculus import loop_model, suspended_name
 from sullivan.homology import assemble_window, betti, betti_of_window
 from sullivan.modelfile import parse
-from sullivan.models import build, cpn, even_sphere, odd_sphere, product
+from sullivan.models import build, product
 
-from helpers import cauchy_product, rank_mod_p
+from helpers import cauchy_product, cpn, even_sphere, odd_sphere, rank_mod_p
 from test_golden import WORKLOADS
 
 LOOP_WINDOWS = [("s2s3", 14), ("s3s3", 24), ("cp2", 24)]

@@ -12,16 +12,14 @@ from sullivan.homology import assemble_window, betti, quasi_iso_check
 from sullivan.models import (
     Recipe,
     build,
-    cpn,
     loop_cohomology_closed_form,
     multiplication_model,
-    odd_sphere,
     product,
     vps_witnesses_for_model,
 )
 from sullivan.series import parse_rational
 
-from helpers import cpn_model, s3_model, s3s3_model
+from helpers import cpn, cpn_model, odd_sphere, s3_model, s3s3_model
 
 
 def one_of_each_record():
