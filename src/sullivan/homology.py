@@ -23,9 +23,11 @@ a highest free column: their pivots are the boundary pivots B_n, the
 classes of degree n are the kernel vectors z_f / z_f[f] with f in F_n but
 not in B_n, and the relations the echelon keeps are F_(n-1) with their
 z_f.  This is the clearing of persistent homology (Chen & Kerber, 2011).
-Every reader tests cocycles (images, products) by extending the boundary
-echelon of their degree.  All ranks are exact (see linalg); the report is a
-deterministic reduction over independent degrees.
+Only the pass maps words to positions: a degree's `Cocycles` hands out its
+classes as `Element`s, and every reader tests a cocycle (an image, a
+product) as an `Element` by adding it to the boundary echelon of its degree.
+All ranks are exact (see linalg); the report is a deterministic reduction
+over independent degrees.
 """
 
 from __future__ import annotations
@@ -38,17 +40,17 @@ from .calculus import CDGA, Morphism, check_chain_map, linear_part
 
 
 class Cocycles(NamedTuple):
-    """The cohomology of one window degree n: the classes z_f / z_f[f]
-    ascending in f, the free columns F_n of d^n, and the boundary echelon,
-    the columns of d^(n-1) cut to F_n, each pivot a highest free column."""
+    """The cohomology of one window degree n: the classes z_f / z_f[f] as
+    `Element`s ascending in f, the free words F_n of d^n mapped to their
+    columns, and the boundary echelon, the columns of d^(n-1) cut to F_n."""
 
-    classes: list[linalg.SparseVector]
-    free: frozenset[int]
+    classes: list[Element]
+    free: dict[Word, int]
     boundaries: linalg.Echelon
 
-    def add(self, cocycle: linalg.SparseVector) -> bool:
-        """Extend the boundary echelon by a cocycle; True iff its class is new."""
-        return self.boundaries.add({c: x for c, x in cocycle.items() if c in self.free}) is None
+    def add(self, cocycle: Element) -> bool:
+        """Add a degree-n cocycle, cut to F_n, to the boundaries; True iff its class is new."""
+        return self.boundaries.add({self.free[w]: x for w, x in cocycle.terms.items() if w in self.free}) is None
 
 
 class DegreeWindowComplex(NamedTuple):
@@ -85,12 +87,15 @@ class DegreeWindowComplex(NamedTuple):
     def cocycles(self) -> Iterator[tuple[int, Cocycles]]:
         """Each window degree with its `Cocycles`, from the top degree down,
         each d^n built and reduced once (see the module docstring)."""
+        algebra = self.model.algebra
         free = linalg.Echelon(self.columns(self.max_degree)).relations
         for n in range(self.max_degree, -1, -1):
             boundaries = linalg.Echelon({f: x for f, x in column.items() if f in free}
                                         for column in self.columns(n - 1))
-            classes = [linalg.kernel_vector(z, f) for f, z in free.items() if f not in boundaries.columns]
-            yield n, Cocycles(classes, frozenset(free), boundaries)
+            basis = self.bases[n]
+            classes = [Element(algebra, {basis[c]: x for c, x in linalg.kernel_vector(z, f).items()})
+                       for f, z in free.items() if f not in boundaries.columns]
+            yield n, Cocycles(classes, {basis[f]: f for f in free}, boundaries)
             free = boundaries.relations
 
 
@@ -113,12 +118,9 @@ def betti(model: CDGA, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> Cohomol
 
 
 def betti_of_window(window: DegreeWindowComplex) -> CohomologyReport:
-    algebra = window.model.algebra
     reps: list[tuple[Element, ...]] = [()] * (window.max_degree + 1)
     for n, cocycles in window.cocycles():
-        basis = window.bases[n]
-        reps[n] = tuple(Element(algebra, {basis[c]: x for c, x in z.items()})
-                        for z in cocycles.classes)
+        reps[n] = tuple(cocycles.classes)
     return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 
@@ -148,13 +150,9 @@ def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex, m: Morph
     """Ranks of H(m) in the degrees of two windows of one size.  Only the
     source classes are mapped; their images extend the target's boundary
     echelon."""
-    algebra = source.model.algebra
     verdicts = []
     for (n, source_n), (_, target_n) in zip(source.cocycles(), target.cocycles()):
-        basis = source.bases[n]
-        images = (m(Element(algebra, {basis[c]: x for c, x in z.items()})).terms
-                  for z in source_n.classes)
-        rank_h = sum(map(target_n.add, linalg.matrix_of(images, target.bases[n])))
+        rank_h = sum(map(target_n.add, map(m, source_n.classes)))
         verdicts.append(DegreeVerdict(n, len(source_n.classes), len(target_n.classes), rank_h))
     return QuasiIsoReport(tuple(reversed(verdicts)))
 
@@ -219,17 +217,14 @@ def h_algebra_generator_counts(model: CDGA, max_degree: int,
     kept products and kept cocycles of a degree form a basis of H^n.
     """
     window = assemble_window(model, max_degree, cap=cap)
-    multiply = model.algebra.multiply_terms
     counts = [0]
-    classes: list[list[dict[Word, Coefficient]]] = [[]]  # term dicts of a basis of H^n
+    classes: list[list[Element]] = [[]]  # a basis of H^n
     by_degree = dict(window.cocycles())
     for n in range(1, max_degree + 1):
         cocycles = by_degree[n]
-        basis = window.bases[n]
-        products = [multiply(left, right)
-                    for p in range(1, n) for left in classes[p] for right in classes[n - p]]
-        kept = [t for t, v in zip(products, linalg.matrix_of(products, basis)) if cocycles.add(v)]
-        generators = [{basis[c]: x for c, x in z.items()} for z in cocycles.classes if cocycles.add(z)]
+        products = [left * right for p in range(1, n) for left in classes[p] for right in classes[n - p]]
+        kept = [t for t in products if cocycles.add(t)]
+        generators = [z for z in cocycles.classes if cocycles.add(z)]
         counts.append(len(generators))
         classes.append(kept + generators)
     return tuple(counts)

@@ -1,0 +1,176 @@
+"""An exact check of `betti` and `loop-betti` reports that shares no code with `sullivan`.
+
+The checker reads the model text itself: `generator <name> <degree>` lines,
+and `d <name> = <expr>` lines whose right-hand side is a sum of rational
+multiples of monomials written with `*` and `^` (the program's canonical
+emission).  For a `loop-betti` report it builds the free loop model itself:
+a generator sv of degree |v| - 1 for each v, and d(sv) = -s(dv), where s is
+the degree -1 derivation with s(v) = sv and s(sv) = 0.
+
+A monomial is a list of letters (generator names).  A derivation D of
+degree k acts on it by the Leibniz rule, the term of letter j signed by
+(-1)^(k * degree of the letters before j), and each product is put in
+canonical order by sorting its letters, each swap of two odd letters
+flipping the sign; a repeated odd letter makes it zero.
+
+`check(model_text, report)` returns the problems it finds: a model hash that
+is not the SHA-256 of the text, a degree whose class count is not its Betti
+number, a representative with a word of another degree, and a
+representative whose differential is not exactly zero over `Fraction`.  The
+rank identities (b_n from the ranks of d, and independence modulo
+boundaries) are not checked here.
+
+    python tests/report_check.py MODEL_FILE REPORT_JSON
+
+prints each problem and exits 1 if there is one, else prints `ok` and exits 0.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import re
+import sys
+from fractions import Fraction
+
+Monomial = tuple[str, ...]  # letters in canonical order
+Polynomial = dict[Monomial, Fraction]
+
+
+def parse_monomial(text: str) -> Monomial:
+    """`a*b^2` as the letters (a, b, b); `1` is the empty monomial."""
+    letters: list[str] = []
+    for factor in text.split("*"):
+        if factor != "1":
+            name, _, exponent = factor.partition("^")
+            letters += [name] * int(exponent or 1)
+    return tuple(letters)
+
+
+def parse_expression(text: str) -> list[tuple[Fraction, list[str]]]:
+    """A sum of signed terms `c*m`, each a rational coefficient (or none)
+    times a monomial, as (coefficient, letters) pairs in the order written."""
+    terms = []
+    for sign, body in re.findall(r"([+-]?)([^+-]+)", text.replace(" ", "")):
+        coefficient, letters = Fraction(-1 if sign == "-" else 1), []
+        for factor in body.split("*"):
+            if re.fullmatch(r"\d+(/\d+)?", factor):
+                coefficient *= Fraction(factor)
+            else:
+                letters += parse_monomial(factor)
+        terms.append((coefficient, letters))
+    return terms
+
+
+class Model:
+    """Generator degrees in declaration order, and d on each generator."""
+
+    def __init__(self, degrees: dict[str, int], d: dict[str, Polynomial]):
+        self.degrees = degrees
+        self.d = d
+
+    @classmethod
+    def parse(cls, text: str) -> "Model":
+        degrees: dict[str, int] = {}
+        values: dict[str, list[tuple[Fraction, list[str]]]] = {}
+        for line in text.splitlines():
+            words = line.split()
+            if not words or words[0].startswith("#"):
+                continue
+            if words[0] == "generator":
+                degrees[words[1]] = int(words[2])
+            elif words[0] == "d" and words[2] == "=":
+                values[words[1]] = parse_expression(" ".join(words[3:]))
+            else:
+                raise ValueError(f"cannot read model line {line!r}")
+        model = cls(degrees, {})
+        model.d = {name: model.combine(terms) for name, terms in values.items()}
+        return model
+
+    def canonical(self, letters: list[str]) -> tuple[Monomial, int] | None:
+        """The letters sorted, with the Koszul sign of the sort; None if an
+        odd letter repeats."""
+        letters, sign = list(letters), 1
+        for j in range(1, len(letters)):
+            while j and letters[j - 1] > letters[j]:
+                if self.degrees[letters[j - 1]] % 2 and self.degrees[letters[j]] % 2:
+                    sign = -sign
+                letters[j - 1], letters[j] = letters[j], letters[j - 1]
+                j -= 1
+        if any(a == b and self.degrees[a] % 2 for a, b in zip(letters, letters[1:])):
+            return None
+        return tuple(letters), sign
+
+    def combine(self, terms) -> Polynomial:
+        """The polynomial of (coefficient, letters) pairs, each product put in
+        canonical order, with no zero coefficients."""
+        out: Polynomial = {}
+        for coefficient, letters in terms:
+            product = self.canonical(letters)
+            if product is not None:
+                monomial, sign = product
+                out[monomial] = out.get(monomial, 0) + sign * coefficient
+        return {m: c for m, c in out.items() if c}
+
+    def derivation(self, shift: int, values: dict[str, Polynomial], p: Polynomial) -> Polynomial:
+        """The degree-`shift` derivation with `values` on generators, applied
+        to p by the Leibniz rule on its letter lists."""
+        terms = []
+        for monomial, coefficient in p.items():
+            before = 0  # the degree of the letters before position j
+            for j, letter in enumerate(monomial):
+                sign = -1 if shift * before % 2 else 1
+                for image, c in values.get(letter, {}).items():
+                    terms.append((sign * coefficient * c, [*monomial[:j], *image, *monomial[j + 1:]]))
+                before += self.degrees[letter]
+        return self.combine(terms)
+
+    def differential(self, p: Polynomial) -> Polynomial:
+        return self.derivation(1, self.d, p)
+
+    def loop(self) -> "Model":
+        """The free loop model: sv of degree |v| - 1, and d(sv) = -s(dv)."""
+        big = Model({**self.degrees, **{"s" + v: k - 1 for v, k in self.degrees.items()}}, dict(self.d))
+        s = {v: {("s" + v,): Fraction(1)} for v in self.degrees}
+        for v, dv in self.d.items():
+            big.d["s" + v] = {m: -c for m, c in big.derivation(-1, s, dv).items()}
+        return big
+
+    def degree(self, monomial: Monomial) -> int:
+        return sum(self.degrees[letter] for letter in monomial)
+
+
+def check(model_text: str, report: dict) -> list[str]:
+    """The problems of a `betti` or `loop-betti` report of the model text."""
+    problems = []
+    if report["model_hash"] != hashlib.sha256(model_text.encode("utf-8")).hexdigest():
+        problems.append("model_hash is not the SHA-256 of the model text")
+    model = Model.parse(model_text)
+    if report["command"] == "loop-betti":
+        model = model.loop()
+    elif report["command"] != "betti":
+        raise ValueError(f"not a betti or loop-betti report: {report['command']!r}")
+    for n, (b, classes) in enumerate(zip(report["betti"], report["representatives"], strict=True)):
+        if len(classes) != b:
+            problems.append(f"degree {n}: {len(classes)} classes, betti {b}")
+        for k, terms in enumerate(classes):
+            rep = model.combine((Fraction(c), list(parse_monomial(w))) for w, c in terms)
+            if any(model.degree(m) != n for m in rep):
+                problems.append(f"degree {n}, class {k}: a word of another degree")
+            if model.differential(rep):
+                problems.append(f"degree {n}, class {k}: not a cocycle")
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    model_path, report_path = argv
+    with open(model_path, encoding="utf-8") as f:
+        model_text = f.read()
+    with open(report_path, encoding="utf-8") as f:
+        problems = check(model_text, json.load(f))
+    print("\n".join(problems) or "ok")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan import linalg
-from sullivan.algebra import FreeGradedAlgebra, Generator
+from sullivan.algebra import Element, FreeGradedAlgebra, Generator
 from sullivan.calculus import (
     CDGA,
     Morphism,
@@ -179,20 +179,26 @@ def test_cocycles_is_the_kernel_and_the_boundary_echelon():
         window = assemble_window(model, 10)
         assert [n for n, _ in window.cocycles()] == list(range(10, -1, -1))  # top degree down
         for n, cocycles in window.cocycles():
+            basis = window.bases[n]
             kernel = window_kernel(window, n)
-            assert cocycles.free == frozenset(map(max, kernel)), (name, n)
+            assert cocycles.free == {basis[max(z)]: max(z) for z in kernel}, (name, n)
             classes = [z for z in kernel if max(z) not in cocycles.boundaries.columns]
-            assert cocycles.classes == classes, (name, n)
+            assert [z.terms for z in cocycles.classes] == [
+                {basis[c]: x for c, x in z.items()} for z in classes], (name, n)
             previous = window.matrix(n - 1) if n else []
             assert cocycles.boundaries.rank == linalg.rank(sparse(previous)), (name, n)
             # cut to the free columns of d^n, the columns of d^(n-1) keep their
             # relations: each is the kernel vector of its free column
-            cut = linalg.Echelon()
-            relations = [cut.add({f: x for f, x in column.items() if f in cocycles.free})
+            cut, free = linalg.Echelon(), set(cocycles.free.values())
+            relations = [cut.add({f: x for f, x in column.items() if f in free})
                          for column in boundaries_of(window, n)]
             assert [normalised(z) for z in relations if z is not None] == (
                 window_kernel(window, n - 1) if n else [])
-            assert all(not cocycles.add(v) for v in boundaries_of(window, n)), (name, n)
+            assert all(not cocycles.add(Element(model.algebra, {basis[r]: x for r, x in v.items()}))
+                       for v in boundaries_of(window, n)), (name, n)
+            # each class is new once, in order, and refused on a second add
+            assert [(cocycles.add(z), cocycles.add(z)) for z in cocycles.classes] == (
+                [(True, False)] * len(cocycles.classes)), (name, n)
 
 
 def test_representatives_are_cocycles_and_independent_mod_boundaries():

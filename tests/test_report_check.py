@@ -1,0 +1,78 @@
+"""Every representative of a `betti` or `loop-betti` report is an exact
+cocycle, checked by `report_check`, which shares no code with the engine."""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import report_check
+from sullivan.cli import main
+from test_golden import BENCH, WORKLOADS
+
+GOLDEN = [("loop-elim", "s2s3-loop-14"), ("loop-elim", "s3s3-loop-24"),
+          ("assemble-s2", "s2-betti-1000"), ("survey", "betti"), ("survey", "loop-betti")]
+
+
+def model_of(workload: str, job_id: str) -> str:
+    (job,) = [job for job in WORKLOADS.WORKLOADS[workload].jobs if job.id == job_id]
+    (name,) = [a[1:-1] for a in job.argv if a.startswith("{")]
+    return WORKLOADS.MODELS[name]
+
+
+def test_the_checker_imports_nothing_from_sullivan():
+    tree = ast.parse(Path(report_check.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"__future__", "hashlib", "json", "re", "sys", "fractions"}
+
+
+@pytest.mark.parametrize("workload, job_id", GOLDEN, ids=[f"{w}/{j}" for w, j in GOLDEN])
+def test_golden_representatives_are_cocycles(workload, job_id):
+    report = json.loads((BENCH / "golden" / workload / f"{job_id}.json").read_text(encoding="utf-8"))
+    assert report_check.check(model_of(workload, job_id), report) == []
+
+
+def test_s2s3_loop_to_degree_30_has_cocycle_representatives(tmp_path, capsys):
+    text = WORKLOADS.MODELS["s2s3"]
+    path = tmp_path / "s2s3.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["loop-betti", str(path), "--max", "30", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sum(report["betti"]) == 1 + sum(range(31))
+    assert report_check.check(text, report) == []
+
+
+def test_loop_representatives_with_odd_letters_out_of_name_order_are_cocycles(tmp_path, capsys):
+    # the checker sorts letters by name, so the odd letter a (degree 5) moves
+    # past x, y and z (degree 3) in every word that holds them: the Koszul sign
+    # of each such sort is part of the check
+    text = "generator x 3\ngenerator y 3\ngenerator z 3\ngenerator a 5\nd a = y*z\n"
+    path = tmp_path / "xyza.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["loop-betti", str(path), "--max", "12", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert any({"a", "x"} <= set(w.split("*"))
+               for classes in report["representatives"] for terms in classes for w, _ in terms)
+    assert report_check.check(text, report) == []
+
+
+def test_the_checker_finds_a_broken_report(tmp_path, capsys):
+    text = model_of("loop-elim", "s2s3-loop-14")
+    report = json.loads((BENCH / "golden" / "loop-elim" / "s2s3-loop-14.json").read_text(encoding="utf-8"))
+    # degree 4 holds sv_1*w_1 - 1/2*sw_1*v_1; flipping the sign leaves no cocycle
+    (broken,) = [k for k, terms in enumerate(report["representatives"][4]) if len(terms) == 2]
+    report["representatives"][4][broken][1][1] = "1/2"
+    report["representatives"][5].pop()
+    report["model_hash"] = "0" * 64
+    assert report_check.check(text, report) == [
+        "model_hash is not the SHA-256 of the model text",
+        f"degree 4, class {broken}: not a cocycle",
+        "degree 5: 4 classes, betti 5",
+    ]
+    model, saved = tmp_path / "s2s3.model", tmp_path / "report.json"
+    model.write_text(text, encoding="utf-8")
+    saved.write_text(json.dumps(report), encoding="utf-8")
+    assert report_check.main([str(model), str(saved)]) == 1
+    assert "not a cocycle" in capsys.readouterr().out
