@@ -6,7 +6,8 @@ Monomials are stored as canonical words: tuples of (generator index, exponent)
 pairs with indices strictly increasing in the algebra's canonical order,
 which is (degree, name).  Elements are finite rational sums of canonical
 words.  A coefficient is whatever exact Python arithmetic gives: an `int`
-stays an `int`, and a `Fraction` is made only where the program divides.
+stays an `int`, and a `Fraction` is made only where the program divides and
+the quotient is not an integer.
 
 `FreeGradedAlgebra.bases(top, cap)` lists the monomial bases of degrees
 0..top in one table pass over the generators, counted before they are

@@ -18,32 +18,42 @@ in the matrix of all columns added so far, whatever the order of their keys.
 It is the one division of the elimination.
 
 The one vector type is the sparse `{key: coefficient}` dict, zeros not
-stored.  Every linear map becomes a matrix in one place, `matrix_of`: one
-sparse column per source element, rows indexed by any hashable basis keys.
-A caller tests a vector against a span by adding it to that span's
-`Echelon`.  A linear system A x = b is consistent iff -b reduces to zero
-against the columns of A, and its relation is then (u x, u) with u > 0.
+stored.  Every linear map becomes a matrix in one place, `coordinates`: one
+sparse column per source element, rows indexed by any hashable basis keys,
+built a column at a time or all at once by `matrix_of`.  A caller tests a
+vector against a span by adding it to that span's `Echelon`.  A linear
+system A x = b is consistent iff b lies in the span of the columns of A.
+An echelon seeded with -b as column 0, then given the columns of A in
+order, first returns a relation z with z[0] != 0 at the first c_k with b in
+span(c_1 .. c_k); `kernel_vector(z, 0)` is then (1, x) with A x = b, the
+reduced-echelon solution over all of A.  So a solver adds columns only
+until one closes b.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 SparseVector = dict[int, int | Fraction]
 IntegerVector = dict[int, int]
+Image = Mapping[Hashable, int | Fraction]
 
 
-def matrix_of(images: Iterable[Mapping[Hashable, int | Fraction]],
-              target_basis: Iterable[Hashable]) -> list[SparseVector]:
-    """One sparse column per image: `{position of key in target_basis: coefficient}`.
+def coordinates(target_basis: Iterable[Hashable]) -> Callable[[Image], SparseVector]:
+    """The map from an image to its sparse column `{position of key in target_basis: coefficient}`.
 
     An image maps basis keys to coefficients (an `Element.terms`, say); a key
     outside the basis raises KeyError, and zero coefficients are not stored.
     """
     index = {key: i for i, key in enumerate(target_basis)}
-    return [{index[key]: c for key, c in image.items() if c} for image in images]
+    return lambda image: {index[key]: c for key, c in image.items() if c}
+
+
+def matrix_of(images: Iterable[Image], target_basis: Iterable[Hashable]) -> list[SparseVector]:
+    """One sparse column per image, its `coordinates` in target_basis."""
+    return list(map(coordinates(target_basis), images))
 
 
 def _combine(vector: IntegerVector, a: int, other: IntegerVector, b: int) -> None:
@@ -103,10 +113,12 @@ class Echelon:
         return relation
 
 
-def kernel_vector(z: IntegerVector, index: int) -> dict[int, Fraction]:
+def kernel_vector(z: IntegerVector, index: int) -> SparseVector:
     """The relation z of column `index` divided by z[index]: that column's
-    reduced-echelon kernel vector."""
-    return {c: Fraction(x, z[index]) for c, x in z.items()}
+    reduced-echelon kernel vector.  A quotient that is an integer stays an
+    `int`; a `Fraction` is made only where z[index] does not divide."""
+    d = z[index]
+    return {c: Fraction(x, d) if x % d else x // d for c, x in z.items()}
 
 
 def rank(rows: Sequence[SparseVector]) -> int:

@@ -163,7 +163,9 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
     generator receives D(sv) = v_1 - v_2 - gamma where gamma solves
     D(gamma) = dv_1 - dv_2 with phi(gamma) = 0 over the decomposable
     monomials in the previously built generators; the solution is the
-    deterministic reduced-echelon one.
+    deterministic reduced-echelon one over all of them, found from the
+    shortest prefix of them that spans the right-hand side (see
+    `_solve_gamma`).
     """
     require_valid(model)
     violation = minimality_check(model)
@@ -224,23 +226,34 @@ def _solve_gamma(derivation, phi, g, rhs, bases, target_bases):
     unbuilt = {big.index_of(suspended_name(h.name)) for h in phi.target.generators if h.degree == g.degree}
     candidates = [w for w in bases[g.degree] if word_length(w) >= 2 and not any(i in unbuilt for i, _ in w)]
     # A stacks the rows of D(gamma) = rhs, one per degree-(|g|+1) word, over
-    # those of phi(gamma) = 0, one per degree-|g| word of the target.  x
-    # solves A x = rhs iff -rhs reduces to zero against the columns of A,
-    # and the kernel vector of -rhs is then (x, 1), with x the
-    # reduced-echelon solution.
-    d_rows, phi_rows = bases[g.degree + 1], target_bases[g.degree]
-    columns = linalg.matrix_of(map(derivation.on_word, candidates), d_rows)
-    for column, image in zip(columns, linalg.matrix_of(map(phi.on_word, candidates), phi_rows)):
-        column.update((len(d_rows) + r, c) for r, c in image.items())
-    (minus_rhs,) = linalg.matrix_of([{w: -c for w, c in rhs.terms.items()}], d_rows)
-    last = len(candidates)
-    solution = linalg.Echelon(columns + [minus_rhs]).relations.get(last)
-    if solution is None:
-        raise WindowTooSmall(
-            f"no decomposable correction of degree {g.degree} for generator {g.name!r}"
-        )
-    return Element(big, {candidates[c]: x for c, x in linalg.kernel_vector(solution, last).items()
-                         if c != last})
+    # those of phi(gamma) = 0, one per degree-|g| word of the target.  One
+    # echelon is seeded with -rhs as column 0, and each candidate is mapped
+    # and added only when it is reached, up to the first candidate c_k whose
+    # relation z has z[0] != 0; kernel_vector(z, 0) is then (1, x) with
+    # A x = rhs, x read over the candidates with indices shifted by one.
+    # This x is the reduced-echelon solution over every candidate:
+    # - an echelon keeps a column iff it is independent of the columns
+    #   before it, so the columns kept from a prefix are a prefix of the ones
+    #   kept from the whole list (the greedy basis);
+    # - seeded with -rhs, the first c_k whose relation has z[0] != 0 is the
+    #   first k with rhs in span(c_1 .. c_k); before it the seed changes no
+    #   verdict, and c_k itself is in the greedy basis;
+    # - so the coordinates of rhs in the columns kept up to c_k are its
+    #   coordinates in the whole greedy basis, Fraction for Fraction;
+    # - `str`, `==` and `hash` agree on 2 and Fraction(2, 1), so a kernel
+    #   vector that stays an int where it divides changes no text either.
+    # The system is consistent iff some prefix spans rhs, so WindowTooSmall
+    # is raised iff no candidate closes one.
+    d_rows = bases[g.degree + 1]
+    d_column, phi_column = linalg.coordinates(d_rows), linalg.coordinates(target_bases[g.degree])
+    echelon = linalg.Echelon([d_column((-rhs).terms)])
+    for w in candidates:
+        column = d_column(derivation.on_word(w))
+        column.update((len(d_rows) + r, c) for r, c in phi_column(phi.on_word(w)).items())
+        z = echelon.add(column)
+        if z is not None and 0 in z:
+            return Element(big, {candidates[c - 1]: x for c, x in linalg.kernel_vector(z, 0).items() if c})
+    raise WindowTooSmall(f"no decomposable correction of degree {g.degree} for generator {g.name!r}")
 
 
 # -- closed-form loop cohomology for truncated polynomial spaces -------------------

@@ -8,8 +8,10 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from sullivan.algebra import Element, FreeGradedAlgebra, Generator, Word
+from sullivan import linalg
+from sullivan.algebra import Element, FreeGradedAlgebra, Generator, Word, word_length
 from sullivan.calculus import CDGA, suspended_name
+from sullivan.errors import WindowTooSmall
 from sullivan.models import MultiplicationModel, Recipe, build, product
 
 
@@ -125,6 +127,33 @@ def gamma(mm: MultiplicationModel, name: str) -> Element:
     model: v_1 - v_2 - D(sv)."""
     alg = mm.model.algebra
     return alg.gen(f"{name}_1") - alg.gen(f"{name}_2") - mm.model.d_of(suspended_name(name))
+
+
+def gamma_candidates(derivation, phi, g, bases) -> list[Word]:
+    """The words the correction of generator g may use, in basis order: those
+    of degree |g| with two or more letters and no suspension of a generator
+    of degree |g|, which is not built before g."""
+    big = derivation.source
+    unbuilt = {big.index_of(suspended_name(h.name)) for h in phi.target.generators if h.degree == g.degree}
+    return [w for w in bases[g.degree] if word_length(w) >= 2 and not any(i in unbuilt for i, _ in w)]
+
+
+def full_solve_gamma(derivation, phi, g, rhs, bases, target_bases) -> Element:
+    """Reference for `models._solve_gamma`, with its arguments: map and
+    eliminate every candidate, then add -rhs last and read the correction
+    from its relation, the reduced-echelon solution of A x = rhs."""
+    candidates = gamma_candidates(derivation, phi, g, bases)
+    d_rows, phi_rows = bases[g.degree + 1], target_bases[g.degree]
+    columns = linalg.matrix_of(map(derivation.on_word, candidates), d_rows)
+    for column, image in zip(columns, linalg.matrix_of(map(phi.on_word, candidates), phi_rows)):
+        column.update((len(d_rows) + r, c) for r, c in image.items())
+    (minus_rhs,) = linalg.matrix_of([(-rhs).terms], d_rows)
+    last = len(candidates)
+    solution = linalg.Echelon(columns + [minus_rhs]).relations.get(last)
+    if solution is None:
+        raise WindowTooSmall(f"no decomposable correction of degree {g.degree} for generator {g.name!r}")
+    return Element(derivation.source, {candidates[c]: x for c, x in linalg.kernel_vector(solution, last).items()
+                                       if c != last})
 
 
 # -- dense test-only oracles, independent of `sullivan.linalg` --------------------------

@@ -1,4 +1,4 @@
-"""An exact check of `betti` and `loop-betti` reports that shares no code with `sullivan`.
+"""An exact check of `betti`, `loop-betti` and `mult-model` reports that shares no code with `sullivan`.
 
 The checker reads the model text itself: `generator <name> <degree>` lines,
 and `d <name> = <expr>` lines whose right-hand side is a sum of rational
@@ -19,6 +19,16 @@ number, a representative with a word of another degree, and a
 representative whose differential is not exactly zero over `Fraction`.  The
 rank identities (b_n from the ranks of d, and independence modulo
 boundaries) are not checked here.
+
+A `mult-model` report carries the relative model of the multiplication in
+its `model_file`: copies v_1 and v_2 of each generator v of degree at most
+the report's window, and a suspension sv with D(sv) = v_1 - v_2 - gamma.
+The checker reads that text and reports a generator whose D(D(g)) is not
+zero, a copy whose D is not the copy of dv, a D(sv) - v_1 + v_2 (that is,
+-gamma) with a word of fewer than two letters, and one that phi does not
+kill, where phi sends v_1 and v_2 to v and sv to 0, each product then put in
+canonical order with its Koszul sign.  That the model's cohomology is that
+of the base is not checked here.
 
     python tests/report_check.py MODEL_FILE REPORT_JSON
 
@@ -140,16 +150,47 @@ class Model:
         return sum(self.degrees[letter] for letter in monomial)
 
 
+def rename(model: Model, p: Polynomial, names: dict[str, str | None]) -> Polynomial:
+    """The algebra map sending each letter to the letter `names` gives it,
+    or to 0 where that is None, into `model`."""
+    return model.combine((c, [names[letter] for letter in m]) for m, c in p.items()
+                         if None not in map(names.get, m))
+
+
+def check_mult_model(base: Model, window: int, model_text: str) -> list[str]:
+    """The problems of the multiplication model text of a `mult-model` report."""
+    model = Model.parse(model_text)
+    kept = [v for v, k in base.degrees.items() if k <= window]
+    missing = [g for v in kept for g in (f"{v}_1", f"{v}_2", f"s{v}") if g not in model.degrees]
+    if missing:
+        return [f"{g} is not a generator of the model file" for g in missing]
+    problems = [f"d(d({g})) is not zero" for g in model.degrees if model.differential(model.d.get(g, {}))]
+    phi = dict.fromkeys(model.degrees) | {f"{v}_{k}": v for v in kept for k in (1, 2)}
+    for v in kept:
+        for k in (1, 2):
+            if model.d.get(f"{v}_{k}", {}) != rename(model, base.d.get(v, {}), {u: f"{u}_{k}" for u in kept}):
+                problems.append(f"d({v}_{k}) is not the copy of d({v})")
+        minus_gamma = model.combine([*((c, list(m)) for m, c in model.d.get(f"s{v}", {}).items()),
+                                     (Fraction(-1), [f"{v}_1"]), (Fraction(1), [f"{v}_2"])])
+        if any(len(m) < 2 for m in minus_gamma):
+            problems.append(f"d(s{v}) - {v}_1 + {v}_2 has a word of fewer than two letters")
+        if rename(base, minus_gamma, phi):
+            problems.append(f"phi does not kill d(s{v}) - {v}_1 + {v}_2")
+    return problems
+
+
 def check(model_text: str, report: dict) -> list[str]:
-    """The problems of a `betti` or `loop-betti` report of the model text."""
+    """The problems of a `betti`, `loop-betti` or `mult-model` report of the model text."""
     problems = []
     if report["model_hash"] != hashlib.sha256(model_text.encode("utf-8")).hexdigest():
         problems.append("model_hash is not the SHA-256 of the model text")
     model = Model.parse(model_text)
+    if report["command"] == "mult-model":
+        return problems + check_mult_model(model, report["window"], report["model_file"])
     if report["command"] == "loop-betti":
         model = model.loop()
     elif report["command"] != "betti":
-        raise ValueError(f"not a betti or loop-betti report: {report['command']!r}")
+        raise ValueError(f"not a betti, loop-betti or mult-model report: {report['command']!r}")
     for n, (b, classes) in enumerate(zip(report["betti"], report["representatives"], strict=True)):
         if len(classes) != b:
             problems.append(f"degree {n}: {len(classes)} classes, betti {b}")

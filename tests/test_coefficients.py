@@ -1,6 +1,7 @@
 """The coefficient rule: a coefficient is whatever exact Python arithmetic
 gives, so an `int` stays an `int`, and a `Fraction` is made only where the
-program divides.  No path may make a `float`."""
+program divides and the quotient is not an integer.  No path may make a
+`float`."""
 
 import ast
 from fractions import Fraction
@@ -9,11 +10,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.calculus import Morphism, loop_model
+from sullivan.calculus import Morphism, loop_model, suspended_name
 from sullivan.homology import assemble_window, betti
 from sullivan.modelfile import parse
+from sullivan.models import build, multiplication_model, product
 
-from helpers import builtin_models
+from helpers import builtin_models, cpn, even_sphere
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sullivan"
 
@@ -65,6 +67,15 @@ def test_an_integral_model_has_int_coefficients_from_d_to_on_word():
             assert coefficients(*(value.terms for value in m.differential.values.values())) <= {int}
             assert coefficients(*map(m.differential.on_word, words(m.algebra))) <= {int}
         assert coefficients(*map(include.on_word, words(model.algebra))) == {int}
+
+
+def test_an_integral_correction_has_int_coefficients():
+    # each correction of CP^3 x CP^2 x S^2 is integral, so the kernel vector
+    # it is read from divides exactly: 21 coefficients, 9 of them corrections
+    mm = multiplication_model(build(product(cpn(3), cpn(2), even_sphere(1))))
+    values = [mm.model.d_of(suspended_name(g.name)).terms for g in mm.target.algebra.generators]
+    assert sum(map(len, values)) == 21
+    assert coefficients(*values) == {int}
 
 
 def test_a_slash_makes_the_one_fraction_of_a_literal():

@@ -187,6 +187,12 @@ def test_kernel_vector_is_one_at_its_column_and_killed_by_the_columns(rows):
                    for r in range(len(rows)))
 
 
+def test_kernel_vector_divides_to_an_int_where_the_entry_divides():
+    vector = linalg.kernel_vector({0: 2, 1: -4, 2: 3}, 0)
+    assert vector == {0: 1, 1: -2, 2: Fraction(3, 2)}
+    assert [type(x) for x in vector.values()] == [int, int, Fraction]
+
+
 def test_echelon_add_returns_a_relation_exactly_on_the_span():
     columns = [{0: Fraction(1)}, {1: Fraction(1)}]
     assert normalised(linalg.Echelon(columns).add({0: Fraction(3), 1: Fraction(7)})) == {

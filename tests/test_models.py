@@ -11,9 +11,10 @@ from sullivan.calculus import (
     minimality_check,
     suspension,
 )
-from sullivan import linalg
+from sullivan import linalg, models
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator
-from sullivan.errors import NotApplicable
+from sullivan.calculus import suspended_name
+from sullivan.errors import NotApplicable, WindowTooSmall
 from sullivan.homology import (
     _indecomposables_complex,
     assemble_window,
@@ -40,7 +41,9 @@ from helpers import (
     cpn,
     cpn_model,
     even_sphere,
+    full_solve_gamma,
     gamma,
+    gamma_candidates,
     normalised,
     odd_sphere,
     oracle_kernel,
@@ -423,7 +426,7 @@ def test_assembly_builds_no_elements(monkeypatch):
 
 
 def _record_solves(monkeypatch) -> dict[linalg.Echelon, tuple[list, list]]:
-    """Per echelon: the columns added to it, and the last relation it returned.
+    """Per echelon: the columns added to it, and what each `add` returned.
 
     Keyed by the echelon itself, which the dict keeps alive: an id() key
     could be reused by a later echelon once an earlier one is freed, and
@@ -432,13 +435,25 @@ def _record_solves(monkeypatch) -> dict[linalg.Echelon, tuple[list, list]]:
     solves: dict[linalg.Echelon, tuple[list, list]] = {}
 
     def recorded_add(echelon, column):
-        columns, last = solves.setdefault(echelon, ([], [None]))
+        columns, relations = solves.setdefault(echelon, ([], []))
         columns.append(column)
-        last[0] = add(echelon, column)
-        return last[0]
+        relations.append(add(echelon, column))
+        return relations[-1]
 
     monkeypatch.setattr(linalg.Echelon, "add", recorded_add)
     return solves
+
+
+def _record_gamma_calls(monkeypatch) -> list[tuple[tuple, Element]]:
+    """The arguments and the correction of every `_solve_gamma` call."""
+    solve, calls = models._solve_gamma, []
+
+    def recorded_solve(*args):
+        calls.append((args, solve(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(models, "_solve_gamma", recorded_solve)
+    return calls
 
 
 def test_multiplication_model_builds_fewer_elements_than_it_maps_words(monkeypatch):
@@ -446,20 +461,86 @@ def test_multiplication_model_builds_fewer_elements_than_it_maps_words(monkeypat
     solves = _record_solves(monkeypatch)
     count = _count_element_constructions(monkeypatch)
     mm = multiplication_model(model)
-    # one column per candidate word, then the right-hand side
+    # -rhs, then one column per candidate word up to the one that closes the solve
     mapped = sum(len(columns) - 1 for columns, _ in solves.values())
     assert mapped > 0 and count[0] < mapped, (count[0], mapped)
     assert len(mm.model.algebra.generators) == 18
 
 
 def test_each_correction_is_the_dense_kernel_vector_of_its_right_hand_side(monkeypatch):
-    # the relation (u x, u) of -rhs, divided by u, is the reduced-echelon
-    # kernel vector of the last column of [A | -rhs], from the dense Bareiss oracle
+    # the relation of the closing candidate c_k, divided by its own entry, is
+    # the reduced-echelon kernel vector of the last column of
+    # [-rhs | c_1 .. c_k], from the dense Bareiss oracle
     solves = _record_solves(monkeypatch)
+    calls = _record_gamma_calls(monkeypatch)
     multiplication_model(build(product(cpn(2), even_sphere(1))))
     monkeypatch.undo()
-    assert solves
-    for columns, (z,) in solves.values():
+    assert solves and len(solves) == len(calls)
+    for columns, relations in solves.values():
         keys = sorted(set().union(*columns))
         dense = [[c.get(k, Fraction(0)) for c in columns] for k in keys]
-        assert normalised(z) == sparse(oracle_kernel(dense, len(columns)))[-1]
+        assert normalised(relations[-1]) == sparse(oracle_kernel(dense, len(columns)))[-1]
+    # and the correction is the reduced-echelon solution (x, 1) of
+    # [A | -rhs] over every candidate, with A built here: the rows of D over
+    # those of phi
+    for (derivation, phi, g, rhs, bases, target_bases), correction in calls:
+        candidates = gamma_candidates(derivation, phi, g, bases)
+        images = [(derivation.on_word(w), phi.on_word(w)) for w in candidates]
+        dense = [[Fraction(d.get(r, 0)) for d, _ in images] + [-rhs.terms.get(r, 0)] for r in bases[g.degree + 1]]
+        dense += [[Fraction(p.get(r, 0)) for _, p in images] + [0] for r in target_bases[g.degree]]
+        solution = oracle_kernel(dense, len(candidates) + 1)[-1]
+        assert solution[-1] == 1
+        assert correction == Element(derivation.source, dict(zip(candidates, solution)))
+
+
+# CP2xS2, CP2xCP2, CP3xCP2xS2, CP2xCP2xCP2, S3xS3xS4, a truncated polynomial
+# factor, and CP3xCP2xS2 truncated at each degree
+PREFIX_SOLVE_CASES = [(spec, None) for spec in ["cpn:2 even-sphere:1", "cpn:2 cpn:2", "cpn:3 cpn:2 even-sphere:1",
+                                                "cpn:2 cpn:2 cpn:2", "odd-sphere:1 odd-sphere:1 even-sphere:2",
+                                                "truncated-poly:4:3 cpn:3 even-sphere:1"]]
+PREFIX_SOLVE_CASES += [("cpn:3 cpn:2 even-sphere:1", k) for k in range(8)]
+
+
+@pytest.mark.parametrize("spec, max_degree", PREFIX_SOLVE_CASES)
+def test_the_prefix_solve_gives_the_full_solve_correction(spec, max_degree, monkeypatch):
+    model = build(recipe_from_args("product", spec.split()))
+    mm = multiplication_model(model, max_degree)
+    monkeypatch.setattr(models, "_solve_gamma", full_solve_gamma)
+    reference = multiplication_model(model, max_degree)
+    suspensions = [suspended_name(g.name) for g in reference.target.algebra.generators]
+    assert [mm.model.d_of(s) for s in suspensions] == [reference.model.d_of(s) for s in suspensions]
+
+
+def test_each_solve_maps_candidates_only_up_to_its_closing_one(monkeypatch):
+    solves = _record_solves(monkeypatch)
+    multiplication_model(build(product(cpn(3), cpn(2), even_sphere(1))))
+    monkeypatch.undo()
+    # the solves of w_3, w_2 and w_1 map 2, 52 and 335 candidates; the full
+    # solves map 19, 111 and 425, 555 in all
+    assert sum(len(columns) - 1 for columns, _ in solves.values()) == 389
+    for _, relations in solves.values():
+        # -rhs opens the solve, and only the last candidate's relation holds it
+        closes = [z is not None and 0 in z for z in relations]
+        assert closes == [False] * (len(closes) - 1) + [True]
+
+
+def test_window_too_small_is_raised_exactly_where_the_full_solve_raises(monkeypatch):
+    # with the degree-|g| basis cut to each of its prefixes, the solve raises
+    # iff the full solve does, and returns the same correction otherwise
+    calls = _record_gamma_calls(monkeypatch)
+    multiplication_model(build(product(cpn(2), even_sphere(1))))
+    monkeypatch.undo()
+    assert calls
+    for (derivation, phi, g, rhs, bases, target_bases), _ in calls:
+        raised = set()
+        for cut in range(len(bases[g.degree]) + 1):
+            cut_bases = [*bases[:g.degree], bases[g.degree][:cut], *bases[g.degree + 1:]]
+            results = []
+            for solve in (models._solve_gamma, full_solve_gamma):
+                try:
+                    results.append(solve(derivation, phi, g, rhs, cut_bases, target_bases))
+                except WindowTooSmall:
+                    results.append(None)
+            assert results[0] == results[1], (g.name, cut)
+            raised.add(results[0] is None)
+        assert raised == {True, False}

@@ -1,5 +1,6 @@
 """Every representative of a `betti` or `loop-betti` report is an exact
-cocycle, checked by `report_check`, which shares no code with the engine."""
+cocycle, and every `mult-model` report holds a relative model of the
+multiplication, checked by `report_check`, which shares no code with the engine."""
 
 import ast
 import json
@@ -9,10 +10,13 @@ import pytest
 
 import report_check
 from sullivan.cli import main
+from sullivan.modelfile import emit
+from sullivan.models import build, recipe_from_args
 from test_golden import BENCH, WORKLOADS
 
 GOLDEN = [("loop-elim", "s2s3-loop-14"), ("loop-elim", "s3s3-loop-24"),
-          ("assemble-s2", "s2-betti-1000"), ("survey", "betti"), ("survey", "loop-betti")]
+          ("assemble-s2", "s2-betti-1000"), ("survey", "betti"), ("survey", "loop-betti"),
+          ("mult-dense", "cp3cp2s2-mult"), ("survey", "mult-model")]
 
 
 def model_of(workload: str, job_id: str) -> str:
@@ -76,3 +80,37 @@ def test_the_checker_finds_a_broken_report(tmp_path, capsys):
     saved.write_text(json.dumps(report), encoding="utf-8")
     assert report_check.main([str(model), str(saved)]) == 1
     assert "not a cocycle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("factors", ["truncated-poly:4:3 cpn:3 even-sphere:1",
+                                     "cpn:4 cpn:2 even-sphere:1 even-sphere:1"])
+def test_mult_model_of_a_recipe_is_a_relative_model_of_the_multiplication(factors, tmp_path, capsys):
+    text = emit(build(recipe_from_args("product", factors.split())))
+    path = tmp_path / "recipe.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["mult-model", str(path), "--json"]) == 0
+    assert report_check.check(text, json.loads(capsys.readouterr().out)) == []
+
+
+def test_the_checker_finds_a_broken_mult_model_report():
+    text = model_of("mult-dense", "cp3cp2s2-mult")
+    report = json.loads((BENCH / "golden" / "mult-dense" / "cp3cp2s2-mult.json").read_text(encoding="utf-8"))
+    model_file = report["model_file"]
+    # a flipped coefficient of the correction of w_1
+    report["model_file"] = model_file.replace("- sv_1*v_1_1^3", "+ sv_1*v_1_1^3")
+    assert report_check.check(text, report) == ["d(d(sw_1)) is not zero"]
+    # a decomposable term that phi sends to v_1^2, a linear term, and a wrong
+    # copy; the last two also break d(d) of the suspensions whose d uses them
+    report["model_file"] = (model_file.replace("+ w_3_1 - w_3_2", "+ v_1_1*v_1_2 + w_3_1 - w_3_2")
+                            .replace("d sv_2 = v_2_1", "d sv_2 = 2*v_2_1")
+                            .replace("d w_1_2 = v_1_2^4", "d w_1_2 = -v_1_2^4"))
+    assert report_check.check(text, report) == [
+        "d(d(sw_2)) is not zero",
+        "d(d(sw_1)) is not zero",
+        "d(sv_2) - v_2_1 + v_2_2 has a word of fewer than two letters",
+        "phi does not kill d(sv_2) - v_2_1 + v_2_2",
+        "phi does not kill d(sw_3) - w_3_1 + w_3_2",
+        "d(w_1_2) is not the copy of d(w_1)",
+    ]
+    report["model_file"] = model_file.replace("generator sw_3 2\n", "")
+    assert report_check.check(text, report) == ["sw_3 is not a generator of the model file"]
