@@ -1,11 +1,14 @@
 """Command line interface.
 
 Commands parse model files (or stdin), orchestrate the constructions and
-return `(report, lines, ok)`: the report dict, the text lines (None when the
-text output is the model itself), and whether every verdict holds.  `main`
-writes that once, through `_write`, as deterministic text or canonical JSON:
-sorted keys, compact separators, integers beyond 2^53 rendered as decimal
-strings.  A command that builds a model also writes it to `-o FILE`.  Exit
+return `(report, ok)`: the report dict and whether every verdict holds.  A
+report holds values (a class is its `Element`), and a class is written out
+only at the edge.  `main` writes the report once, through `_write`, which
+formats the one form asked for: the command's text lines of the report (its
+text function beside it in `_COMMANDS`, or the model text when it has none),
+or canonical JSON with sorted keys, compact separators, integers beyond 2^53
+rendered as decimal strings and each class as its `[word, coefficient]`
+pairs.  A command that builds a model also writes it to `-o FILE`.  Exit
 codes: 0 success, 1 verification or comparison failure, 2 input errors.
 
 `homology`, `models` and `series` are imported inside the commands that use
@@ -31,7 +34,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from . import modelfile
-from .algebra import DEFAULT_BASIS_CAP
+from .algebra import DEFAULT_BASIS_CAP, Element
 from .calculus import (
     CDGA,
     check_chain_map,
@@ -64,6 +67,8 @@ def _canonical(value):
         return [_canonical(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in value.items()}
+    if isinstance(value, Element):
+        return [[value.algebra.word_str(w), str(c)] for w, c in value.sorted_terms()]
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -96,42 +101,33 @@ def _report(command: str, **fields) -> dict:
     return base
 
 
-def _serialize_representatives(report: "homology.CohomologyReport") -> list:
-    out = []
-    for classes in report.representatives:
-        degree_entry = []
-        for rep in classes:
-            degree_entry.append(
-                [[rep.algebra.word_str(w), str(c)] for w, c in rep.sorted_terms()]
-            )
-        out.append(degree_entry)
-    return out
-
-
 def _read_model(path: str, validate: bool = True) -> CDGA:
     if path == "-":
         return modelfile.parse(sys.stdin.read(), validate=validate)
     return modelfile.parse_path(path, validate=validate)
 
 
-def _write(args, report: dict, lines: list[str] | None) -> None:
+def _write(args, report: dict) -> None:
     """Write a command's output: the one place a report leaves the program.
 
     The model text of `report["model_file"]` goes to `-o FILE` first.
-    Without `--json` it goes to stdout under `-o -`, or when `lines` is None
-    (the model text is then the command's output).  Then stdout takes the
-    canonical JSON report, or the text lines.
+    Without `--json` it goes to stdout under `-o -`, or when the command has
+    no text function (the model text is then its output).  Then stdout takes
+    the canonical JSON report or the command's text lines, and only that form
+    is formatted.  `_canonical` writes a tuple as a JSON array and a class as
+    its pairs from `sorted_terms`, `word_str` and `str(c)`; a text function
+    reads the `details` strings, verdicts and witness entries of the report.
     """
     output = getattr(args, "output", None)
     if output not in (None, "-"):
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(report["model_file"])
-    elif not args.json and (output == "-" or lines is None):
+    elif not args.json and (output == "-" or args.text is None):
         sys.stdout.write(report["model_file"])
     if args.json:
         sys.stdout.write(canonical_json(report))
-    elif lines is not None:
-        sys.stdout.write("".join(f"{line}\n" for line in lines))
+    elif args.text is not None:
+        sys.stdout.write("".join(f"{line}\n" for line in args.text(report)))
 
 
 # -- commands -------------------------------------------------------------------
@@ -160,19 +156,20 @@ def cmd_verify(args) -> tuple:
     report = _report(
         "verify", model_hash=model_hash(model), verdicts=verdicts, details=details
     )
-    lines = [f"model {report['model_hash']}"]
-    if failure is None:
-        lines.append("d_squared_zero: ok")
-    else:
-        lines.append(
-            f"d_squared_zero: FAIL at {failure[0].name}: d(d({failure[0].name})) = {failure[1]}"
-        )
-    if minimal is None:
-        lines.append("minimal: ok")
-    else:
-        lines.append(f"minimal: violation at {minimal[0].name}: linear part {minimal[1]}")
-    lines.append("homogeneous: ok")
-    return report, lines, failure is None
+    return report, failure is None
+
+
+def _verify_text(report: dict) -> list[str]:
+    failure = report["details"].get("d_squared_counterexample")
+    minimal = report["details"].get("minimality_violation")
+    return [
+        f"model {report['model_hash']}",
+        "d_squared_zero: " + ("ok" if failure is None else
+                              "FAIL at {generator}: d(d({generator})) = {value}".format(**failure)),
+        "minimal: " + ("ok" if minimal is None else
+                       "violation at {generator}: linear part {linear_part}".format(**minimal)),
+        "homogeneous: ok",
+    ]
 
 
 def _betti_report(command: str, model: CDGA, computed_on: CDGA, args) -> tuple:
@@ -183,15 +180,19 @@ def _betti_report(command: str, model: CDGA, computed_on: CDGA, args) -> tuple:
         command,
         model_hash=model_hash(model),
         window=args.max,
-        betti=list(result.betti),
-        representatives=_serialize_representatives(result),
-        series=list(result.betti),
+        betti=result.betti,
+        representatives=result.representatives,
+        series=result.betti,
     )
-    lines = [f"window 0..{args.max}", "betti " + ",".join(str(b) for b in result.betti)]
-    for n, classes in enumerate(result.representatives):
+    return report, True
+
+
+def _betti_text(report: dict) -> list[str]:
+    lines = [f"window 0..{report['window']}", "betti " + ",".join(map(str, report["betti"]))]
+    for n, classes in enumerate(report["representatives"]):
         if classes:
-            lines.append(f"H^{n} dim {len(classes)}: " + "; ".join(str(c) for c in classes))
-    return report, lines, True
+            lines.append(f"H^{n} dim {len(classes)}: " + "; ".join(map(str, classes)))
+    return lines
 
 
 def cmd_betti(args) -> tuple:
@@ -212,7 +213,7 @@ def cmd_loop(args) -> tuple:
         "loop", model_hash=digest, model_file=text,
         verdicts={"d_squared_zero": True},
     )
-    return report, None, True
+    return report, True
 
 
 def cmd_loop_betti(args) -> tuple:
@@ -226,7 +227,7 @@ def cmd_tensor(args) -> tuple:
     right = _read_model(args.right)
     text = modelfile.emit(tensor_cdga(left, right))
     report = _report("tensor", model_hash=_text_hash(text), model_file=text)
-    return report, None, True
+    return report, True
 
 
 def cmd_quotient(args) -> tuple:
@@ -247,38 +248,35 @@ def cmd_quotient(args) -> tuple:
         verdicts={"differential_ideal": not residues},
         details={"residues": {name: str(value) for name, value in sorted(residues.items())}},
     )
-    return report, None, True
+    return report, True
 
 
 def cmd_koszul(args) -> tuple:
-    from .homology import betti
-
     model = _read_model(args.model)
     # the Koszul generator, of degree |z| - 1, must lie in the window
     cocycle = modelfile.parse_element(args.by, model.algebra, args.max + 1)
     koszul = koszul_model(model, cocycle, args.max, cap=args.cap)
-    computed = betti(koszul.model, args.max, cap=args.cap)
-    matches = tuple(computed.betti) == koszul.quotient_dims
-    report = _report(
-        "koszul",
-        model_hash=model_hash(model),
-        window=args.max,
-        betti=list(computed.betti),
-        representatives=_serialize_representatives(computed),
+    report, _ = _betti_report("koszul", model, koszul.model, args)
+    matches = report["betti"] == koszul.quotient_dims
+    report.update(
+        series=None,
         verdicts={"matches_quotient_oracle": matches},
         details={
-            "quotient_dims": list(koszul.quotient_dims),
+            "quotient_dims": koszul.quotient_dims,
             "zero_divisor_checked_to": args.max,
         },
         model_file=modelfile.emit(koszul.model),
     )
-    lines = [
-        f"window 0..{args.max}",
-        "koszul betti   " + ",".join(str(b) for b in computed.betti),
-        "quotient dims  " + ",".join(str(d) for d in koszul.quotient_dims),
-        f"verdict {'EQUAL' if matches else 'DIFFER'}",
+    return report, matches
+
+
+def _koszul_text(report: dict) -> list[str]:
+    return [
+        f"window 0..{report['window']}",
+        "koszul betti   " + ",".join(map(str, report["betti"])),
+        "quotient dims  " + ",".join(map(str, report["details"]["quotient_dims"])),
+        f"verdict {'EQUAL' if report['verdicts']['matches_quotient_oracle'] else 'DIFFER'}",
     ]
-    return report, lines, matches
 
 
 def cmd_mult_model(args) -> tuple:
@@ -312,9 +310,13 @@ def cmd_mult_model(args) -> tuple:
         model_file=modelfile.emit(mm.model),
         details={"suspension_differentials": differentials},
     )
-    lines = [f"D({s}) = {value}" for s, value in differentials.items()]
-    lines += [f"{key}: {'ok' if verdicts[key] else 'FAIL'}" for key in sorted(verdicts)]
-    return report, lines, all(verdicts.values())
+    return report, all(verdicts.values())
+
+
+def _mult_model_text(report: dict) -> list[str]:
+    verdicts = report["verdicts"]
+    lines = [f"D({s}) = {value}" for s, value in report["details"]["suspension_differentials"].items()]
+    return lines + [f"{key}: {'ok' if verdicts[key] else 'FAIL'}" for key in sorted(verdicts)]
 
 
 def cmd_witness(args) -> tuple:
@@ -327,7 +329,6 @@ def cmd_witness(args) -> tuple:
     loop_betti_report = betti(loop, args.max, cap=args.cap)
     generator_counts = h_algebra_generator_counts(model, args.max, cap=args.cap)
     entries = []
-    lines = []
     ok = True
     for entry in witness_report.entries:
         in_window = entry.degree <= args.max
@@ -340,38 +341,40 @@ def cmd_witness(args) -> tuple:
                 "k": entry.k,
                 "degree": entry.degree,
                 "count": entry.count,
-                "exponents": [list(p) for p in entry.exponent_pairs],
-                "classes": list(entry.labels),
+                "exponents": entry.exponent_pairs,
+                "classes": entry.labels,
                 "cocycles": entry.cocycles_verified,
                 "independent": entry.independent,
                 "betti": b_n,
             }
-        )
-        lines.append(
-            f"k={entry.k} degree={entry.degree} count={entry.count} "
-            f"cocycles={'ok' if entry.cocycles_verified else 'FAIL'} "
-            f"independent={'ok' if entry.independent else 'FAIL'} "
-            f"betti={b_n if b_n is not None else 'outside window'}"
         )
     report = _report(
         "witness",
         model_hash=model_hash(model),
         window=args.max,
         witnesses=entries,
-        betti=list(loop_betti_report.betti),
+        betti=loop_betti_report.betti,
         verdicts={"all_certified": ok},
         details={
-            "even_generators": list(witness_report.even_gens),
+            "even_generators": witness_report.even_gens,
             "odd_pair": [witness_report.y, witness_report.z],
             "degree_period": witness_report.period,
-            "h_algebra_generators_in_window": list(generator_counts),
+            "h_algebra_generators_in_window": generator_counts,
         },
     )
-    lines.append(
-        "H* algebra generators per degree: "
-        + ",".join(str(c) for c in generator_counts)
-    )
-    return report, lines, ok
+    return report, ok
+
+
+def _witness_text(report: dict) -> list[str]:
+    lines = [
+        f"k={e['k']} degree={e['degree']} count={e['count']} "
+        f"cocycles={'ok' if e['cocycles'] else 'FAIL'} "
+        f"independent={'ok' if e['independent'] else 'FAIL'} "
+        f"betti={e['betti'] if e['betti'] is not None else 'outside window'}"
+        for e in report["witnesses"]
+    ]
+    counts = report["details"]["h_algebra_generators_in_window"]
+    return lines + ["H* algebra generators per degree: " + ",".join(map(str, counts))]
 
 
 def cmd_series(args) -> tuple:
@@ -379,32 +382,24 @@ def cmd_series(args) -> tuple:
 
     form = series_mod.parse_rational(args.rational, args.max)
     expansion = series_mod.expand_rational(form, args.max)
-    verdicts = {}
-    betti_list = None
-    hash_value = None
+    report = _report("series", window=args.max, series=expansion)
     equal = True
     if args.betti_of is not None:
         from .homology import betti
 
         model = _read_model(args.betti_of)
-        hash_value = model_hash(model)
         result = betti(model, args.max, cap=args.cap)
-        betti_list = list(result.betti)
         equal = result.betti == expansion
-        verdicts["equal"] = equal
-    report = _report(
-        "series",
-        model_hash=hash_value,
-        window=args.max,
-        series=list(expansion),
-        betti=betti_list,
-        verdicts=verdicts,
-    )
-    lines = ["series " + ",".join(map(str, expansion))]
-    if betti_list is not None:
-        lines.append("betti  " + ",".join(str(b) for b in betti_list))
-        lines.append(f"verdict {'EQUAL' if equal else 'DIFFER'}")
-    return report, lines, equal
+        report.update(model_hash=model_hash(model), betti=result.betti, verdicts={"equal": equal})
+    return report, equal
+
+
+def _series_text(report: dict) -> list[str]:
+    lines = ["series " + ",".join(map(str, report["series"]))]
+    if report["betti"] is not None:
+        lines.append("betti  " + ",".join(map(str, report["betti"])))
+        lines.append(f"verdict {'EQUAL' if report['verdicts']['equal'] else 'DIFFER'}")
+    return lines
 
 
 def cmd_recipe(args) -> tuple:
@@ -414,7 +409,7 @@ def cmd_recipe(args) -> tuple:
     model = models.build(recipe)
     text = modelfile.emit(model, header=(f"recipe {recipe}",))
     report = _report("recipe", model_hash=model_hash(model), model_file=text)
-    return report, None, True
+    return report, True
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -430,28 +425,29 @@ _SHARED = (
                "help": f"per-degree monomial basis cap (default {DEFAULT_BASIS_CAP})"}),
 )
 
-# name: (function, help, how many shared options, own arguments), each
-# argument being its names and then its keyword arguments
+# name: (function, text lines of its report or None when the model text is
+# its output, help, how many shared options, own arguments), each argument
+# being its names and then its keyword arguments
 _COMMANDS = {
-    "verify": (cmd_verify, "check d*d=0, minimality, homogeneity", 1, (_MODEL,)),
-    "betti": (cmd_betti, "Betti numbers and representatives", 3, (_MODEL,)),
-    "loop": (cmd_loop, "emit the free loop space model", 1, (_MODEL, _OUTPUT)),
-    "loop-betti": (cmd_loop_betti, "Betti numbers of the loop model", 3, (_MODEL,)),
-    "tensor": (cmd_tensor, "tensor product of two models", 1,
+    "verify": (cmd_verify, _verify_text, "check d*d=0, minimality, homogeneity", 1, (_MODEL,)),
+    "betti": (cmd_betti, _betti_text, "Betti numbers and representatives", 3, (_MODEL,)),
+    "loop": (cmd_loop, None, "emit the free loop space model", 1, (_MODEL, _OUTPUT)),
+    "loop-betti": (cmd_loop_betti, _betti_text, "Betti numbers of the loop model", 3, (_MODEL,)),
+    "tensor": (cmd_tensor, None, "tensor product of two models", 1,
                (("left", {}), ("right", {}), _OUTPUT)),
-    "quotient": (cmd_quotient, "kill generators", 1,
+    "quotient": (cmd_quotient, None, "kill generators", 1,
                  (_MODEL, ("--kill", {"required": True, "help": "comma-separated generator names"}),
                   _OUTPUT)),
-    "koszul": (cmd_koszul, "one-variable Koszul model", 3,
+    "koszul": (cmd_koszul, _koszul_text, "one-variable Koszul model", 3,
                (_MODEL, ("--by", {"required": True, "help": "even cocycle expression"}), _OUTPUT)),
-    "mult-model": (cmd_mult_model, "relative model of the multiplication, with verdicts", 2,
-                   (_MODEL, _OUTPUT)),
-    "witness": (cmd_witness, "witness cocycle families", 3,
+    "mult-model": (cmd_mult_model, _mult_model_text,
+                   "relative model of the multiplication, with verdicts", 2, (_MODEL, _OUTPUT)),
+    "witness": (cmd_witness, _witness_text, "witness cocycle families", 3,
                 (_MODEL, ("--k-max", {"type": int, "default": 4}))),
-    "series": (cmd_series, "expand a rational function", 3,
+    "series": (cmd_series, _series_text, "expand a rational function", 3,
                (("--rational", {"required": True}),
                 ("--betti-of", {"help": "model file to compare the expansion against"}))),
-    "recipe": (cmd_recipe, "emit a built-in model", 1,
+    "recipe": (cmd_recipe, None, "emit a built-in model", 1,
                (("name", {}), ("params", {"nargs": "*"}), _OUTPUT)),
 }
 
@@ -463,12 +459,12 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         description="Exact-arithmetic Sullivan models: cohomology, loop models, witnesses.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (func, help_text, shared, own) in _COMMANDS.items():
+    for name, (func, text, help_text, shared, own) in _COMMANDS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=help_text)
             for *names, options in _SHARED[:shared] + own:
                 p.add_argument(*names, **options)
-            p.set_defaults(func=func)
+            p.set_defaults(func=func, text=text)
     return parser
 
 
@@ -485,8 +481,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {flag} must be non-negative", file=sys.stderr)
             return 2
     try:
-        report, lines, ok = args.func(args)
-        _write(args, report, lines)
+        report, ok = args.func(args)
+        _write(args, report)
     except _MATH_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

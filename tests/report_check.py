@@ -1,4 +1,4 @@
-"""An exact check of `betti`, `loop-betti` and `mult-model` reports that shares no code with `sullivan`.
+"""An exact check of `betti`, `loop-betti`, `koszul` and `mult-model` reports that shares no code with `sullivan`.
 
 The checker reads the model text itself: `generator <name> <degree>` lines,
 and `d <name> = <expr>` lines whose right-hand side is a sum of rational
@@ -19,6 +19,14 @@ number, a representative with a word of another degree, and a
 representative whose differential is not exactly zero over `Fraction`.  The
 rank identities (b_n from the ranks of d, and independence modulo
 boundaries) are not checked here.
+
+A `koszul` report carries the Koszul model in its `model_file`: the
+presentation's generators, with d = 0, and an odd sz with d(sz) = z.  Its
+representatives are checked as above, as cocycles of that model.  Its
+`details.quotient_dims` must be dim A_n - dim A_(n - |z|), with |z| = |sz| + 1
+and dim A_n counted from the presentation's generator degrees (an odd letter
+at most once), and its `matches_quotient_oracle` must say whether the Betti
+numbers equal those dimensions.
 
 A `mult-model` report carries the relative model of the multiplication in
 its `model_file`: copies v_1 and v_2 of each generator v of degree at most
@@ -149,6 +157,14 @@ class Model:
     def degree(self, monomial: Monomial) -> int:
         return sum(self.degrees[letter] for letter in monomial)
 
+    def dims(self, top: int) -> list[int]:
+        """The number of monomials of each degree 0..top, an odd letter at most once."""
+        counts = [1] + [0] * top
+        for k in self.degrees.values():
+            for n in range(k, top + 1) if k % 2 == 0 else range(top, k - 1, -1):
+                counts[n] += counts[n - k]
+        return counts
+
 
 def rename(model: Model, p: Polynomial, names: dict[str, str | None]) -> Polynomial:
     """The algebra map sending each letter to the letter `names` gives it,
@@ -179,18 +195,35 @@ def check_mult_model(base: Model, window: int, model_text: str) -> list[str]:
     return problems
 
 
+def check_koszul(presentation: Model, koszul: Model, report: dict) -> list[str]:
+    """The problems of the quotient dimensions and the verdict of a `koszul` report."""
+    z_degree = koszul.degrees["sz"] + 1
+    dims = presentation.dims(report["window"])
+    quotient = [dim - (dims[n - z_degree] if n >= z_degree else 0) for n, dim in enumerate(dims)]
+    problems = []
+    if report["details"]["quotient_dims"] != quotient:
+        problems.append(f"quotient_dims is not dim A_n - dim A_(n-{z_degree}) = {quotient}")
+    if report["verdicts"]["matches_quotient_oracle"] != (report["betti"] == report["details"]["quotient_dims"]):
+        problems.append("matches_quotient_oracle is not whether betti equals quotient_dims")
+    return problems
+
+
 def check(model_text: str, report: dict) -> list[str]:
-    """The problems of a `betti`, `loop-betti` or `mult-model` report of the model text."""
+    """The problems of a `betti`, `loop-betti`, `koszul` or `mult-model` report of the model text."""
     problems = []
     if report["model_hash"] != hashlib.sha256(model_text.encode("utf-8")).hexdigest():
         problems.append("model_hash is not the SHA-256 of the model text")
     model = Model.parse(model_text)
     if report["command"] == "mult-model":
         return problems + check_mult_model(model, report["window"], report["model_file"])
-    if report["command"] == "loop-betti":
+    if report["command"] == "koszul":
+        koszul = Model.parse(report["model_file"])
+        problems += check_koszul(model, koszul, report)
+        model = koszul
+    elif report["command"] == "loop-betti":
         model = model.loop()
     elif report["command"] != "betti":
-        raise ValueError(f"not a betti, loop-betti or mult-model report: {report['command']!r}")
+        raise ValueError(f"not a betti, loop-betti, koszul or mult-model report: {report['command']!r}")
     for n, (b, classes) in enumerate(zip(report["betti"], report["representatives"], strict=True)):
         if len(classes) != b:
             problems.append(f"degree {n}: {len(classes)} classes, betti {b}")

@@ -303,6 +303,42 @@ def test_main_callable_in_process(capsys, cp2_file):
     assert json.loads(out)["betti"] == [1, 0, 1, 0, 1, 0, 0]
 
 
+@pytest.mark.parametrize("form, str_calls", [(["--json"], 0), ([], 4)], ids=["json", "text"])
+def test_a_run_formats_only_the_form_it_writes(form, str_calls, tmp_path, monkeypatch, capsys):
+    # H* of k[x] to degree 6 has the four classes 1, x, x^2, x^3: each is
+    # sorted once, and passed to str only for the text it is written in
+    from sullivan.algebra import Element
+
+    calls = {}
+    for name in ("__str__", "sorted_terms"):
+        def counted(self, _original=getattr(Element, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(self)
+
+        monkeypatch.setattr(Element, name, counted)
+    model = tmp_path / "x2.model"
+    model.write_text("generator x 2\n")
+    assert main(["betti", str(model), "--max", "6", *form]) == 0
+    assert capsys.readouterr().out
+    assert (calls.get("__str__", 0), calls.get("sorted_terms", 0)) == (str_calls, 4)
+
+
+def test_canonical_json_writes_a_class_as_its_sorted_pairs():
+    from fractions import Fraction
+
+    from sullivan.algebra import FreeGradedAlgebra, Generator
+    from sullivan.cli import canonical_json
+
+    algebra = FreeGradedAlgebra([Generator("a", 2), Generator("b", 2)])
+    a, b = algebra.gen("a"), algebra.gen("b")
+    report = {"representatives": [[a * b + Fraction(-1, 2) * a * a]], "betti": (1, 2**60)}
+    assert canonical_json(report) == (
+        '{"betti":[1,"1152921504606846976"],"representatives":[[[["a*b","1"],["a^2","-1/2"]]]]}\n'
+    )
+    with pytest.raises(TypeError, match="cannot serialize"):
+        canonical_json({"betti": Fraction(1, 2)})
+
+
 def test_removed_seed_option_is_rejected(capsys, cp2_file):
     with pytest.raises(SystemExit) as info:
         main(["betti", cp2_file, "--seed", "1"])

@@ -1,6 +1,9 @@
-"""Every representative of a `betti` or `loop-betti` report is an exact
-cocycle, and every `mult-model` report holds a relative model of the
-multiplication, checked by `report_check`, which shares no code with the engine."""
+"""Every representative of a `betti`, `loop-betti` or `koszul` report is an
+exact cocycle, every `koszul` report's quotient dimensions are counted again,
+and every `mult-model` report holds a relative model of the multiplication,
+checked by `report_check`, which shares no code with the engine.  The golden
+reports checked are those of every bench job of a command the checker reads,
+so a new golden job is certified without editing this file."""
 
 import ast
 import json
@@ -14,9 +17,9 @@ from sullivan.modelfile import emit
 from sullivan.models import build, recipe_from_args
 from test_golden import BENCH, WORKLOADS
 
-GOLDEN = [("loop-elim", "s2s3-loop-14"), ("loop-elim", "s3s3-loop-24"),
-          ("assemble-s2", "s2-betti-1000"), ("survey", "betti"), ("survey", "loop-betti"),
-          ("mult-dense", "cp3cp2s2-mult"), ("survey", "mult-model")]
+CHECKED = {"betti", "loop-betti", "koszul", "mult-model"}
+GOLDEN = [(w.name, job.id) for w in WORKLOADS.WORKLOADS.values() for job in w.jobs
+          if job.argv[0] in CHECKED]
 
 
 def model_of(workload: str, job_id: str) -> str:
@@ -30,6 +33,13 @@ def test_the_checker_imports_nothing_from_sullivan():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert imported == {"__future__", "hashlib", "json", "re", "sys", "fractions"}
+
+
+def test_the_golden_list_holds_the_known_jobs():
+    assert set(GOLDEN) >= {
+        ("loop-elim", "s2s3-loop-14"), ("loop-elim", "s3s3-loop-24"), ("assemble-s2", "s2-betti-1000"),
+        ("survey", "betti"), ("survey", "loop-betti"), ("mult-dense", "cp3cp2s2-mult"),
+        ("survey", "mult-model"), ("survey", "koszul")}
 
 
 @pytest.mark.parametrize("workload, job_id", GOLDEN, ids=[f"{w}/{j}" for w, j in GOLDEN])
@@ -114,3 +124,42 @@ def test_the_checker_finds_a_broken_mult_model_report():
     ]
     report["model_file"] = model_file.replace("generator sw_3 2\n", "")
     assert report_check.check(text, report) == ["sw_3 is not a generator of the model file"]
+
+
+KOSZUL = [("generator x 2\n", "x^3", "20"), ("generator a 2\ngenerator b 4\n", "a^2+b", "8")]
+
+
+def koszul_report(text, by, window, tmp_path, capsys):
+    path = tmp_path / "presentation.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["koszul", str(path), "--by", by, "--max", window, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("text, by, window", KOSZUL, ids=["x2-by-x^3", "a2b4-by-a^2+b"])
+def test_koszul_reports_are_certified(text, by, window, tmp_path, capsys):
+    report = koszul_report(text, by, window, tmp_path, capsys)
+    assert report["verdicts"]["matches_quotient_oracle"] is True
+    assert report_check.check(text, report) == []
+
+
+def test_the_checker_finds_a_broken_koszul_report(tmp_path, capsys):
+    text, by, window = KOSZUL[1]
+    report = koszul_report(text, by, window, tmp_path, capsys)
+    assert report["representatives"][4] == [[["b", "1"]]]
+    # every word of the presentation is a cocycle of the Koszul model, so a
+    # class stays one with its coefficient flipped; no valid class has a term
+    # in sz, whose differential is a multiple of z = a^2 + b
+    report["representatives"][4][0][0][1] = "-1"
+    assert report_check.check(text, report) == []
+    report["representatives"][5] = [[["a*sz", "-1"]]]
+    report["details"]["quotient_dims"][6] = 2
+    assert report_check.check(text, report) == [
+        "quotient_dims is not dim A_n - dim A_(n-4) = [1, 0, 1, 0, 1, 0, 1, 0, 1]",
+        "matches_quotient_oracle is not whether betti equals quotient_dims",
+        "degree 5: 1 classes, betti 0",
+        "degree 5, class 0: not a cocycle",
+    ]
+    report["details"]["quotient_dims"][6] = 1
+    report["verdicts"]["matches_quotient_oracle"] = False
+    assert report_check.check(text, report)[0] == "matches_quotient_oracle is not whether betti equals quotient_dims"
