@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import AlgebraMismatch, BasisSizeExceeded, NameClash, UnknownGenerator
+from .errors import AlgebraMismatch, BasisSizeExceeded, NameClash, SullivanError, UnknownGenerator
 
 # A canonical word: ((generator_index, exponent), ...), indices strictly
 # increasing, exponents >= 1, odd generators with exponent exactly 1.
@@ -174,9 +174,13 @@ class FreeGradedAlgebra:
         t - |v_i|: for an odd v_i going down in t, so that row is still the
         old one; for an even v_i going up, so it is the row just updated and
         the product raises the exponent of v_i by one.  Each word is built
-        once, from one shared head tuple per exponent.
+        once, from one shared head tuple per exponent.  A `top` whose count
+        table cannot be built at all is refused with a `SullivanError`.
         """
-        counts = [1] + [0] * top
+        try:
+            counts = [1] + [0] * top
+        except (MemoryError, OverflowError):
+            raise SullivanError(f"cannot build a monomial count table for degrees 0..{top}") from None
         for g in reversed(self.generators):
             d = g.degree
             for t in range(top, d - 1, -1) if g.is_odd else range(d, top + 1):

@@ -269,14 +269,13 @@ def loop_model(model: CDGA) -> CDGA:
 # -- tensor products, renaming, quotients ----------------------------------------
 
 
-def tensor_cdga(left: CDGA, right: CDGA) -> CDGA:
-    """Tensor product model: generator union, differentials side by side."""
-    big = FreeGradedAlgebra(list(left.algebra.generators) + list(right.algebra.generators))
+def tensor_cdga(*factors: CDGA) -> CDGA:
+    """Tensor product model of any number of factors: generator union, differentials side by side."""
+    big = FreeGradedAlgebra([g for factor in factors for g in factor.algebra.generators])
     values: dict[str, Element] = {}
-    for factor in (left, right):
+    for factor in factors:
         include = Morphism.inclusion(factor.algebra, big)
-        for g in factor.algebra.generators:
-            values[g.name] = include(factor.d_of(g.name))
+        values.update((name, include(value)) for name, value in factor.differential.values.items())
     return CDGA(big, values)
 
 

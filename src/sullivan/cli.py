@@ -234,13 +234,13 @@ def cmd_quotient(args) -> tuple:
     model = _read_model(args.model)
     kill = [name for name in args.kill.split(",") if name]
     residues = killed_residues(model, kill)
+    result = quotient_by_generators(model, kill)
     for name in sorted(residues):
         print(
             f"warning: d({name}) = {residues[name]} survives the substitution; "
             "this quotient is by generators, not by the differential ideal",
             file=sys.stderr,
         )
-    result = quotient_by_generators(model, kill)
     report = _report(
         "quotient",
         model_hash=model_hash(model),

@@ -9,6 +9,15 @@ import sys
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+def read_integer(text: str) -> int | None:
+    """The integer that `text` spells as -?[0-9]+ with at most DIGIT_LIMIT digits, else
+    None: `int` reads only such a text, so none of its other syntax gets through."""
+    digits = text[1:] if text.startswith("-") else text
+    if len(digits) > DIGIT_LIMIT or not (digits.isascii() and digits.isdigit()):
+        return None
+    return int(text)
+
+
 def too_many_digits(base: int, exponent: int) -> bool:
     """Whether |base|^exponent has more than DIGIT_LIMIT decimal digits."""
     base = abs(base)

@@ -157,16 +157,12 @@ def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex, m: Morph
     return QuasiIsoReport(tuple(reversed(verdicts)))
 
 
-def _require_chain_map(source: CDGA, target: CDGA, m: Morphism) -> None:
-    failure = check_chain_map(m, source.differential, target.differential)
-    if failure is not None:
-        raise ValueError(f"not a chain map at {failure[0].name}: differs by {failure[1]}")
-
-
 def quasi_iso_check(source: CDGA, target: CDGA, m: Morphism, max_degree: int,
                     cap: int = DEFAULT_BASIS_CAP) -> QuasiIsoReport:
     """Per-degree injectivity and surjectivity of H(m) for degrees <= max_degree."""
-    _require_chain_map(source, target, m)
+    failure = check_chain_map(m, source.differential, target.differential)
+    if failure is not None:
+        raise ValueError(f"not a chain map at {failure[0].name}: differs by {failure[1]}")
     ws = assemble_window(source, max_degree, cap=cap)
     wt = assemble_window(target, max_degree, cap=cap)
     return _verdicts(ws, wt, m)
@@ -189,13 +185,13 @@ def _indecomposables_complex(model: CDGA, max_degree: int) -> DegreeWindowComple
 
 
 def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism) -> QuasiIsoReport:
-    """Quasi-isomorphism verdict computed on the indecomposables complexes,
-    up to the top generator degree of either side.
+    """Quasi-isomorphism verdict of a chain map m (`check_chain_map` certifies
+    one, and `mult-model` reports that verdict first) computed on the
+    indecomposables complexes, up to the top generator degree of either side.
 
     For morphisms of Sullivan models this decides quasi-isomorphism of m
     itself, while only ever eliminating matrices indexed by generators.
     """
-    _require_chain_map(source, target, m)
     degrees = [g.degree for g in source.algebra.generators]
     degrees += [g.degree for g in target.algebra.generators]
     max_degree = max(degrees, default=0)
@@ -222,7 +218,8 @@ def h_algebra_generator_counts(model: CDGA, max_degree: int,
     by_degree = dict(window.cocycles())
     for n in range(1, max_degree + 1):
         cocycles = by_degree[n]
-        products = [left * right for p in range(1, n) for left in classes[p] for right in classes[n - p]]
+        # ab = ±ba in a free graded-commutative algebra, so p <= n/2 spans every product
+        products = [left * right for p in range(1, n // 2 + 1) for left in classes[p] for right in classes[n - p]]
         kept = [t for t in products if cocycles.add(t)]
         generators = [z for z in cocycles.classes if cocycles.add(z)]
         counts.append(len(generators))

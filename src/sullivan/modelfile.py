@@ -17,7 +17,8 @@ A file that declares no generators is the model of a point.
 Expressions are read by `Descent`, one recursive descent whose ring a
 subclass supplies: `_ExprParser` here reads elements of the model's
 algebra, and `series` reads integer polynomials in z with it, under the
-same tokens, nesting limit and digit limits.
+same tokens, nesting limit and digit limits.  Tokens come from one scan of
+ASCII tokens (integers are [0-9]+), and a degree is an `errors.read_integer`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from fractions import Fraction
 
 from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator
 from .calculus import CDGA, require_valid
-from .errors import DIGIT_LIMIT, NESTING_LIMIT, ModelFileError, too_many_digits
+from .errors import DIGIT_LIMIT, NESTING_LIMIT, ModelFileError, read_integer, too_many_digits
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN = re.compile(rf"(\d+)|({_NAME.pattern})|([+\-*^()/])|(\S)")
+_TOKEN = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<name>{_NAME.pattern})|(?P<op>[+\-*^()/])|(?P<bad>\S))")
 
 
 class Descent:
@@ -52,23 +53,11 @@ class Descent:
 
     def __init__(self, text: str, offset: int = 0):
         self.tokens: list[tuple[str, str, int]] = []  # (kind, text, column)
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            assert m is not None
-            column = offset + pos + 1
-            if m.group(1):
-                self.tokens.append(("int", m.group(1), column))
-            elif m.group(2):
-                self.tokens.append(("name", m.group(2), column))
-            elif m.group(3):
-                self.tokens.append(("op", m.group(3), column))
-            else:
-                raise self.error(f"unexpected character {m.group(4)!r}", column)
-            pos = m.end()
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise self.error(f"unexpected character {m[kind]!r}", offset + m.start(kind) + 1)
+            self.tokens.append((kind, m[kind], offset + m.start(kind) + 1))
         self.pos = 0
         self.depth = 0  # parentheses open at pos
         self.end_column = offset + len(text) + 1
@@ -249,10 +238,6 @@ class _ExprParser(Descent):
         return base ** exponent
 
 
-def _split_statement(raw: str) -> str:
-    return raw.split("#", 1)[0].rstrip()
-
-
 def parse(text: str, validate: bool = True) -> CDGA:
     """Parse a model file into a CDGA; validate certifies d*d = 0."""
     generators: list[Generator] = []
@@ -260,7 +245,7 @@ def parse(text: str, validate: bool = True) -> CDGA:
     d_lines: list[tuple[str, int, int, str, int]] = []  # (target, line no, column, expr text, expr offset)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _split_statement(raw)
+        line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         stripped = line.strip()
@@ -272,10 +257,12 @@ def parse(text: str, validate: bool = True) -> CDGA:
             _, name, degree_text = parts
             if not _NAME.fullmatch(name):
                 raise ModelFileError(f"invalid generator name {name!r}", lineno, indent + 1)
-            try:
-                degree = int(degree_text)
-            except ValueError:
-                raise ModelFileError(f"invalid degree {degree_text!r}", lineno, indent + 1) from None
+            degree = read_integer(degree_text)
+            if degree is None:
+                # a text past the digit limit is not echoed
+                message = (f"invalid degree {degree_text!r}" if len(degree_text) <= DIGIT_LIMIT
+                           else f"degree is not an integer of at most {DIGIT_LIMIT} digits")
+                raise ModelFileError(message, lineno, indent + 1)
             if degree < 1:
                 raise ModelFileError("generator degree must be >= 1", lineno, indent + 1)
             if name in declared:

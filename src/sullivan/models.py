@@ -24,14 +24,13 @@ from .calculus import (
     Derivation,
     Morphism,
     minimality_check,
-    projection,
     quotient_by_generators,
     rename_generators,
     require_valid,
     suspended_name,
     tensor_cdga,
 )
-from .errors import DIGIT_LIMIT, NotApplicable, WindowTooSmall, too_many_digits
+from .errors import DIGIT_LIMIT, NotApplicable, WindowTooSmall, read_integer
 
 # -- recipes ----------------------------------------------------------------------
 
@@ -84,10 +83,7 @@ def build(recipe: Recipe) -> CDGA:
             model = build(sub)
             mapping = {g.name: f"{g.name}_{i + 1}" for g in model.algebra.generators}
             factors.append(rename_generators(model, mapping))
-        out = factors[0]
-        for factor in factors[1:]:
-            out = tensor_cdga(out, factor)
-        return out
+        return tensor_cdga(*factors)
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
@@ -120,13 +116,10 @@ def recipe_from_args(name: str, args: list[str]) -> Recipe:
 
 
 def _parameter(name: str, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+    value = read_integer(text)
+    if value is None:
         if len(text) <= DIGIT_LIMIT:
-            raise ValueError(f"{name} parameter {text!r} is not an integer") from None
-        value = None  # int() refuses even an integer past the interpreter's own limit
-    if value is None or too_many_digits(value, 1):
+            raise ValueError(f"{name} parameter {text!r} is not an integer")
         # the text is not echoed
         raise ValueError(f"{name} parameter is not an integer of at most {DIGIT_LIMIT} digits")
     return value
@@ -339,8 +332,8 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
 
     Level k collects the exponent pairs with p|sy| + q|sz| = k lcm(|sy|,|sz|).
     Each instance is certified as a cocycle in the quotient killing the even
-    base generators, and each level is certified linearly independent by
-    projecting onto the suspended part, where the differential vanishes.
+    base generators, and each level is certified linearly independent over
+    its own words, which lie in the suspended part, where d vanishes.
     """
     base = _loop_base_names(loop)
     even_list = sorted(even_gens, key=lambda n: (loop.algebra.generator(n).degree, n))
@@ -354,7 +347,6 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
         raise NotApplicable("need two distinct odd generators")
 
     quotient = quotient_by_generators(loop, even_list)
-    _, project = projection(quotient, [name for name in base if name not in even_list])
 
     sx = quotient.algebra.one()
     sx_degree = 0
@@ -384,8 +376,8 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
             if witness.is_zero() or not quotient.d(witness).is_zero():
                 cocycles_ok = False
             labels.append(str(witness))
-            vectors.append(project(witness).terms)
-        # ranked over the words the vectors use, not over a listed basis
+            vectors.append(witness.terms)
+        # ranked over the words the witnesses use, not over a listed basis
         words = {w for v in vectors for w in v}
         independent = linalg.rank(linalg.matrix_of(vectors, words)) == len(vectors)
         entries.append(

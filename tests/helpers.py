@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -11,7 +12,7 @@ from math import lcm
 from sullivan import linalg
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator, Word, word_length
 from sullivan.calculus import CDGA, suspended_name
-from sullivan.errors import WindowTooSmall
+from sullivan.errors import ModelFileError, WindowTooSmall
 from sullivan.models import MultiplicationModel, Recipe, build, product
 
 
@@ -303,3 +304,27 @@ def class_is_nontrivial(model: CDGA, cocycle: Element) -> bool:
                   for w in algebra.basis_in_degree(degree - 1)]
     with_cocycle = boundaries + [element_coordinates(cocycle, basis)]
     return len(dense_bareiss_rref(with_cocycle)[1]) > len(dense_bareiss_rref(boundaries)[1])
+
+
+_REFERENCE_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/])|(\S)")
+
+
+def reference_tokens(text: str, offset: int = 0) -> list[tuple[str, str, int]]:
+    """The expression tokens of `text` as (kind, text, column) triples, read
+    one character at a time: whitespace is skipped, and any character that
+    starts no integer, name or operator raises `ModelFileError` on line 1 at
+    its column.  Columns count from `offset` + 1."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN.match(text, pos)
+        column = offset + pos + 1
+        if m.group(4):
+            raise ModelFileError(f"unexpected character {m.group(4)!r}", 1, column)
+        kind = ("int", "name", "op")[m.lastindex - 1]
+        tokens.append((kind, m.group(m.lastindex), column))
+        pos = m.end()
+    return tokens

@@ -16,9 +16,19 @@ flipping the sign; a repeated odd letter makes it zero.
 `check(model_text, report)` returns the problems it finds: a model hash that
 is not the SHA-256 of the text, a degree whose class count is not its Betti
 number, a representative with a word of another degree, and a
-representative whose differential is not exactly zero over `Fraction`.  The
-rank identities (b_n from the ranks of d, and independence modulo
-boundaries) are not checked here.
+representative whose differential is not exactly zero over `Fraction`.
+
+It also checks the rank identities in each degree n of `exact_degrees`: those
+whose degrees n - 1, n and n + 1 each hold at most `RANK_DIMENSION_BOUND`
+monomials.  It lists those monomials itself and builds d^(n-1) and d^n with
+its own Leibniz rule, and it reports a degree where
+b_n != dim n - rank d^n - rank d^(n-1), or where
+rank [B_n | classes] != rank B_n + (number of classes), B_n being the
+columns of d^(n-1): the classes are then dependent modulo boundaries.  With
+the cocycle check and the class count, these say that the classes are a
+basis of H^n.  Every rank is exact, from `rank`, a fraction-free
+elimination over the integers; no rank mod p is used (one would only bound
+the rational rank from below, and so prove nothing here).
 
 A `koszul` report carries the Koszul model in its `model_file`: the
 presentation's generators, with d = 0, and an odd sz with d(sz) = z.  Its
@@ -50,9 +60,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 Monomial = tuple[str, ...]  # letters in canonical order
 Polynomial = dict[Monomial, Fraction]
+
+# The rank identities are checked in a degree n when degrees n - 1, n and
+# n + 1 each hold at most this many monomials.
+RANK_DIMENSION_BOUND = 1000
 
 
 def parse_monomial(text: str) -> Monomial:
@@ -157,6 +172,17 @@ class Model:
     def degree(self, monomial: Monomial) -> int:
         return sum(self.degrees[letter] for letter in monomial)
 
+    def monomials(self, top: int) -> list[list[Monomial]]:
+        """The monomials of each degree 0..top, an odd letter at most once:
+        each letter, from the last name to the first, is put in front of the
+        monomials of the letters after it (an even one again and again)."""
+        rows: list[list[Monomial]] = [[()]] + [[] for _ in range(top)]
+        for letter in sorted(self.degrees, reverse=True):
+            k = self.degrees[letter]
+            for n in range(k, top + 1) if k % 2 == 0 else range(top, k - 1, -1):
+                rows[n] += [(letter, *m) for m in rows[n - k]]
+        return rows
+
     def dims(self, top: int) -> list[int]:
         """The number of monomials of each degree 0..top, an odd letter at most once."""
         counts = [1] + [0] * top
@@ -164,6 +190,66 @@ class Model:
             for n in range(k, top + 1) if k % 2 == 0 else range(top, k - 1, -1):
                 counts[n] += counts[n - k]
         return counts
+
+
+def rank(vectors) -> int:
+    """The exact rank of sparse rational vectors ({position: coefficient}).
+
+    Each vector is scaled to integers, then reduced against the kept ones by
+    its lowest position: v becomes a * v - b * p for the kept p with that
+    lowest position (a and b their entries there), divided by the gcd of its
+    entries.  No division is ever inexact."""
+    kept: dict[int, dict[int, int]] = {}
+    for vector in vectors:
+        scale = lcm(*(Fraction(c).denominator for c in vector.values()))
+        v = {k: int(c * scale) for k, c in vector.items() if c}
+        while v:
+            low = min(v)
+            p = kept.get(low)
+            if p is None:
+                kept[low] = v
+                break
+            a, b = p[low], v[low]
+            v = {k: c for k in v.keys() | p.keys() if (c := a * v.get(k, 0) - b * p.get(k, 0))}
+            divisor = gcd(*v.values())
+            v = {k: c // divisor for k, c in v.items()}
+    return len(kept)
+
+
+def exact_degrees(model: Model, window: int) -> list[int]:
+    """The degrees 0..window whose rank identities are checked."""
+    dims = [0] + model.dims(window + 1)  # dims[n + 1] is dim n
+    return [n for n in range(window + 1) if max(dims[n:n + 3]) <= RANK_DIMENSION_BOUND]
+
+
+def check_ranks(model: Model, betti: list[int], classes: list[list[Polynomial]]) -> list[str]:
+    """The problems of the rank identities, in each degree of `exact_degrees`."""
+    degrees = exact_degrees(model, len(betti) - 1)
+    if not degrees:
+        return []
+    rows = model.monomials(degrees[-1] + 1)
+    index = [{m: i for i, m in enumerate(row)} for row in rows]
+    columns = {}  # n: d^n as columns, one per monomial of degree n, over degree n + 1
+
+    def d(n):
+        if n not in columns:
+            columns[n] = [] if n < 0 else [{index[n + 1][m]: c for m, c in model.differential({w: 1}).items()}
+                                          for w in rows[n]]
+        return columns[n]
+
+    ranks = {}  # n: rank d^n
+    problems = []
+    for n in degrees:
+        for k in (n - 1, n):
+            if k not in ranks:
+                ranks[k] = rank(d(k))
+        if betti[n] != len(rows[n]) - ranks[n] - ranks[n - 1]:
+            problems.append(f"degree {n}: betti {betti[n]} is not dim {len(rows[n])} - rank d^{n} {ranks[n]}"
+                            f" - rank d^{n - 1} {ranks[n - 1]}")
+        vectors = [{index[n][m]: c for m, c in p.items()} for p in classes[n]]
+        if rank(d(n - 1) + vectors) != ranks[n - 1] + len(vectors):
+            problems.append(f"degree {n}: the classes are dependent modulo boundaries")
+    return problems
 
 
 def rename(model: Model, p: Polynomial, names: dict[str, str | None]) -> Polynomial:
@@ -224,16 +310,20 @@ def check(model_text: str, report: dict) -> list[str]:
         model = model.loop()
     elif report["command"] != "betti":
         raise ValueError(f"not a betti, loop-betti, koszul or mult-model report: {report['command']!r}")
+    polynomials = []
     for n, (b, classes) in enumerate(zip(report["betti"], report["representatives"], strict=True)):
         if len(classes) != b:
             problems.append(f"degree {n}: {len(classes)} classes, betti {b}")
+        polynomials.append([])
         for k, terms in enumerate(classes):
             rep = model.combine((Fraction(c), list(parse_monomial(w))) for w, c in terms)
             if any(model.degree(m) != n for m in rep):
                 problems.append(f"degree {n}, class {k}: a word of another degree")
+                continue
+            polynomials[n].append(rep)
             if model.differential(rep):
                 problems.append(f"degree {n}, class {k}: not a cocycle")
-    return problems
+    return problems + check_ranks(model, report["betti"], polynomials)
 
 
 def main(argv: list[str]) -> int:

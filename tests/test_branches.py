@@ -6,7 +6,8 @@ literal model texts.  Its stdout and stderr must equal
 code the entry of `exit_codes.json`: a failed `d*d` check and a minimality
 violation of `verify`, a witness outside the window, `series` alone and
 against a model whose Betti numbers differ, the warning and residues of a
-`quotient` by generators that is no differential ideal, and `koszul` on two
+`quotient` by generators that is no differential ideal, a `quotient` that
+is refused (with no warning before its error), and `koszul` on two
 generators, also with its model text on stdout.
 
     PYTHONPATH=src python tests/test_branches.py
@@ -32,6 +33,8 @@ MODELS = {
     "s3s3": "generator v_1 3\ngenerator v_2 3\n",
     "s2": "generator v 2\ngenerator w 3\nd w = v^2\n",
     "a2b4": "generator a 2\ngenerator b 4\n",
+    "not-ideal": ("generator a 2\ngenerator g 3\ngenerator h 4\ngenerator k 5\n"
+                  "d g = a^2\nd h = a*g - k\nd k = a^3\n"),
 }
 
 # name: argv, each {model} standing for a file of that model
@@ -42,6 +45,7 @@ CASES = {
     "series": ("series", "--rational", "1/(1-z)", "--max", "4"),
     "series-differs": ("series", "--rational", "1/(1-z)", "--max", "4", "--betti-of", "{s2}"),
     "quotient-warning": ("quotient", "{s2}", "--kill", "w"),
+    "quotient-not-ideal": ("quotient", "{not-ideal}", "--kill", "g"),
     "koszul-two-generators": ("koszul", "{a2b4}", "--by", "a^2+b", "--max", "8"),
     "koszul-model-to-stdout": ("koszul", "{a2b4}", "--by", "a^2+b", "--max", "8", "-o", "-"),
 }

@@ -272,7 +272,12 @@ def test_negative_cap_is_rejected(capsys, cp2_file):
     (["cpn", "x"], "cpn parameter 'x' is not an integer"),
     (["product", "cpn:x", "odd-sphere:1"], "cpn parameter 'x' is not an integer"),
     (["cpn", "1" * (DIGIT_LIMIT + 1)], f"cpn parameter is not an integer of at most {DIGIT_LIMIT} digits"),
-], ids=["letter", "product-spec", "past-digit-limit"])
+    (["cpn", "1_0"], "cpn parameter '1_0' is not an integer"),
+    (["cpn", "+4"], "cpn parameter '+4' is not an integer"),
+    (["cpn", "\uff14"], "cpn parameter '\uff14' is not an integer"),
+    (["cpn", "\u0662"], "cpn parameter '\u0662' is not an integer"),
+], ids=["letter", "product-spec", "past-digit-limit", "underscore", "plus-sign", "fullwidth-digit",
+        "arabic-indic-digit"])
 def test_recipe_parameter_must_be_an_integer(capsys, argv, message):
     assert main(["recipe", *argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -288,6 +293,40 @@ def test_recipe_parameter_is_held_to_the_digit_limit_without_the_interpreter_lim
     assert code == 2
     message = f"cpn parameter is not an integer of at most {DIGIT_LIMIT} digits"
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("window", [str(2**63 - 1), str(10**12)])
+@pytest.mark.parametrize("command, model", [
+    (["betti"], "generator x 2\n"),
+    (["loop-betti"], "generator x 2\n"),
+    (["koszul", "--by", "x^2"], "generator x 2\n"),
+    (["witness"], "generator v_1 3\ngenerator v_2 3\n"),
+], ids=["betti", "loop-betti", "koszul", "witness"])
+def test_a_window_too_large_to_count_is_an_input_error(tmp_path, capsys, command, model, window):
+    path = tmp_path / "m.model"
+    path.write_text(model, encoding="utf-8")
+    assert main([command[0], str(path), *command[1:], "--max", window]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot build a monomial count table for degrees 0..")
+    assert err.count("\n") == 1
+
+
+def test_mult_model_checks_the_chain_map_once(cp2_file, monkeypatch, capsys):
+    from sullivan import calculus, cli, homology
+
+    calls = []
+    check = calculus.check_chain_map
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    for module in (calculus, cli, homology):
+        monkeypatch.setattr(module, "check_chain_map", counted)
+    assert main(["mult-model", cp2_file]) == 0
+    assert "chain_map: ok" in capsys.readouterr().out.splitlines()
+    assert len(calls) == 1
 
 
 def test_json_reports_are_byte_identical_across_runs(cp2_file):

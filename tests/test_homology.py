@@ -28,7 +28,7 @@ from sullivan.homology import (
     quasi_iso_via_indecomposables,
 )
 from sullivan.modelfile import parse
-from sullivan.models import Recipe, build
+from sullivan.models import Recipe, build, recipe_from_args
 
 from helpers import (
     NotACocycle,
@@ -552,3 +552,30 @@ def test_h_generator_counts_of_cp2_times_s4_split_degree_four():
 def test_h_generator_counts_product():
     counts = h_algebra_generator_counts(s3s3_model(), 8)
     assert list(counts) == [0, 0, 0, 2, 0, 0, 0, 0, 0]
+
+
+# name, recipe, nonzero counts at window 24, most Element products
+_PRODUCT_COUNTS = [
+    ("CP2xCP2", ("product", ["cpn:2", "cpn:2"]), {2: 2}, 41),
+    ("S2xS2xS3", ("product", ["even-sphere:1", "even-sphere:1", "odd-sphere:1"]), {2: 2, 3: 1}, 30),
+    ("h-space(3,5,7)", ("h-space", ["3", "5", "7"]), {3: 1, 5: 1, 7: 1}, 25),
+    ("S3xS3", ("product", ["odd-sphere:1", "odd-sphere:1"]), {3: 2}, 7),
+]
+
+
+@pytest.mark.parametrize("name, recipe, counts, most", _PRODUCT_COUNTS, ids=[c[0] for c in _PRODUCT_COUNTS])
+def test_h_generator_counts_multiply_each_pair_of_class_degrees_once(name, recipe, counts, most, monkeypatch):
+    # ab = ±ba, so the products with p <= n/2 span every product of degree n:
+    # the counts are those of every p in 1..n-1 (64, 49, 44 and 9 products)
+    model = build(recipe_from_args(*recipe))
+    products = 0
+    multiply = Element.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += isinstance(other, Element)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    assert h_algebra_generator_counts(model, 24) == tuple(counts.get(n, 0) for n in range(25))
+    assert products <= most

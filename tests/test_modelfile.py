@@ -1,3 +1,4 @@
+import string
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator
 from sullivan.calculus import CDGA, loop_model
 from sullivan.errors import DIGIT_LIMIT, NESTING_LIMIT, InvalidDifferential, ModelFileError, RationalFormError
-from sullivan.modelfile import emit, parse, parse_element, parse_path
+from sullivan.modelfile import Descent, emit, parse, parse_element, parse_path
 from sullivan.series import parse_rational
 
-from helpers import builtin_models, cpn_model
+from helpers import builtin_models, cpn_model, reference_tokens
 
 
 def test_parse_cp2():
@@ -91,9 +92,18 @@ def test_duplicates_rejected():
     ("generator v 2\n    d q = v\n", 2, 5, "d target 'q' is not a declared generator"),
     ("generator v 3\nd v = 0\nd v = 0\n", 3, 1, "duplicate d line for 'v'"),
     ("generator v 3\nd v = 0\n  d v = 0\n", 3, 3, "duplicate d line for 'v'"),
+    ("generator v 1_0\n", 1, 1, "invalid degree '1_0'"),
+    ("generator v +4\n", 1, 1, "invalid degree '+4'"),
+    ("generator v \uff14\n", 1, 1, "invalid degree '\uff14'"),
+    ("generator v -1\n", 1, 1, "generator degree must be >= 1"),
+    ("generator v " + "1" * 5000 + "\n", 1, 1, f"degree is not an integer of at most {DIGIT_LIMIT} digits"),
+    ("generator v 2\ngenerator w 5\nd w = v^\u0662\n", 3, 9, "unexpected character '\u0662'"),
+    ("generator v 2\ngenerator w 5\nd w = \u0662*v^3\n", 3, 7, "unexpected character '\u0662'"),
 ], ids=["part-count", "part-count-indented", "name", "degree", "degree-positive", "declared-twice",
         "d-shape", "bare-d", "unrecognized", "unrecognized-d-prefix", "undeclared-d-target",
-        "undeclared-d-target-indented", "duplicate-d-line", "duplicate-d-line-indented"])
+        "undeclared-d-target-indented", "duplicate-d-line", "duplicate-d-line-indented",
+        "degree-underscore", "degree-plus-sign", "degree-fullwidth-digit", "degree-negative",
+        "degree-past-digit-limit", "arabic-indic-exponent", "arabic-indic-coefficient"])
 def test_each_statement_error_has_its_message_and_column(text, line, column, message):
     with pytest.raises(ModelFileError) as info:
         parse(text)
@@ -362,3 +372,38 @@ def test_a_long_product_stops_at_the_first_factor_past_the_digit_limit(monkeypat
         parse(f"generator v 2\ngenerator w 5\nd w = {nines}*v^3\n", validate=False)
     assert str(info.value) == f"line 3, column 7: coefficient has more than {DIGIT_LIMIT} digits"
     assert calls <= 4
+
+
+class _Scan(Descent):
+    """The tokens of `Descent` alone, with its errors on line 1."""
+
+    def error(self, message, column):
+        return ModelFileError(message, 1, column)
+
+
+def _tokens_or_error(tokenize, text, offset):
+    try:
+        return tokenize(text, offset)
+    except ModelFileError as error:
+        return str(error)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=string.digits + string.ascii_letters + "+-*^()/ \t=.!#,", max_size=60),
+       st.integers(0, 30))
+def test_the_token_scan_matches_a_walk_one_character_at_a_time(text, offset):
+    # the same (kind, text, column) triples, or the same first error at the same column
+    scanned = _tokens_or_error(lambda t, o: _Scan(t, o).tokens, text, offset)
+    assert scanned == _tokens_or_error(reference_tokens, text, offset)
+
+
+def test_the_token_scan_reads_the_first_bad_character_after_good_tokens():
+    assert _Scan(" 12 ab_3\t+ (/)", 4).tokens == [
+        ("int", "12", 6), ("name", "ab_3", 9), ("op", "+", 14), ("op", "(", 16), ("op", "/", 17),
+        ("op", ")", 18)]
+    with pytest.raises(ModelFileError, match="column 9: unexpected character '='"):
+        _Scan("v + 2 = w . !", 2)
+
+
+def test_a_degree_at_the_digit_limit_is_an_integer():
+    assert parse("generator v 0" + "1" * (DIGIT_LIMIT - 1) + "\n").algebra.generators[0].degree > 1

@@ -79,6 +79,22 @@ def test_product_recipe_builds_renamed_tensor():
     assert {(g.name, g.degree) for g in model.algebra.generators} == {("v_1", 3), ("v_2", 3)}
 
 
+def test_a_product_recipe_builds_one_tensor(monkeypatch):
+    tensor = models.tensor_cdga
+    calls = []
+
+    def counted(*factors):
+        calls.append(len(factors))
+        return tensor(*factors)
+
+    monkeypatch.setattr(models, "tensor_cdga", counted)
+    model = build(recipe_from_args("product", ["odd-sphere:1", "odd-sphere:1", "cpn:2"]))
+    assert calls == [3]
+    assert [(g.name, g.degree) for g in model.algebra.generators] == [
+        ("v_3", 2), ("v_1", 3), ("v_2", 3), ("w_3", 5)]
+    assert model.d_of("w_3") == model.algebra.gen("v_3") ** 3
+
+
 def test_every_builtin_is_valid_and_minimal():
     for name, model in builtin_models():
         assert check_differential(model) is None, name

@@ -1,19 +1,27 @@
 """Every representative of a `betti`, `loop-betti` or `koszul` report is an
-exact cocycle, every `koszul` report's quotient dimensions are counted again,
-and every `mult-model` report holds a relative model of the multiplication,
-checked by `report_check`, which shares no code with the engine.  The golden
-reports checked are those of every bench job of a command the checker reads,
-so a new golden job is certified without editing this file."""
+exact cocycle, the classes of each degree are a basis of its cohomology by
+exact rank identities, every `koszul` report's quotient dimensions are
+counted again, and every `mult-model` report holds a relative model of the
+multiplication, checked by `report_check`, which shares no code with the
+engine.  The golden reports checked are those of every bench job of a
+command the checker reads, so a new golden job is certified without editing
+this file."""
 
 import ast
+import contextlib
+import io
 import json
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import report_check
 from sullivan.cli import main
-from sullivan.modelfile import emit
+from sullivan.modelfile import emit, parse
 from sullivan.models import build, recipe_from_args
 from test_golden import BENCH, WORKLOADS
 
@@ -32,7 +40,7 @@ def test_the_checker_imports_nothing_from_sullivan():
     tree = ast.parse(Path(report_check.__file__).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert imported == {"__future__", "hashlib", "json", "re", "sys", "fractions"}
+    assert imported == {"__future__", "hashlib", "json", "math", "re", "sys", "fractions"}
 
 
 def test_the_golden_list_holds_the_known_jobs():
@@ -163,3 +171,93 @@ def test_the_checker_finds_a_broken_koszul_report(tmp_path, capsys):
     report["details"]["quotient_dims"][6] = 1
     report["verdicts"]["matches_quotient_oracle"] = False
     assert report_check.check(text, report)[0] == "matches_quotient_oracle is not whether betti equals quotient_dims"
+
+
+def golden_report(workload: str, job_id: str) -> dict:
+    return json.loads((BENCH / "golden" / workload / f"{job_id}.json").read_text(encoding="utf-8"))
+
+
+WITH_CLASSES = [(w, j) for w, j in GOLDEN if golden_report(w, j)["command"] != "mult-model"]
+
+
+@pytest.mark.parametrize("workload, job_id", WITH_CLASSES, ids=[f"{w}/{j}" for w, j in WITH_CLASSES])
+def test_every_golden_degree_is_checked_exactly(workload, job_id):
+    report = golden_report(workload, job_id)
+    model = report_check.Model.parse(model_of(workload, job_id))
+    if report["command"] == "loop-betti":
+        model = model.loop()
+    elif report["command"] == "koszul":
+        model = report_check.Model.parse(report["model_file"])
+    assert report_check.exact_degrees(model, report["window"]) == list(range(report["window"] + 1))
+
+
+def test_s2s3_loop_to_degree_40_is_a_basis_of_cohomology_in_every_degree(tmp_path, capsys):
+    text = WORKLOADS.MODELS["s2s3"]
+    path = tmp_path / "s2s3.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["loop-betti", str(path), "--max", "40", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report_check.exact_degrees(report_check.Model.parse(text).loop(), 40) == list(range(41))
+    assert report_check.check(text, report) == []
+
+
+def test_the_rank_identities_find_classes_that_are_no_basis():
+    text = model_of("loop-elim", "s2s3-loop-14")
+    report = golden_report("loop-elim", "s2s3-loop-14")
+    # d(w_1*sv_2) = v_1^2*sv_2: a boundary in place of a class is still a cocycle
+    report["representatives"][6][0] = [["sv_2*v_1^2", "1"]]
+    # two equal classes
+    report["representatives"][7][1] = report["representatives"][7][0]
+    # a Betti number off by one, with a class dropped to match it
+    report["betti"][8] -= 1
+    report["representatives"][8].pop()
+    assert report_check.check(text, report) == [
+        "degree 6: the classes are dependent modulo boundaries",
+        "degree 7: the classes are dependent modulo boundaries",
+        "degree 8: betti 7 is not dim 30 - rank d^8 13 - rank d^7 9",
+    ]
+    # a Betti number off by one alone
+    report = golden_report("loop-elim", "s2s3-loop-14")
+    report["betti"][9] += 1
+    assert report_check.check(text, report) == [
+        "degree 9: 9 classes, betti 10",
+        "degree 9: betti 10 is not dim 38 - rank d^9 16 - rank d^8 13",
+    ]
+
+
+def test_rank_is_exact_over_fractions():
+    assert report_check.rank([]) == 0
+    assert report_check.rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {}]) == 1
+    assert report_check.rank([{0: Fraction(1, 3), 1: 2}, {0: 1, 1: 6}, {1: Fraction(1, 7), 2: 1}]) == 2
+    # the determinant is 2, so a rank mod 2 would read 1 here
+    assert report_check.rank([{0: 1, 1: 1}, {0: 1, 1: 3}]) == 2
+
+
+@st.composite
+def pure_models(draw):
+    """A pure model as canonical text: even generators with d = 0, and odd
+    ones with d a polynomial in the even ones of the right degree."""
+    evens = dict(zip("ab", draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2))))
+    odds = dict(zip(("y", "z"), draw(st.lists(st.sampled_from([3, 5, 7]), min_size=1, max_size=2))))
+    lines = [f"generator {name} {k}" for name, k in {**evens, **odds}.items()]
+    for name, k in odds.items():
+        (_, ka), *rest = evens.items()
+        monomials = [(i, j) for i in range(k + 2) for j in range(k + 2 if rest else 1)
+                     if i * ka + j * (rest[0][1] if rest else 0) == k + 1]
+        terms = [f"({c})*a^{i}" + (f"*b^{j}" if j else "") for i, j in monomials
+                 if (c := draw(st.integers(-2, 2)))]
+        if terms:
+            lines.append(f"d {name} = " + " + ".join(terms))
+    return emit(parse("\n".join(lines) + "\n"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(pure_models(), st.sampled_from(["betti", "loop-betti"]), st.integers(0, 10))
+def test_reports_of_random_pure_models_are_certified(text, command, window):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "pure.model"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, str(path), "--max", str(window), "--json"]) == 0
+    assert report_check.check(text, json.loads(out.getvalue())) == []
