@@ -7,7 +7,9 @@ pairs with indices strictly increasing in the algebra's canonical order,
 which is (degree, name).  Elements are finite rational sums of canonical
 words.  A coefficient is whatever exact Python arithmetic gives: an `int`
 stays an `int`, and a `Fraction` is made only where the program divides and
-the quotient is not an integer.
+the quotient is not an integer.  A scalar is any `numbers.Rational`, which
+both types are, so `fractions` is imported only by the code that divides
+and a run that never divides does not load it.
 
 `FreeGradedAlgebra.bases(top, cap)` lists the monomial bases of degrees
 0..top in one table pass over the generators, counted before they are
@@ -19,7 +21,7 @@ All values are immutable after construction and may be shared freely.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping
 
 from .errors import AlgebraMismatch, BasisSizeExceeded, NameClash, SullivanError, UnknownGenerator
@@ -30,7 +32,8 @@ Word = tuple[tuple[int, int], ...]
 
 UNIT_WORD: Word = ()
 
-Coefficient = int | Fraction
+# An `int`, or a `fractions.Fraction` where the program divided.
+Coefficient = Rational
 
 # The default `cap` on the size of each degree's basis (`bases(top, cap)`)
 # in the cohomology readers and the command line.
@@ -291,7 +294,7 @@ class Element:
         return Element(self.algebra, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return Element(self.algebra, {w: c * other for w, c in self.terms.items()})
         if not isinstance(other, Element):
             return NotImplemented
@@ -299,7 +302,7 @@ class Element:
         return Element(self.algebra, self.algebra.multiply_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self.__mul__(other)
         return NotImplemented
 

@@ -12,15 +12,16 @@ pairs.  A command that builds a model also writes it to `-o FILE`.  Exit
 codes: 0 success, 1 verification or comparison failure, 2 input errors.
 
 `homology`, `models` and `series` are imported inside the commands that use
-them, so each command loads only the code it runs.  `main` builds the
-argument parser of the named command alone, and `model_hash` uses the
-interpreter's built-in SHA-256, so a run loads no OpenSSL.
+them, so each command loads only the code it runs: `json` is imported by
+`canonical_json` alone, so only a `--json` run loads it, and `fractions` is
+loaded only by a run that divides (see `linalg.kernel_vector`).  `main`
+builds the argument parser of the named command alone, and `model_hash` uses
+the interpreter's built-in SHA-256, so a run loads no OpenSSL.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 # The interpreter's own SHA-256 (`_sha2` from Python 3.12, `_sha256` before):
@@ -49,10 +50,12 @@ from .calculus import (
     tensor_cdga,
 )
 from .errors import (
+    DIGIT_LIMIT,
     InvalidDifferential,
     NotDifferentialIdeal,
     SullivanError,
     ZeroDivisor,
+    read_integer,
 )
 
 _MATH_FAILURES = (InvalidDifferential, NotDifferentialIdeal, ZeroDivisor)
@@ -73,6 +76,8 @@ def _canonical(value):
 
 
 def canonical_json(report: dict) -> str:
+    import json
+
     return json.dumps(_canonical(report), sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -414,14 +419,24 @@ def cmd_recipe(args) -> tuple:
 
 # -- argument parsing ---------------------------------------------------------------
 
+def _option_integer(text: str) -> int:
+    """An integer option's value, as `read_integer` reads it.  A refused text
+    is quoted in the usage error unless it is longer than DIGIT_LIMIT."""
+    value = read_integer(text)
+    if value is None:
+        shown = repr(text) if len(text) <= DIGIT_LIMIT else f"more than {DIGIT_LIMIT} characters"
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}")
+    return value
+
+
 _MODEL = ("model", {"nargs": "?", "default": "-"})
 _OUTPUT = ("-o", "--output", {})
 
 # Options shared by the commands: each command takes the first few.
 _SHARED = (
     ("--json", {"action": "store_true", "help": "emit a canonical JSON report"}),
-    ("--max", {"type": int, "default": 16, "help": "degree window bound (default 16)"}),
-    ("--cap", {"type": int, "default": DEFAULT_BASIS_CAP,
+    ("--max", {"type": _option_integer, "default": 16, "help": "degree window bound (default 16)"}),
+    ("--cap", {"type": _option_integer, "default": DEFAULT_BASIS_CAP,
                "help": f"per-degree monomial basis cap (default {DEFAULT_BASIS_CAP})"}),
 )
 
@@ -443,7 +458,7 @@ _COMMANDS = {
     "mult-model": (cmd_mult_model, _mult_model_text,
                    "relative model of the multiplication, with verdicts", 2, (_MODEL, _OUTPUT)),
     "witness": (cmd_witness, _witness_text, "witness cocycle families", 3,
-                (_MODEL, ("--k-max", {"type": int, "default": 4}))),
+                (_MODEL, ("--k-max", {"type": _option_integer, "default": 4}))),
     "series": (cmd_series, _series_text, "expand a rational function", 3,
                (("--rational", {"required": True}),
                 ("--betti-of", {"help": "model file to compare the expansion against"}))),

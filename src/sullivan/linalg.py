@@ -15,7 +15,9 @@ keeps those relations as `relations[index]`; a later `add` stores nothing.
 z lives on that column and on kept columns only, so `kernel_vector(z,
 index)`, z / z[index], is the reduced-echelon kernel vector of that column
 in the matrix of all columns added so far, whatever the order of their keys.
-It is the one division of the elimination.
+It is the one division of the elimination, and it imports `fractions` only
+when some entry does not divide, so a run whose relations all divide
+exactly never loads it.
 
 The one vector type is the sparse `{key: coefficient}` dict, zeros not
 stored.  Every linear map becomes a matrix in one place, `coordinates`: one
@@ -32,13 +34,13 @@ until one closes b.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-SparseVector = dict[int, int | Fraction]
+SparseVector = dict[int, Rational]
 IntegerVector = dict[int, int]
-Image = Mapping[Hashable, int | Fraction]
+Image = Mapping[Hashable, Rational]
 
 
 def coordinates(target_basis: Iterable[Hashable]) -> Callable[[Image], SparseVector]:
@@ -118,6 +120,10 @@ def kernel_vector(z: IntegerVector, index: int) -> SparseVector:
     reduced-echelon kernel vector.  A quotient that is an integer stays an
     `int`; a `Fraction` is made only where z[index] does not divide."""
     d = z[index]
+    if all(x % d == 0 for x in z.values()):
+        return {c: x // d for c, x in z.items()}
+    from fractions import Fraction
+
     return {c: Fraction(x, d) if x % d else x // d for c, x in z.items()}
 
 

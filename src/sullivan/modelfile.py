@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 
 from .algebra import UNIT_WORD, Element, FreeGradedAlgebra, Generator
 from .calculus import CDGA, require_valid
@@ -205,6 +204,8 @@ class _ExprParser(Descent):
             denominator = self.integer(text, column, "denominator")
             if denominator == 0:
                 raise self.error("division by zero", column)
+            from fractions import Fraction
+
             value = Fraction(value, denominator)
         return self.algebra.one() * value
 

@@ -335,6 +335,16 @@ def test_subtraction_is_adding_the_negative():
         a - algebra_yz3().gen("y")
 
 
+def test_a_scalar_is_an_int_or_a_fraction():
+    v = algebra_v2_w3().gen("v")
+    for product in (lambda: v * 0.5, lambda: 0.5 * v, lambda: v * "x", lambda: "x" * v):
+        with pytest.raises(TypeError):
+            product()
+    half, triple = v * Fraction(1, 2), 3 * v
+    assert [type(c) for c in half.terms.values()] == [Fraction] and half.terms == {((0, 1),): Fraction(1, 2)}
+    assert [type(c) for c in triple.terms.values()] == [int] and (v * 3).terms == triple.terms == {((0, 1),): 3}
+
+
 def test_a_duplicate_generator_name_is_refused():
     with pytest.raises(NameClash, match="^duplicate generator name 'x'$"):
         FreeGradedAlgebra([Generator("x", 3), Generator("y", 2), Generator("x", 2)])

@@ -420,6 +420,29 @@ def test_negative_window_exits_two(command, capsys):
     assert capsys.readouterr().err == "error: --max must be non-negative\n"
 
 
+@pytest.mark.parametrize("option, command", [("--max", "betti"), ("--cap", "betti"), ("--k-max", "witness")])
+@pytest.mark.parametrize("value", ["１６", "1_6", "+16", " 16", "16 ", "1.0", ""],
+                         ids=["fullwidth", "underscore", "plus", "leading-space", "trailing-space",
+                              "decimal", "empty"])
+def test_integer_option_reads_only_ascii_digits(option, command, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "-", option, value])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"sullivan {command}: error: argument {option}: invalid int value: {value!r}")
+
+
+@pytest.mark.parametrize("option, command", [("--max", "betti"), ("--cap", "betti"), ("--k-max", "witness")])
+def test_integer_option_longer_than_the_digit_limit_is_not_echoed(option, command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "-", option, "1" * (DIGIT_LIMIT + 1)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (f"sullivan {command}: error: argument {option}: "
+                                    f"invalid int value: more than {DIGIT_LIMIT} characters")
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("command", sorted(c for c, options in OPTIONS.items() if "--max" not in options))
 def test_window_option_is_rejected_where_nothing_reads_it(command, capsys):
     with pytest.raises(SystemExit) as info:

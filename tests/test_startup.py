@@ -1,4 +1,5 @@
-"""Start-up cost: each command loads only the modules it runs, and no OpenSSL.
+"""Start-up cost: each command loads only the modules it runs, and no OpenSSL;
+`fractions` only when it divides and `json` only under `--json`.
 
 Every module check runs in a fresh interpreter, so modules imported by the
 rest of the suite cannot hide an import that a command does at start-up.
@@ -7,7 +8,6 @@ rest of the suite cannot hide an import that a command does at start-up.
 import argparse
 import hashlib
 import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -18,31 +18,37 @@ import pytest
 from helpers import builtin_models
 from sullivan import modelfile
 from sullivan.cli import _build_parser, model_hash
-from test_golden import WORKLOADS
+from test_golden import BENCH, WORKLOADS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs `main(argv)` when given argv, then prints the loaded modules as the
-# last line of stdout.
+# Runs `main(argv)` on its own arguments, or only imports the package when
+# it has none, then prints the loaded modules, space-separated, as the last
+# line of stdout.  It imports nothing itself, so it sees a command load `json`.
 PROBE = """
-import json, sys
-argv = json.loads(sys.argv[1])
-if argv is not None:
+import sys
+if sys.argv[1:]:
     from sullivan.cli import main
-    main(argv)
+    main(sys.argv[1:])
 else:
     import sullivan
 print()
-print(json.dumps(sorted(sys.modules)))
+print(" ".join(sorted(sys.modules)))
 """
 
 
-def loaded_modules(argv):
+def probe(argv):
+    """The stdout of the command `argv` (run by `main`) and the modules it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+    result = subprocess.run([sys.executable, "-c", PROBE, *argv],
                             capture_output=True, text=True, env=env, check=True)
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    stdout, _, modules = result.stdout.rpartition("\n\n")
+    return stdout + "\n", set(modules.split())
+
+
+def loaded_modules(argv):
+    return probe(argv)[1]
 
 
 @pytest.fixture()
@@ -52,11 +58,34 @@ def s2_file(tmp_path):
     return str(path)
 
 
+# What a run that never divides does not load.
+FRACTIONS = {"fractions", "decimal", "_decimal"}
+
+
 def test_verify_loads_no_dataclasses_homology_models_or_series(s2_file):
+    # nor `json` in text mode, nor `fractions` on a model without a `/`
     modules = loaded_modules(["verify", s2_file])
     assert "sullivan.calculus" in modules  # the probe did run the command
     assert not modules & {"_hashlib", "dataclasses", "sullivan.homology", "sullivan.models",
-                          "sullivan.series"}
+                          "sullivan.series", "json", *FRACTIONS}
+
+
+def test_betti_json_loads_json_but_not_fractions(s2_file):
+    modules = loaded_modules(["betti", s2_file, "--json"])
+    assert {"sullivan.homology", "json"} <= modules
+    assert not modules & FRACTIONS
+
+
+def test_a_loop_betti_that_divides_loads_fractions(tmp_path):
+    # the classes of the S^2 x S^3 loop model carry -1/2, 1/4 and others
+    job = next(job for job in WORKLOADS.WORKLOADS["loop-elim"].jobs if job.id == "s2s3-loop-14")
+    path = tmp_path / "s2s3.model"
+    path.write_text(WORKLOADS.MODELS["s2s3"], encoding="utf-8")
+    argv = [str(path) if a == "{s2s3}" else a for a in job.argv]
+    stdout, modules = probe(argv)
+    assert "fractions" in modules
+    golden = BENCH / "golden" / "loop-elim" / "s2s3-loop-14.json"
+    assert stdout == golden.read_text(encoding="utf-8")
 
 
 def test_recipe_loads_no_homology_or_series():
@@ -66,7 +95,7 @@ def test_recipe_loads_no_homology_or_series():
 
 
 def test_importing_the_package_loads_no_submodule():
-    modules = loaded_modules(None)
+    modules = loaded_modules([])
     assert "sullivan" in modules
     assert not {m for m in modules if m.startswith("sullivan.")}
 
