@@ -7,15 +7,16 @@ recipes and checks only names and parameter counts; `build` is where
 parameter ranges are checked.  On top of those sit the inductive relative
 model of the multiplication map, the closed-form free-loop cohomology of
 truncated polynomial spaces, and the witness-cocycle families showing
-unbounded loop-space Betti numbers.  Every map between algebras here,
-inclusions and projections included, is a `Morphism`, and every model is
-a `CDGA` built from its algebra and the values of d.
+unbounded loop-space Betti numbers, built and certified in the loop model
+itself (`vps_witnesses`, `certify_in_window`).  Every map between algebras
+here, inclusions and projections included, is a `Morphism`, and every model
+is a `CDGA` built from its algebra and the values of d.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import linalg
 from .algebra import Element, FreeGradedAlgebra, Generator, word_length
@@ -31,6 +32,9 @@ from .calculus import (
     tensor_cdga,
 )
 from .errors import DIGIT_LIMIT, NotApplicable, WindowTooSmall, read_integer
+
+if TYPE_CHECKING:
+    from .homology import Cocycles
 
 # -- recipes ----------------------------------------------------------------------
 
@@ -301,13 +305,17 @@ class WitnessEntry(NamedTuple):
     k: int
     degree: int
     exponent_pairs: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...]
+    witnesses: tuple[Element, ...]
     cocycles_verified: bool
     independent: bool
 
     @property
     def count(self) -> int:
         return len(self.exponent_pairs)
+
+    @property
+    def certified(self) -> bool:
+        return self.cocycles_verified and self.independent
 
 
 class WitnessReport(NamedTuple):
@@ -328,12 +336,12 @@ def _loop_base_names(loop: CDGA) -> list[str]:
 
 
 def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessReport:
-    """Monomial cocycle families sx_1...sx_n (sy)^p (sz)^q, k+1 per level k.
+    """Monomial witness families sx_1...sx_n (sy)^p (sz)^q, words of the loop model, k+1 per level k.
 
     Level k collects the exponent pairs with p|sy| + q|sz| = k lcm(|sy|,|sz|).
-    Each instance is certified as a cocycle in the quotient killing the even
-    base generators, and each level is certified linearly independent over
-    its own words, which lie in the suspended part, where d vanishes.
+    A level's `cocycles_verified` says that the loop differential of each of
+    its witnesses is zero, and its `independent` only that they are distinct
+    nonzero words, as it keeps saying outside a window; no basis is listed.
     """
     base = _loop_base_names(loop)
     even_list = sorted(even_gens, key=lambda n: (loop.algebra.generator(n).degree, n))
@@ -346,44 +354,35 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
     if y == z:
         raise NotApplicable("need two distinct odd generators")
 
-    quotient = quotient_by_generators(loop, even_list)
-
-    sx = quotient.algebra.one()
-    sx_degree = 0
+    algebra = loop.algebra
+    sx = algebra.one()
     for name in even_list:
-        sx = sx * quotient.algebra.gen(suspended_name(name))
-        sx_degree += quotient.algebra.generator(suspended_name(name)).degree
-    sy_deg = quotient.algebra.generator(suspended_name(y)).degree
-    sz_deg = quotient.algebra.generator(suspended_name(z)).degree
+        sx = sx * algebra.gen(suspended_name(name))
+    sx_degree = sum(algebra.generator(suspended_name(name)).degree for name in even_list)
+    sy, sz = algebra.gen(suspended_name(y)), algebra.gen(suspended_name(z))
+    sy_deg, sz_deg = sy.degree(), sz.degree()
     period = lcm(sy_deg, sz_deg)
 
     entries = []
     for k in range(k_max + 1):
-        degree = sx_degree + k * period
-        pairs = []
-        labels = []
-        vectors = []
-        cocycles_ok = True
-        for i in range(k + 1):
-            p = i * period // sy_deg
-            q = (k - i) * period // sz_deg
-            witness = (
-                sx
-                * quotient.algebra.gen(suspended_name(y)) ** p
-                * quotient.algebra.gen(suspended_name(z)) ** q
-            )
-            pairs.append((p, q))
-            if witness.is_zero() or not quotient.d(witness).is_zero():
-                cocycles_ok = False
-            labels.append(str(witness))
-            vectors.append(witness.terms)
-        # ranked over the words the witnesses use, not over a listed basis
-        words = {w for v in vectors for w in v}
-        independent = linalg.rank(linalg.matrix_of(vectors, words)) == len(vectors)
-        entries.append(
-            WitnessEntry(k, degree, tuple(pairs), tuple(labels), cocycles_ok, independent)
-        )
+        pairs = tuple((i * period // sy_deg, (k - i) * period // sz_deg) for i in range(k + 1))
+        witnesses = tuple(sx * sy**p * sz**q for p, q in pairs)
+        cocycles = all(loop.d(w).is_zero() for w in witnesses)
+        # a witness is one word or zero, so the words number count iff all are distinct and nonzero
+        distinct = len({word for w in witnesses for word in w.terms}) == len(witnesses)
+        entries.append(WitnessEntry(k, sx_degree + k * period, pairs, witnesses, cocycles, distinct))
     return WitnessReport(tuple(even_list), y, z, period, tuple(entries))
+
+
+def certify_in_window(report: WitnessReport, cocycles: Mapping[int, Cocycles]) -> WitnessReport:
+    """The report with each level inside a window of its loop model certified
+    in H(LX), `cocycles` being the window's `Cocycles` by degree: `independent`
+    is then true iff every witness is a cocycle and adds a new class to its
+    degree's `Cocycles` (the witnesses stay added), which proves count <= b_n."""
+    return report._replace(entries=tuple(
+        e._replace(independent=e.cocycles_verified and all(map(cocycles[e.degree].add, e.witnesses)))
+        if e.degree in cocycles else e
+        for e in report.entries))
 
 
 def vps_witnesses_for_model(loop: CDGA, k_max: int) -> WitnessReport:

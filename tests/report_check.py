@@ -1,4 +1,5 @@
-"""An exact check of `betti`, `loop-betti`, `koszul` and `mult-model` reports that shares no code with `sullivan`.
+"""An exact check of `sullivan` reports that shares no code with `sullivan`:
+`betti`, `loop-betti`, `koszul`, `mult-model` and `witness` reports.
 
 The checker reads the model text itself: `generator <name> <degree>` lines,
 and `d <name> = <expr>` lines whose right-hand side is a sum of rational
@@ -47,6 +48,17 @@ zero, a copy whose D is not the copy of dv, a D(sv) - v_1 + v_2 (that is,
 kill, where phi sends v_1 and v_2 to v and sv to 0, each product then put in
 canonical order with its Koszul sign.  That the model's cohomology is that
 of the base is not checked here.
+
+A `witness` report is judged in the free loop model the checker builds.
+Its `betti` must pass the rank identity in each degree of `exact_degrees`.
+Each level's `classes` are read as polynomials of its degree; its
+`cocycles` must say whether every one has zero loop differential.  In a
+degree of `exact_degrees`, its `independent` must say whether they are
+cocycles and rank [B_n | witnesses] = rank B_n + their number: the rank
+identity alone holds for words that are no cocycles, which have no class.
+Above the window it must say whether they are distinct nonzero words.
+`all_certified` must be the conjunction of `cocycles` and `independent`
+over the levels.
 
     python tests/report_check.py MODEL_FILE REPORT_JSON
 
@@ -222,33 +234,79 @@ def exact_degrees(model: Model, window: int) -> list[int]:
     return [n for n in range(window + 1) if max(dims[n:n + 3]) <= RANK_DIMENSION_BOUND]
 
 
-def check_ranks(model: Model, betti: list[int], classes: list[list[Polynomial]]) -> list[str]:
-    """The problems of the rank identities, in each degree of `exact_degrees`."""
-    degrees = exact_degrees(model, len(betti) - 1)
-    if not degrees:
-        return []
-    rows = model.monomials(degrees[-1] + 1)
-    index = [{m: i for i, m in enumerate(row)} for row in rows]
-    columns = {}  # n: d^n as columns, one per monomial of degree n, over degree n + 1
+class Ranks:
+    """The rank identities of a model in the degrees of `exact_degrees`: the
+    monomials of degrees 0..top + 1, top the highest of those degrees, and
+    each d^n as columns and its rank, built once when first asked for."""
 
-    def d(n):
-        if n not in columns:
-            columns[n] = [] if n < 0 else [{index[n + 1][m]: c for m, c in model.differential({w: 1}).items()}
-                                          for w in rows[n]]
-        return columns[n]
+    def __init__(self, model: Model, window: int):
+        self.model = model
+        self.degrees = exact_degrees(model, window)
+        self.rows = model.monomials(self.degrees[-1] + 1) if self.degrees else []
+        self.index = [{m: i for i, m in enumerate(row)} for row in self.rows]
+        self.columns: dict[int, list[dict[int, Fraction]]] = {}
+        self.ranks: dict[int, int] = {}
 
-    ranks = {}  # n: rank d^n
+    def d(self, n: int) -> list[dict[int, Fraction]]:
+        """d^n as columns, one per monomial of degree n, over degree n + 1."""
+        if n not in self.columns:
+            d = self.model.differential
+            self.columns[n] = [] if n < 0 else [{self.index[n + 1][m]: c for m, c in d({w: 1}).items()}
+                                                for w in self.rows[n]]
+        return self.columns[n]
+
+    def rank(self, n: int) -> int:
+        if n not in self.ranks:
+            self.ranks[n] = rank(self.d(n))
+        return self.ranks[n]
+
+    def independent(self, n: int, polynomials: list[Polynomial]) -> bool:
+        """Whether rank [B_n | polynomials] = rank B_n + their number, B_n
+        being the columns of d^(n-1): for cocycles, whether their classes
+        are independent."""
+        vectors = [{self.index[n][m]: c for m, c in p.items()} for p in polynomials]
+        return rank(self.d(n - 1) + vectors) == self.rank(n - 1) + len(vectors)
+
+
+def check_ranks(ranks: Ranks, betti: list[int], classes: list[list[Polynomial]]) -> list[str]:
+    """The problems of the rank identities, in each degree of `ranks`."""
     problems = []
-    for n in degrees:
-        for k in (n - 1, n):
-            if k not in ranks:
-                ranks[k] = rank(d(k))
-        if betti[n] != len(rows[n]) - ranks[n] - ranks[n - 1]:
-            problems.append(f"degree {n}: betti {betti[n]} is not dim {len(rows[n])} - rank d^{n} {ranks[n]}"
-                            f" - rank d^{n - 1} {ranks[n - 1]}")
-        vectors = [{index[n][m]: c for m, c in p.items()} for p in classes[n]]
-        if rank(d(n - 1) + vectors) != ranks[n - 1] + len(vectors):
+    for n in ranks.degrees:
+        dim, rank_n, rank_below = len(ranks.rows[n]), ranks.rank(n), ranks.rank(n - 1)
+        if betti[n] != dim - rank_n - rank_below:
+            problems.append(f"degree {n}: betti {betti[n]} is not dim {dim} - rank d^{n} {rank_n}"
+                            f" - rank d^{n - 1} {rank_below}")
+        if not ranks.independent(n, classes[n]):
             problems.append(f"degree {n}: the classes are dependent modulo boundaries")
+    return problems
+
+
+def check_witness(model: Model, report: dict) -> list[str]:
+    """The problems of a `witness` report of the model, judged in its free
+    loop model: the Betti numbers, and the verdicts of each level and of all."""
+    loop, betti = model.loop(), report["betti"]
+    ranks = Ranks(loop, len(betti) - 1)
+    problems = check_ranks(ranks, betti, [[]] * len(betti))
+    certified = True
+    for level in report["witnesses"]:
+        k, n = level["k"], level["degree"]
+        certified = certified and level["cocycles"] and level["independent"]
+        witnesses = [loop.combine(parse_expression(label)) for label in level["classes"]]
+        if any(loop.degree(m) != n for w in witnesses for m in w):
+            problems.append(f"level {k}: a witness with a word of another degree")
+            continue
+        cocycles = not any(map(loop.differential, witnesses))
+        if level["cocycles"] != cocycles:
+            problems.append(f"level {k}: cocycles is not whether every witness has zero loop differential")
+        if n in ranks.degrees:
+            if level["independent"] != (cocycles and ranks.independent(n, witnesses)):
+                problems.append(f"level {k}: independent is not whether the witnesses are cocycles"
+                                " independent modulo boundaries")
+        elif n >= len(betti) and level["independent"] != (len({m for w in witnesses for m in w})
+                                                           == len(witnesses)):
+            problems.append(f"level {k}: independent is not whether the witnesses are distinct nonzero words")
+    if report["verdicts"]["all_certified"] != certified:
+        problems.append("all_certified is not the conjunction of the levels")
     return problems
 
 
@@ -295,11 +353,13 @@ def check_koszul(presentation: Model, koszul: Model, report: dict) -> list[str]:
 
 
 def check(model_text: str, report: dict) -> list[str]:
-    """The problems of a `betti`, `loop-betti`, `koszul` or `mult-model` report of the model text."""
+    """The problems of a `betti`, `loop-betti`, `koszul`, `mult-model` or `witness` report of the model text."""
     problems = []
     if report["model_hash"] != hashlib.sha256(model_text.encode("utf-8")).hexdigest():
         problems.append("model_hash is not the SHA-256 of the model text")
     model = Model.parse(model_text)
+    if report["command"] == "witness":
+        return problems + check_witness(model, report)
     if report["command"] == "mult-model":
         return problems + check_mult_model(model, report["window"], report["model_file"])
     if report["command"] == "koszul":
@@ -309,7 +369,7 @@ def check(model_text: str, report: dict) -> list[str]:
     elif report["command"] == "loop-betti":
         model = model.loop()
     elif report["command"] != "betti":
-        raise ValueError(f"not a betti, loop-betti, koszul or mult-model report: {report['command']!r}")
+        raise ValueError(f"not a betti, loop-betti, koszul, mult-model or witness report: {report['command']!r}")
     polynomials = []
     for n, (b, classes) in enumerate(zip(report["betti"], report["representatives"], strict=True)):
         if len(classes) != b:
@@ -323,7 +383,7 @@ def check(model_text: str, report: dict) -> list[str]:
             polynomials[n].append(rep)
             if model.differential(rep):
                 problems.append(f"degree {n}, class {k}: not a cocycle")
-    return problems + check_ranks(model, report["betti"], polynomials)
+    return problems + check_ranks(Ranks(model, len(report["betti"]) - 1), report["betti"], polynomials)
 
 
 def main(argv: list[str]) -> int:

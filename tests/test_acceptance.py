@@ -20,10 +20,11 @@ from sullivan.calculus import (
     Morphism,
 )
 from sullivan.algebra import Generator
-from sullivan.homology import betti, quasi_iso_via_indecomposables
+from sullivan.homology import assemble_window, betti, quasi_iso_via_indecomposables
 from sullivan.models import (
     Recipe,
     build,
+    certify_in_window,
     loop_cohomology_closed_form,
     multiplication_model,
     vps_witnesses_for_model,
@@ -154,7 +155,8 @@ def test_criterion_7_series_comparison():
 def test_criterion_8_witness_lower_bounds():
     model = s3s3_model()
     loop = loop_model(model)
-    witness_report = vps_witnesses_for_model(loop, 6)
+    cocycles = dict(assemble_window(loop, 12).cocycles())
+    witness_report = certify_in_window(vps_witnesses_for_model(loop, 6), cocycles)
     loop_betti = betti(loop, 12).betti
     ok = all(e.cocycles_verified and e.independent for e in witness_report.entries)
     for entry in witness_report.entries:

@@ -4,11 +4,12 @@ Each case runs `sullivan.cli.main` in process, in text and with `--json`, on
 literal model texts.  Its stdout and stderr must equal
 `tests/expected/branches/<case>.<form>.stdout` and `.stderr`, and its exit
 code the entry of `exit_codes.json`: a failed `d*d` check and a minimality
-violation of `verify`, a witness outside the window, `series` alone and
-against a model whose Betti numbers differ, the warning and residues of a
-`quotient` by generators that is no differential ideal, a `quotient` that
-is refused (with no warning before its error), and `koszul` on two
-generators, also with its model text on stdout.
+violation of `verify`; a witness outside the window, witnesses that are no
+loop cocycles, and a `witness` model refused before its window is listed;
+`series` alone and against a model whose Betti numbers differ; the warning
+and residues of a `quotient` by generators that is no differential ideal,
+and a `quotient` that is refused (with no warning before its error); and
+`koszul` on two generators, also with its model text on stdout.
 
     PYTHONPATH=src python tests/test_branches.py
 
@@ -33,6 +34,11 @@ MODELS = {
     "s3s3": "generator v_1 3\ngenerator v_2 3\n",
     "s2": "generator v 2\ngenerator w 3\nd w = v^2\n",
     "a2b4": "generator a 2\ngenerator b 4\n",
+    # d(sb) = -(sa*y + a*sy), so d(sa*sb*(sy)^p*(sz)^q) = ±a*sa*(sy)^(p+1)*(sz)^q: no
+    # witness is a loop cocycle, though each is one in the quotient that kills a and b
+    "not-loop-cocycles": "generator a 2\ngenerator y 3\ngenerator z 3\ngenerator b 4\nd b = a*y\n",
+    # one odd generator: refused before the loop window is listed, so --cap 1 is never reached
+    "one-odd": "generator x 2\ngenerator v 3\n",
     "not-ideal": ("generator a 2\ngenerator g 3\ngenerator h 4\ngenerator k 5\n"
                   "d g = a^2\nd h = a*g - k\nd k = a^3\n"),
 }
@@ -42,6 +48,8 @@ CASES = {
     "verify-d-squared": ("verify", "{d2-fails}"),
     "verify-minimality": ("verify", "{not-minimal}"),
     "witness-outside-window": ("witness", "{s3s3}", "--max", "4", "--k-max", "4"),
+    "witness-not-loop-cocycles": ("witness", "{not-loop-cocycles}", "--max", "10", "--k-max", "3"),
+    "witness-one-odd-generator": ("witness", "{one-odd}", "--cap", "1"),
     "series": ("series", "--rational", "1/(1-z)", "--max", "4"),
     "series-differs": ("series", "--rational", "1/(1-z)", "--max", "4", "--betti-of", "{s2}"),
     "quotient-warning": ("quotient", "{s2}", "--kill", "w"),

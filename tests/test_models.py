@@ -15,6 +15,7 @@ from sullivan import linalg, models
 from sullivan.algebra import Element, FreeGradedAlgebra, Generator
 from sullivan.calculus import suspended_name
 from sullivan.errors import NotApplicable, WindowTooSmall
+from sullivan.modelfile import parse
 from sullivan.homology import (
     _indecomposables_complex,
     assemble_window,
@@ -25,6 +26,7 @@ from sullivan.homology import (
 from sullivan.models import (
     Recipe,
     build,
+    certify_in_window,
     product,
     loop_cohomology_closed_form,
     multiplication_model,
@@ -51,6 +53,7 @@ from helpers import (
     s3s3_model,
     sparse,
 )
+from test_branches import MODELS as BRANCH_MODELS
 
 
 # -- recipes -----------------------------------------------------------------------
@@ -331,9 +334,14 @@ def test_monogenic_models_have_bounded_loop_betti():
 # -- witnesses ----------------------------------------------------------------------------
 
 
+def loop_cocycles(loop, max_degree):
+    """The `Cocycles` of each degree of a loop window, from its one pass."""
+    return dict(assemble_window(loop, max_degree).cocycles())
+
+
 def test_vps_witnesses_on_s3s3():
     loop = loop_model(s3s3_model())
-    report = vps_witnesses_for_model(loop, 5)
+    report = certify_in_window(vps_witnesses_for_model(loop, 5), loop_cocycles(loop, 12))
     loop_betti = betti(loop, 12).betti
     assert report.period == 2
     for entry in report.entries:
@@ -347,7 +355,8 @@ def test_vps_witnesses_on_s3s3():
 def test_vps_witnesses_with_even_generators():
     # product of an even sphere and an odd sphere: one even generator, two odds
     model = build(Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,)))))
-    report = vps_witnesses_for_model(loop_model(model), 3)
+    loop = loop_model(model)
+    report = certify_in_window(vps_witnesses_for_model(loop, 3), loop_cocycles(loop, 7))
     assert report.even_gens == ("v_1",)
     assert {report.y, report.z} == {"w_1", "v_2"}
     assert all(e.cocycles_verified and e.independent for e in report.entries)
@@ -357,6 +366,8 @@ def test_vps_witnesses_with_even_generators():
 
 
 def test_vps_witnesses_list_no_basis(monkeypatch):
+    # the families are built and their loop differentials taken with no basis
+    # listed; only `certify_in_window` reads a window
     loops = [(loop_model(s3s3_model()), 5),
              (loop_model(build(Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,)))))), 3)]
     expected = [vps_witnesses_for_model(loop, k_max) for loop, k_max in loops]
@@ -370,6 +381,43 @@ def test_vps_witnesses_list_no_basis(monkeypatch):
         assert vps_witnesses_for_model(loop, k_max) == report
         assert len(report.entries) == k_max + 1
         assert all(e.cocycles_verified and e.independent for e in report.entries)
+
+
+def test_witnesses_that_are_no_loop_cocycles_are_not_certified():
+    loop = loop_model(parse(BRANCH_MODELS["not-loop-cocycles"]))
+    families = vps_witnesses_for_model(loop, 3)
+    assert (families.even_gens, families.y, families.z) == (("a", "b"), "y", "z")
+    assert not any(e.cocycles_verified for e in families.entries)
+    # outside a window, independent says only that the witnesses are distinct nonzero words
+    assert all(e.independent for e in families.entries)
+    report = certify_in_window(families, loop_cocycles(loop, 10))
+    assert [e.degree for e in report.entries] == [4, 6, 8, 10]
+    assert not any(e.independent or e.certified for e in report.entries)
+
+
+def test_a_level_whose_witness_is_a_boundary_is_not_independent_in_the_window():
+    # on L(S^2 x S^3), v_1*sv_1 = d(-sw_1/2) is a cocycle and one nonzero word, but no new class
+    loop = loop_model(build(Recipe("product", (Recipe("even_sphere", (1,)), Recipe("odd_sphere", (1,))))))
+    families = vps_witnesses_for_model(loop, 1)
+    boundary = loop.algebra.gen("v_1") * loop.algebra.gen("sv_1")
+    assert loop.d(boundary).is_zero()
+    entry = families.entries[0]._replace(degree=3, exponent_pairs=((0, 0),), witnesses=(boundary,))
+    level = families._replace(entries=(entry,))
+    assert level.entries[0].certified
+    (certified,) = certify_in_window(level, loop_cocycles(loop, 4)).entries
+    assert certified.cocycles_verified and not certified.independent
+    # the same family outside the window keeps its verdicts
+    assert certify_in_window(level, loop_cocycles(loop, 2)) == level
+
+
+def test_certify_in_window_certifies_only_the_levels_inside_it():
+    loop = loop_model(s3s3_model())
+    families = vps_witnesses_for_model(loop, 4)
+    # levels that repeat a witness: those inside the window are tested again
+    # and found dependent, those outside keep the verdicts they were built with
+    doubled = tuple(e._replace(witnesses=e.witnesses[:1] * e.count) for e in families.entries)
+    report = certify_in_window(families._replace(entries=doubled), loop_cocycles(loop, 4))
+    assert [e.independent for e in report.entries] == [True, False, False, True, True]
 
 
 def test_vps_witnesses_not_applicable_for_single_odd_generator():
@@ -409,10 +457,11 @@ def test_first_odd_witness_family_is_nontrivial():
 
 def test_witness_counts_bound_betti_from_below():
     loop = loop_model(s3s3_model())
-    report = vps_witnesses_for_model(loop, 6)
+    report = certify_in_window(vps_witnesses_for_model(loop, 6), loop_cocycles(loop, 12))
     loop_betti = betti(loop, 12).betti
     for entry in report.entries:
         if entry.degree <= 12:
+            assert entry.certified
             assert entry.count <= loop_betti[entry.degree]
 
 

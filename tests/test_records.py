@@ -38,7 +38,7 @@ def one_of_each_record():
         (cpn(2), "kind"),
         (multiplication_model(s3), "phi"),
         (loop_cohomology_closed_form(2, 1, 6), "dims"),
-        (witnesses.entries[0], "labels"),
+        (witnesses.entries[0], "witnesses"),
         (witnesses, "entries"),
         (parse_rational("1/(1-z^2)", 4), "numerator"),
     ]

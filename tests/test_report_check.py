@@ -1,11 +1,11 @@
 """Every representative of a `betti`, `loop-betti` or `koszul` report is an
 exact cocycle, the classes of each degree are a basis of its cohomology by
 exact rank identities, every `koszul` report's quotient dimensions are
-counted again, and every `mult-model` report holds a relative model of the
-multiplication, checked by `report_check`, which shares no code with the
-engine.  The golden reports checked are those of every bench job of a
-command the checker reads, so a new golden job is certified without editing
-this file."""
+counted again, every `mult-model` report holds a relative model of the
+multiplication, and every `witness` verdict is judged again in the loop
+model, checked by `report_check`, which shares no code with the engine.
+The golden reports checked are those of every bench job of a command the
+checker reads, so a new golden job is certified without editing this file."""
 
 import ast
 import contextlib
@@ -20,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import report_check
+import test_branches as branches
 from sullivan.cli import main
 from sullivan.modelfile import emit, parse
 from sullivan.models import build, recipe_from_args
 from test_golden import BENCH, WORKLOADS
 
-CHECKED = {"betti", "loop-betti", "koszul", "mult-model"}
+CHECKED = {"betti", "loop-betti", "koszul", "mult-model", "witness"}
 GOLDEN = [(w.name, job.id) for w in WORKLOADS.WORKLOADS.values() for job in w.jobs
           if job.argv[0] in CHECKED]
 
@@ -47,7 +48,7 @@ def test_the_golden_list_holds_the_known_jobs():
     assert set(GOLDEN) >= {
         ("loop-elim", "s2s3-loop-14"), ("loop-elim", "s3s3-loop-24"), ("assemble-s2", "s2-betti-1000"),
         ("survey", "betti"), ("survey", "loop-betti"), ("mult-dense", "cp3cp2s2-mult"),
-        ("survey", "mult-model"), ("survey", "koszul")}
+        ("survey", "mult-model"), ("survey", "koszul"), ("survey", "witness")}
 
 
 @pytest.mark.parametrize("workload, job_id", GOLDEN, ids=[f"{w}/{j}" for w, j in GOLDEN])
@@ -173,6 +174,60 @@ def test_the_checker_finds_a_broken_koszul_report(tmp_path, capsys):
     assert report_check.check(text, report)[0] == "matches_quotient_oracle is not whether betti equals quotient_dims"
 
 
+S3S3 = branches.MODELS["s3s3"]
+NOT_LOOP_COCYCLES = branches.MODELS["not-loop-cocycles"]
+
+
+# the `witness` reports recorded as branch outputs: levels outside the
+# window, and witnesses that are no loop cocycles
+@pytest.mark.parametrize("case", ["witness-outside-window", "witness-not-loop-cocycles"])
+def test_recorded_witness_reports_are_certified(case):
+    (name,) = [a[1:-1] for a in branches.CASES[case] if a.startswith("{")]
+    report = json.loads((branches.EXPECTED / f"{case}.json.stdout").read_text(encoding="utf-8"))
+    assert report_check.check(branches.MODELS[name], report) == []
+
+
+def witness_report(text, options, tmp_path, capsys):
+    path = tmp_path / "witness.model"
+    path.write_text(text, encoding="utf-8")
+    code = main(["witness", str(path), *options.split(), "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_a_witness_report_with_an_even_generator_is_certified(tmp_path, capsys):
+    text = WORKLOADS.MODELS["s2s3"]
+    code, report = witness_report(text, "--max 9 --k-max 6", tmp_path, capsys)
+    assert (code, report["details"]["even_generators"]) == (0, ["v_1"])
+    assert report_check.check(text, report) == []
+
+
+def test_the_checker_finds_a_broken_witness_report(tmp_path, capsys):
+    _, report = witness_report(NOT_LOOP_COCYCLES, "--max 10 --k-max 3", tmp_path, capsys)
+    report["witnesses"][0]["cocycles"] = True
+    report["witnesses"][1]["independent"] = True
+    report["betti"][6] += 1
+    assert report_check.check(NOT_LOOP_COCYCLES, report) == [
+        "degree 6: betti 15 is not dim 25 - rank d^6 7 - rank d^5 4",
+        "level 0: cocycles is not whether every witness has zero loop differential",
+        "level 1: independent is not whether the witnesses are cocycles independent modulo boundaries",
+    ]
+    report = golden_report("survey", "witness")
+    # a repeated witness, a witness of another degree, a repeated witness of
+    # a level outside the window, and all_certified false while every level holds
+    report["witnesses"][2]["classes"][1] = report["witnesses"][2]["classes"][0]
+    report["witnesses"][3]["classes"][0] = "sv_1"
+    report["witnesses"].append({"k": 9, "degree": 18, "count": 2, "exponents": [[0, 9], [0, 9]],
+                                "classes": ["sv_2^9", "sv_2^9"], "cocycles": True, "independent": True,
+                                "betti": None})
+    report["verdicts"]["all_certified"] = False
+    assert report_check.check(S3S3, report) == [
+        "level 2: independent is not whether the witnesses are cocycles independent modulo boundaries",
+        "level 3: a witness with a word of another degree",
+        "level 9: independent is not whether the witnesses are distinct nonzero words",
+        "all_certified is not the conjunction of the levels",
+    ]
+
+
 def golden_report(workload: str, job_id: str) -> dict:
     return json.loads((BENCH / "golden" / workload / f"{job_id}.json").read_text(encoding="utf-8"))
 
@@ -184,7 +239,7 @@ WITH_CLASSES = [(w, j) for w, j in GOLDEN if golden_report(w, j)["command"] != "
 def test_every_golden_degree_is_checked_exactly(workload, job_id):
     report = golden_report(workload, job_id)
     model = report_check.Model.parse(model_of(workload, job_id))
-    if report["command"] == "loop-betti":
+    if report["command"] in ("loop-betti", "witness"):
         model = model.loop()
     elif report["command"] == "koszul":
         model = report_check.Model.parse(report["model_file"])
