@@ -166,10 +166,10 @@ class FreeGradedAlgebra:
         return {w: c for w, c in acc.items() if c}
 
     def bases(self, top: int, cap: int = DEFAULT_BASIS_CAP) -> tuple[tuple[Word, ...], ...]:
-        """The bases of degrees 0..top: all canonical monomials of each degree,
-        ascending in exponent vector; degree 0 gives (1,).  Raises
-        `BasisSizeExceeded` for the lowest degree with more than `cap`, before
-        listing any word.
+        """The bases of degrees 0..top, () for top < 0: all canonical monomials
+        of each degree, ascending in exponent vector; degree 0 gives (1,).
+        Raises `BasisSizeExceeded` for the lowest degree with more than `cap`,
+        before listing any word.
 
         Both passes take the generators from the last to the first and follow
         the Poincare series, prod (1 + t^|v|) over odd v times prod
@@ -180,6 +180,8 @@ class FreeGradedAlgebra:
         once, from one shared head tuple per exponent.  A `top` whose count
         table cannot be built at all is refused with a `SullivanError`.
         """
+        if top < 0:
+            return ()
         try:
             counts = [1] + [0] * top
         except (MemoryError, OverflowError):
@@ -206,16 +208,6 @@ class FreeGradedAlgebra:
                     words[t] += tuple([heads[w[0][1] + 1] + w[1:] if w and w[0][0] == i else heads[1] + w
                                        for w in words[t - d]])
         return tuple(words)
-
-    def basis_in_degree(self, n: int, cap: int = DEFAULT_BASIS_CAP) -> tuple[Word, ...]:
-        """The basis of degree n, from `bases(n, cap)`; () for n < 0.
-
-        Like `bases`, it lists every degree 0..n and refuses the lowest one
-        over `cap`, which may lie below n (the middle degrees of an exterior
-        algebra are its largest); a caller that needs several degrees should
-        call `bases` once.
-        """
-        return self.bases(n, cap)[n] if n >= 0 else ()
 
     # -- housekeeping ---------------------------------------------------------
 

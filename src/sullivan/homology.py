@@ -4,12 +4,13 @@ A window is a model and its monomial bases for degrees 0..N+1 (b_N needs
 degree N+1); assembly lists the bases and nothing else.  The one cohomology
 pass builds each d^n when it reaches degree n, as `columns(n)`: `on_word`
 of d fed straight to `matrix_of`, with no `Element` per column.
-`DegreeWindowComplex` is the one complex type: Betti numbers and
-quasi-isomorphism verdicts all read it.  The indecomposables V of a
-Sullivan algebra carry the linear part of d, the one-letter part of its
-generator values, so their complex is the window of the linear-part model
-over one-letter generator words.  Kernels and representatives are sparse;
-only `matrix(n)`, which writes a differential out, is dense.
+`DegreeWindowComplex` is the one complex type: Betti numbers and the
+quasi-isomorphism verdict that `mult-model` reports both read it.  That
+verdict is taken on indecomposables, which decide it for Sullivan algebras:
+the indecomposables V carry the linear part of d, the one-letter part of
+its generator values, so their complex is the window of the linear-part
+model over one-letter generator words.  Kernels and representatives are
+sparse; only `matrix(n)`, which writes a differential out, is dense.
 
 Each d^n is reduced once, by one column reduction with relations
 (`linalg.Echelon`), in one pass of `DegreeWindowComplex.cocycles()` from the
@@ -35,8 +36,9 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import linalg
-from .algebra import DEFAULT_BASIS_CAP, Coefficient, Element, FreeGradedAlgebra, Word
-from .calculus import CDGA, Morphism, check_chain_map, linear_part
+from .algebra import DEFAULT_BASIS_CAP, Coefficient, Element, Word
+from .calculus import CDGA, Morphism, linear_part
+from .errors import SullivanError
 
 
 class Cocycles(NamedTuple):
@@ -146,42 +148,19 @@ class QuasiIsoReport(NamedTuple):
         return all(v.isomorphism for v in self.per_degree)
 
 
-def _verdicts(source: DegreeWindowComplex, target: DegreeWindowComplex, m: Morphism) -> QuasiIsoReport:
-    """Ranks of H(m) in the degrees of two windows of one size.  Only the
-    source classes are mapped; their images extend the target's boundary
-    echelon."""
-    verdicts = []
-    for (n, source_n), (_, target_n) in zip(source.cocycles(), target.cocycles()):
-        rank_h = sum(map(target_n.add, map(m, source_n.classes)))
-        verdicts.append(DegreeVerdict(n, len(source_n.classes), len(target_n.classes), rank_h))
-    return QuasiIsoReport(tuple(reversed(verdicts)))
-
-
-def quasi_iso_check(source: CDGA, target: CDGA, m: Morphism, max_degree: int,
-                    cap: int = DEFAULT_BASIS_CAP) -> QuasiIsoReport:
-    """Per-degree injectivity and surjectivity of H(m) for degrees <= max_degree."""
-    failure = check_chain_map(m, source.differential, target.differential)
-    if failure is not None:
-        raise ValueError(f"not a chain map at {failure[0].name}: differs by {failure[1]}")
-    ws = assemble_window(source, max_degree, cap=cap)
-    wt = assemble_window(target, max_degree, cap=cap)
-    return _verdicts(ws, wt, m)
-
-
-def _generator_words(algebra: FreeGradedAlgebra, max_degree: int) -> tuple[tuple[Word, ...], ...]:
-    """The one-letter word of each generator, grouped by degree 0..max_degree."""
-    words: list[list[Word]] = [[] for _ in range(max_degree + 1)]
-    for i, g in enumerate(algebra.generators):
-        if g.degree <= max_degree:
-            words[g.degree].append(((i, 1),))
-    return tuple(tuple(ws) for ws in words)
-
-
 def _indecomposables_complex(model: CDGA, max_degree: int) -> DegreeWindowComplex:
     """The indecomposables complex: the window of the linear-part model over
-    one-letter generator words."""
+    one-letter generator words.  A table of words too long to allocate is
+    refused with a `SullivanError`, as `bases` refuses its count table."""
+    try:
+        words: list[tuple[Word, ...]] = [()] * (max_degree + 2)
+    except (MemoryError, OverflowError):
+        raise SullivanError(f"cannot build a generator table for degrees 0..{max_degree + 1}") from None
+    for i, g in enumerate(model.algebra.generators):
+        if g.degree <= max_degree + 1:
+            words[g.degree] += (((i, 1),),)
     linear = CDGA(model.algebra, {name: linear_part(v) for name, v in model.differential.values.items()})
-    return DegreeWindowComplex(linear, max_degree, _generator_words(model.algebra, max_degree + 1))
+    return DegreeWindowComplex(linear, max_degree, tuple(words))
 
 
 def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism) -> QuasiIsoReport:
@@ -190,15 +169,21 @@ def quasi_iso_via_indecomposables(source: CDGA, target: CDGA, m: Morphism) -> Qu
     indecomposables complexes, up to the top generator degree of either side.
 
     For morphisms of Sullivan models this decides quasi-isomorphism of m
-    itself, while only ever eliminating matrices indexed by generators.
+    itself, while only ever eliminating matrices indexed by generators.  Only
+    the source classes are mapped, by the linear part of m; their images
+    extend the target's boundary echelon.
     """
     degrees = [g.degree for g in source.algebra.generators]
     degrees += [g.degree for g in target.algebra.generators]
     max_degree = max(degrees, default=0)
     qs = _indecomposables_complex(source, max_degree)
     qt = _indecomposables_complex(target, max_degree)
-    linear = {name: linear_part(v) for name, v in m.values.items()}
-    return _verdicts(qs, qt, Morphism(m.source, m.target, linear))
+    linear = Morphism(m.source, m.target, {name: linear_part(v) for name, v in m.values.items()})
+    verdicts = []
+    for (n, source_n), (_, target_n) in zip(qs.cocycles(), qt.cocycles()):
+        rank_h = sum(map(target_n.add, map(linear, source_n.classes)))
+        verdicts.append(DegreeVerdict(n, len(source_n.classes), len(target_n.classes), rank_h))
+    return QuasiIsoReport(tuple(reversed(verdicts)))
 
 
 # -- derived reports -------------------------------------------------------------------

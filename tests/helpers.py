@@ -10,9 +10,10 @@ from fractions import Fraction
 from math import lcm
 
 from sullivan import linalg
-from sullivan.algebra import Element, FreeGradedAlgebra, Generator, Word, word_length
-from sullivan.calculus import CDGA, suspended_name
+from sullivan.algebra import DEFAULT_BASIS_CAP, Element, FreeGradedAlgebra, Generator, Word, word_length
+from sullivan.calculus import CDGA, Morphism, check_chain_map, suspended_name
 from sullivan.errors import ModelFileError, WindowTooSmall
+from sullivan.homology import DegreeVerdict, QuasiIsoReport, assemble_window
 from sullivan.models import MultiplicationModel, Recipe, build, product
 
 
@@ -299,11 +300,29 @@ def class_is_nontrivial(model: CDGA, cocycle: Element) -> bool:
     if not model.d(cocycle).is_zero():
         raise NotACocycle(f"d({cocycle}) != 0")
     algebra = model.algebra
-    basis = algebra.basis_in_degree(degree)
+    bases = algebra.bases(degree)
+    basis = bases[degree]
     boundaries = [element_coordinates(model.d(Element(algebra, {w: Fraction(1)})), basis)
-                  for w in algebra.basis_in_degree(degree - 1)]
+                  for w in (bases[degree - 1] if degree else ())]
     with_cocycle = boundaries + [element_coordinates(cocycle, basis)]
     return len(dense_bareiss_rref(with_cocycle)[1]) > len(dense_bareiss_rref(boundaries)[1])
+
+
+def quasi_iso_check(source: CDGA, target: CDGA, m: Morphism, max_degree: int,
+                    cap: int = DEFAULT_BASIS_CAP) -> QuasiIsoReport:
+    """Reference for `quasi_iso_via_indecomposables` on the full windows:
+    per-degree injectivity and surjectivity of H(m) for degrees <= max_degree.
+    Only the source classes are mapped; their images extend the target's
+    boundary echelon.  A map that is not a chain map raises `ValueError`."""
+    failure = check_chain_map(m, source.differential, target.differential)
+    if failure is not None:
+        raise ValueError(f"not a chain map at {failure[0].name}: differs by {failure[1]}")
+    verdicts = []
+    for (n, source_n), (_, target_n) in zip(assemble_window(source, max_degree, cap=cap).cocycles(),
+                                            assemble_window(target, max_degree, cap=cap).cocycles()):
+        rank_h = sum(map(target_n.add, map(m, source_n.classes)))
+        verdicts.append(DegreeVerdict(n, len(source_n.classes), len(target_n.classes), rank_h))
+    return QuasiIsoReport(tuple(reversed(verdicts)))
 
 
 _REFERENCE_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/])|(\S)")

@@ -173,7 +173,7 @@ def test_criterion_8_witness_lower_bounds():
 def _mutable(model):
     """Models admitting a degree-consistent change to some differential."""
     return any(
-        model.algebra.basis_in_degree(g.degree + 1) for g in model.algebra.generators
+        model.algebra.bases(g.degree + 1)[g.degree + 1] for g in model.algebra.generators
     )
 
 
@@ -181,9 +181,9 @@ def _random_mutation(rng, model):
     """A degree-consistent random change to one generator's differential."""
     algebra = model.algebra
     candidates = [
-        (g, algebra.basis_in_degree(g.degree + 1))
+        (g, algebra.bases(g.degree + 1)[g.degree + 1])
         for g in algebra.generators
-        if algebra.basis_in_degree(g.degree + 1)
+        if algebra.bases(g.degree + 1)[g.degree + 1]
     ]
     gen, basis = candidates[rng.randrange(len(candidates))]
     word = basis[rng.randrange(len(basis))]

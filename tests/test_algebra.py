@@ -90,20 +90,20 @@ def test_multiply_rejects_mixed_algebras():
 
 def test_basis_single_odd_generator():
     alg = FreeGradedAlgebra([Generator("v", 3)])
-    assert [alg.word_str(w) for w in alg.basis_in_degree(3)] == ["v"]
-    assert alg.basis_in_degree(6) == ()
+    assert [alg.word_str(w) for w in alg.bases(3)[3]] == ["v"]
+    assert alg.bases(6)[6] == ()
 
 
 def test_basis_degree_seven_mixed():
     # oracle: by hand, 3a+2b=7 with a<=1 forces a=1, b=2
     alg = algebra_v3_sv2()
-    assert [alg.word_str(w) for w in alg.basis_in_degree(7)] == ["sv^2*v"]
+    assert [alg.word_str(w) for w in alg.bases(7)[7]] == ["sv^2*v"]
 
 
 def test_basis_degree_eight_truncated_poly_shape():
     # oracle: hand enumeration, w odd so w^2=0; 8 = 2*4 is the only solution
     alg = algebra_v2_w3()
-    assert [alg.word_str(w) for w in alg.basis_in_degree(8)] == ["v^4"]
+    assert [alg.word_str(w) for w in alg.bases(8)[8]] == ["v^4"]
 
 
 def test_basis_counts_v3_sv2_are_one_off_degree_one():
@@ -181,7 +181,7 @@ def test_basis_matches_recursive_oracle(degrees, top, cap):
     alg = FreeGradedAlgebra([Generator(f"g{i}", d) for i, d in enumerate(degrees)])
     oracle = FreeGradedAlgebra(alg.generators)
     expected = _window_bases(_recursive_basis, oracle, top, cap)
-    got = _window_bases(lambda a, n, c: a.basis_in_degree(n, cap=c), alg, top, cap)
+    got = _window_bases(lambda a, n, c: a.bases(n, cap=c)[n], alg, top, cap)
     assert got == expected
     # one call lists the whole walk, or refuses the degree the walk stops at
     try:
@@ -190,7 +190,8 @@ def test_basis_matches_recursive_oracle(degrees, top, cap):
         assert (exc.degree, exc.size) == expected[1]
     # a later call for any single degree sees the same words and the same cap
     for n in (top, top // 2, -1):
-        assert alg.basis_in_degree(n) == _recursive_basis(oracle, n)
+        assert (alg.bases(n)[n] if n >= 0 else ()) == _recursive_basis(oracle, n)
+    assert alg.bases(-1) == ()
 
 
 def _refusal_peak(call):
@@ -209,7 +210,7 @@ def _refusal_peak(call):
 def test_basis_cap_names_lowest_degree_over_cap_before_building_higher():
     alg = FreeGradedAlgebra([Generator("a", 2), Generator("b", 2), Generator("c", 3)])
     with pytest.raises(BasisSizeExceeded) as info:
-        [alg.basis_in_degree(n, cap=3) for n in range(40)]
+        [alg.bases(n, cap=3)[n] for n in range(40)]
     expected = next(n for n in range(40) if len(_recursive_basis(alg, n)) > 3)
     assert (info.value.degree, info.value.size) == (expected, len(_recursive_basis(alg, expected)))
     # degrees 0..600 hold 90 301 words, about 6 MB; refusing them builds no word
@@ -222,14 +223,14 @@ def test_basis_cap_is_checked_before_listing():
     # 100 generators of degree 100: C(101, 2) = 5050 words in degree 200 and
     # C(102, 3) = 171 700 in degree 300, counted and refused without a table
     alg = FreeGradedAlgebra([Generator(f"g{i}", 100) for i in range(100)])
-    assert len(alg.basis_in_degree(200, cap=5050)) == 5050
-    peak, error = _refusal_peak(lambda: alg.basis_in_degree(300, cap=5050))
+    assert len(alg.bases(200, cap=5050)[200]) == 5050
+    peak, error = _refusal_peak(lambda: alg.bases(300, cap=5050)[300])
     assert (error.degree, error.size, error.cap) == (300, 171700, 5050)
     assert peak < 2**20, peak  # listing the 171 700 words would take over 10 MB
     # with no cap given, the default one holds: 700 degree-2 generators have
     # C(701, 2) = 245 350 words in degree 4
     wide = FreeGradedAlgebra([Generator(f"g{i}", 2) for i in range(700)])
-    peak, error = _refusal_peak(lambda: wide.basis_in_degree(4))
+    peak, error = _refusal_peak(lambda: wide.bases(4)[4])
     assert (error.degree, error.size, error.cap) == (4, 245350, DEFAULT_BASIS_CAP)
     assert peak < 2**20, peak
 
@@ -238,7 +239,7 @@ def test_basis_of_even_sphere_to_high_degree():
     alg = algebra_v2_w3()
     # v^a w^b with 2a + 3b = n and b <= 1: one word in every degree but 1
     assert [len(basis) for basis in alg.bases(1001)] == [1, 0] + [1] * 1000
-    assert [alg.word_str(w) for w in alg.basis_in_degree(1001)] == ["v^499*w"]
+    assert [alg.word_str(w) for w in alg.bases(1001)[1001]] == ["v^499*w"]
 
 
 # -- powers ------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def test_canonical_order_ignores_insertion_order():
     forward = FreeGradedAlgebra([Generator("v", 2), Generator("w", 3)])
     backward = FreeGradedAlgebra([Generator("w", 3), Generator("v", 2)])
     assert forward == backward
-    assert forward.basis_in_degree(8) == backward.basis_in_degree(8)
+    assert forward.bases(8)[8] == backward.bases(8)[8]
 
 
 def test_inclusion_preserves_elements():

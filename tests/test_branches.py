@@ -8,8 +8,11 @@ violation of `verify`; a witness outside the window, witnesses that are no
 loop cocycles, and a `witness` model refused before its window is listed;
 `series` alone and against a model whose Betti numbers differ; the warning
 and residues of a `quotient` by generators that is no differential ideal,
-and a `quotient` that is refused (with no warning before its error); and
-`koszul` on two generators, also with its model text on stdout.
+and a `quotient` that is refused (with no warning before its error);
+`koszul` on two generators, also with its model text on stdout; and the
+input refusals: `koszul` of a presentation with nonzero d and of a zero
+cocycle, a denominator that is no integer, a recipe short of a parameter,
+and a `mult-model` whose generator table cannot be allocated.
 
     PYTHONPATH=src python tests/test_branches.py
 
@@ -41,6 +44,9 @@ MODELS = {
     "one-odd": "generator x 2\ngenerator v 3\n",
     "not-ideal": ("generator a 2\ngenerator g 3\ngenerator h 4\ngenerator k 5\n"
                   "d g = a^2\nd h = a*g - k\nd k = a^3\n"),
+    "x2": "generator x 2\n",
+    "fraction-of-generator": "generator v 2\ngenerator w 3\nd w = 1/v\n",
+    "huge-odd": "generator v 10000000000000000000000000000000000000001\n",
 }
 
 # name: argv, each {model} standing for a file of that model
@@ -56,6 +62,13 @@ CASES = {
     "quotient-not-ideal": ("quotient", "{not-ideal}", "--kill", "g"),
     "koszul-two-generators": ("koszul", "{a2b4}", "--by", "a^2+b", "--max", "8"),
     "koszul-model-to-stdout": ("koszul", "{a2b4}", "--by", "a^2+b", "--max", "8", "-o", "-"),
+    "koszul-nonzero-differential": ("koszul", "{s2}", "--by", "v"),
+    "koszul-zero-cocycle": ("koszul", "{x2}", "--by", "0"),
+    "verify-fraction-denominator": ("verify", "{fraction-of-generator}"),
+    "recipe-missing-parameter": ("recipe", "cpn"),
+    # the generator table of the indecomposables has 10^40 + 3 slots
+    "mult-model-generator-table": ("mult-model", "{huge-odd}",
+                                   "--max", "10000000000000000000000000000000000000001"),
 }
 RUNS = [(case, form) for case in CASES for form in ("text", "json")]
 

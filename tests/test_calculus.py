@@ -116,7 +116,7 @@ _WORD_ALGEBRA = FreeGradedAlgebra(
 @st.composite
 def elements_of_degree(draw, algebra, n, max_terms=3):
     """A random element of degree n (zero when the degree is empty)."""
-    basis = algebra.basis_in_degree(n)
+    basis = algebra.bases(n)[n]
     if not basis:
         return algebra.zero()
     terms = {}

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -313,7 +314,7 @@ def test_a_window_too_large_to_count_is_an_input_error(tmp_path, capsys, command
 
 
 def test_mult_model_checks_the_chain_map_once(cp2_file, monkeypatch, capsys):
-    from sullivan import calculus, cli, homology
+    from sullivan import calculus, cli
 
     calls = []
     check = calculus.check_chain_map
@@ -322,11 +323,22 @@ def test_mult_model_checks_the_chain_map_once(cp2_file, monkeypatch, capsys):
         calls.append(args)
         return check(*args)
 
-    for module in (calculus, cli, homology):
+    for module in (calculus, cli):
         monkeypatch.setattr(module, "check_chain_map", counted)
     assert main(["mult-model", cp2_file]) == 0
     assert "chain_map: ok" in capsys.readouterr().out.splitlines()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model_argument", [[], ["-"]], ids=["omitted", "dash"])
+def test_a_model_on_stdin_gives_the_report_of_its_file(tmp_path, monkeypatch, capsys, model_argument):
+    path = tmp_path / "x2.model"
+    path.write_text("generator x 2\n", encoding="utf-8")
+    assert main(["betti", str(path), "--max", "4"]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO("generator x 2\n"))
+    assert main(["betti", *model_argument, "--max", "4"]) == 0
+    assert capsys.readouterr().out == from_file
 
 
 def test_json_reports_are_byte_identical_across_runs(cp2_file):

@@ -24,7 +24,6 @@ from sullivan.homology import (
     betti,
     betti_of_window,
     h_algebra_generator_counts,
-    quasi_iso_check,
     quasi_iso_via_indecomposables,
 )
 from sullivan.modelfile import parse
@@ -40,6 +39,7 @@ from helpers import (
     even_sphere_model,
     normalised,
     oracle_kernel,
+    quasi_iso_check,
     s3_model,
     s3s3_model,
     sparse,
@@ -274,7 +274,7 @@ def _random_polynomial(draw, algebra, evens, degree, keep=lambda exponents: True
     generators `evens`, over those whose `{name: exponent}` passes `keep`."""
     even_monomials = FreeGradedAlgebra(evens)
     value = algebra.zero()
-    for word in even_monomials.basis_in_degree(degree):
+    for word in even_monomials.bases(degree)[degree]:
         exponents = {even_monomials.generators[i].name: e for i, e in word}
         if keep(exponents):
             monomial = algebra.one()

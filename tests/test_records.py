@@ -8,7 +8,7 @@ import pytest
 from sullivan.algebra import FreeGradedAlgebra, Generator
 from sullivan.calculus import CDGA, Derivation, Morphism, koszul_model, loop_model
 from sullivan.errors import AlgebraMismatch, UnknownGenerator
-from sullivan.homology import assemble_window, betti, quasi_iso_check
+from sullivan.homology import assemble_window, betti
 from sullivan.models import (
     Recipe,
     build,
@@ -19,7 +19,7 @@ from sullivan.models import (
 )
 from sullivan.series import parse_rational
 
-from helpers import cpn, cpn_model, odd_sphere, s3_model, s3s3_model
+from helpers import cpn, cpn_model, odd_sphere, quasi_iso_check, s3_model, s3s3_model
 
 
 def one_of_each_record():
