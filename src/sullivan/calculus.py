@@ -5,7 +5,7 @@ generator with no value maps to 0, for models, derivations and morphisms
 alike.  So a Sullivan algebra (ΛV, d) is built from its free algebra and
 the values of d: `CDGA(algebra, values)`.  Every construction here (loop,
 tensor, renaming, quotient, Koszul) is a new free algebra plus new values
-of d, and the suspension and the projection give values only where they
+of d, and the suspension and the quotient map give values only where they
 are nonzero.  The new algebra refuses a repeated generator name
 (`NameClash`), so no construction checks names itself.
 
@@ -298,47 +298,27 @@ def rename_generators(model: CDGA, mapping: Mapping[str, str]) -> CDGA:
     return CDGA(new_alg, values)
 
 
-def projection(model: CDGA, kill: Iterable[str]) -> tuple[FreeGradedAlgebra, Morphism]:
-    """The algebra on the surviving generators and the map setting killed ones to zero."""
+def quotient_by_generators(model: CDGA, kill: Iterable[str]) -> tuple[CDGA, dict[str, Element]]:
+    """The quotient setting the killed generators to zero, and its residues.
+
+    One map pi sets them to zero, and the quotient's differential is
+    dbar(g) = pi(d(g)) on the survivors; NotDifferentialIdeal is raised,
+    before any residue is returned, when dbar fails to square to zero.  The
+    residues are the nonzero pi(d(k)) of the killed k, by name: empty exactly
+    when the ideal of the killed set is stable under d, and otherwise the
+    quotient is by generators, not by the ideal they and their d generate.
+    """
     kill_set = set(kill)
     for name in kill_set:
         model.algebra.generator(name)
     small = FreeGradedAlgebra([g for g in model.algebra.generators if g.name not in kill_set])
-    return small, Morphism(model.algebra, small, {g.name: small.gen(g.name) for g in small.generators})
-
-
-def quotient_by_generators(model: CDGA, kill: Iterable[str]) -> CDGA:
-    """Set the given generators to zero and push the differential through.
-
-    The induced map on survivors is dbar(g) = d(g) with killed generators
-    substituted by zero.  Raises NotDifferentialIdeal when dbar fails to
-    square to zero.  When d of a killed generator does not itself die under
-    the substitution the quotient is by generators rather than by the ideal
-    they and their differentials generate; see killed_residues.
-    """
-    small, pi = projection(model, kill)
-    values = {g.name: pi(model.d_of(g.name)) for g in small.generators}
-    quotient = CDGA(small, values)
+    pi = Morphism(model.algebra, small, {g.name: small.gen(g.name) for g in small.generators})
+    quotient = CDGA(small, {g.name: pi(model.d_of(g.name)) for g in small.generators})
     failure = check_differential(quotient)
     if failure is not None:
         raise NotDifferentialIdeal(failure[0].name, failure[1])
-    return quotient
-
-
-def killed_residues(model: CDGA, kill: Iterable[str]) -> dict[str, Element]:
-    """Nonzero images of d(killed generator) in the quotient algebra.
-
-    Empty exactly when the ideal generated by the killed set is stable
-    under the differential.
-    """
-    kill_set = set(kill)
-    _, pi = projection(model, kill_set)
-    out: dict[str, Element] = {}
-    for name in sorted(kill_set):
-        residue = pi(model.d_of(name))
-        if not residue.is_zero():
-            out[name] = residue
-    return out
+    residues = {name: pi(model.d_of(name)) for name in sorted(kill_set)}
+    return quotient, {name: residue for name, residue in residues.items() if not residue.is_zero()}
 
 
 # -- Koszul models ------------------------------------------------------------------

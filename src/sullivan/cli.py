@@ -40,7 +40,6 @@ from .calculus import (
     CDGA,
     check_chain_map,
     check_differential,
-    killed_residues,
     loop_model,
     minimality_check,
     quotient_by_generators,
@@ -238,8 +237,7 @@ def cmd_tensor(args) -> tuple:
 def cmd_quotient(args) -> tuple:
     model = _read_model(args.model)
     kill = [name for name in args.kill.split(",") if name]
-    residues = killed_residues(model, kill)
-    result = quotient_by_generators(model, kill)
+    result, residues = quotient_by_generators(model, kill)
     for name in sorted(residues):
         print(
             f"warning: d({name}) = {residues[name]} survives the substitution; "

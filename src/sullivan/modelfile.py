@@ -159,7 +159,9 @@ class _ExprParser(Descent):
     first column: in a product as soon as it is formed (even where a later
     factor would cancel it), and from sums in the parsed value.  Outside a
     d line (`parse_element`), a parsed value with a term above `top` is
-    rejected there too, however it is written.
+    rejected there too, however it is written.  On a d line, a nonzero
+    value must be homogeneous of degree `top`, or it is rejected at column
+    `offset` + 1, just past the '='.
     """
 
     literal = "coefficient"
@@ -173,6 +175,7 @@ class _ExprParser(Descent):
         self.algebra = algebra
         self.top = top
         self.d_of = d_of
+        self.start = offset + 1
         super().__init__(text, offset)
 
     def error(self, message: str, column: int) -> ModelFileError:
@@ -185,6 +188,11 @@ class _ExprParser(Descent):
             if highest > self.top:
                 message = f"element has terms up to degree {highest}, above degree {self.top}"
                 raise self.error(message, self.tokens[0][2])
+        elif not value.is_zero():
+            if not value.is_homogeneous():
+                raise self.error(f"d {self.d_of} is not homogeneous", self.start)
+            if value.degree() != self.top:
+                raise self.error(f"d {self.d_of} has degree {value.degree()}, expected {self.top}", self.start)
         return value
 
     def check_digits(self, value: Element) -> Element:
@@ -289,19 +297,7 @@ def parse(text: str, validate: bool = True) -> CDGA:
         if target in values:
             raise ModelFileError(f"duplicate d line for {target!r}", lineno, column)
         expected = algebra.generator(target).degree + 1
-        value = _ExprParser(expr_text, lineno, offset, algebra, expected, target).parse()
-        if not value.is_zero():
-            if not value.is_homogeneous():
-                raise ModelFileError(
-                    f"d {target} is not homogeneous", lineno, offset + 1
-                )
-            if value.degree() != expected:
-                raise ModelFileError(
-                    f"d {target} has degree {value.degree()}, expected {expected}",
-                    lineno,
-                    offset + 1,
-                )
-        values[target] = value
+        values[target] = _ExprParser(expr_text, lineno, offset, algebra, expected, target).parse()
 
     model = CDGA(algebra, values)
     if validate:

@@ -8,9 +8,9 @@ parameter ranges are checked.  On top of those sit the inductive relative
 model of the multiplication map, the closed-form free-loop cohomology of
 truncated polynomial spaces, and the witness-cocycle families showing
 unbounded loop-space Betti numbers, built and certified in the loop model
-itself (`vps_witnesses`, `certify_in_window`).  Every map between algebras
-here, inclusions and projections included, is a `Morphism`, and every model
-is a `CDGA` built from its algebra and the values of d.
+itself (`vps_witnesses_for_model`, `certify_in_window`).  Every map between
+algebras here, inclusions and quotient maps included, is a `Morphism`, and
+every model is a `CDGA` built from its algebra and the values of d.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def multiplication_model(model: CDGA, max_degree: int | None = None) -> Multipli
 
     # d of a kept generator involves only lower, hence kept, generators, so
     # killing the generators above max_degree truncates the model
-    target = quotient_by_generators(
+    target, _ = quotient_by_generators(
         model, [g.name for g in model.algebra.generators if g.degree > max_degree]
     )
     target_alg = target.algebra
@@ -326,39 +326,29 @@ class WitnessReport(NamedTuple):
     entries: tuple[WitnessEntry, ...]
 
 
-def _loop_base_names(loop: CDGA) -> list[str]:
-    """Original generators of a loop model: those with a suspended partner."""
-    return [
-        g.name
-        for g in loop.algebra.generators
-        if loop.algebra.has_generator(suspended_name(g.name))
-    ]
+def vps_witnesses_for_model(loop: CDGA, k_max: int) -> WitnessReport:
+    """Monomial witness families sx_1...sx_n (sy)^p (sz)^q of a loop model
+    (`loop_model` of a base model), words of the loop model, k+1 per level k.
 
-
-def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessReport:
-    """Monomial witness families sx_1...sx_n (sy)^p (sz)^q, words of the loop model, k+1 per level k.
-
-    Level k collects the exponent pairs with p|sy| + q|sz| = k lcm(|sy|,|sz|).
-    A level's `cocycles_verified` says that the loop differential of each of
-    its witnesses is zero, and its `independent` only that they are distinct
-    nonzero words, as it keeps saying outside a window; no basis is listed.
+    The base generators are those with a suspended partner: x_1..x_n are the
+    even ones, and y, z the first two odd ones; fewer than two odd ones is
+    `NotApplicable`.  Level k collects the exponent pairs with
+    p|sy| + q|sz| = k lcm(|sy|,|sz|).  A level's `cocycles_verified` says
+    that the loop differential of each of its witnesses is zero, and its
+    `independent` only that they are distinct nonzero words, as it keeps
+    saying outside a window; no basis is listed.
     """
-    base = _loop_base_names(loop)
-    even_list = sorted(even_gens, key=lambda n: (loop.algebra.generator(n).degree, n))
-    for name in even_list:
-        if name not in base or loop.algebra.generator(name).degree % 2:
-            raise NotApplicable(f"{name!r} is not an even base generator of the loop model")
-    for name in (y, z):
-        if name not in base or loop.algebra.generator(name).degree % 2 == 0:
-            raise NotApplicable(f"{name!r} is not an odd base generator of the loop model")
-    if y == z:
-        raise NotApplicable("need two distinct odd generators")
-
     algebra = loop.algebra
+    base = [g for g in algebra.generators if algebra.has_generator(suspended_name(g.name))]
+    even = tuple(g.name for g in base if g.degree % 2 == 0)
+    odd = [g.name for g in base if g.degree % 2]
+    if len(odd) < 2:
+        raise NotApplicable(f"witness construction needs at least two odd generators, found {len(odd)}")
+    y, z = odd[:2]
     sx = algebra.one()
-    for name in even_list:
+    for name in even:
         sx = sx * algebra.gen(suspended_name(name))
-    sx_degree = sum(algebra.generator(suspended_name(name)).degree for name in even_list)
+    sx_degree = sum(algebra.generator(suspended_name(name)).degree for name in even)
     sy, sz = algebra.gen(suspended_name(y)), algebra.gen(suspended_name(z))
     sy_deg, sz_deg = sy.degree(), sz.degree()
     period = lcm(sy_deg, sz_deg)
@@ -371,7 +361,7 @@ def vps_witnesses(loop: CDGA, even_gens, y: str, z: str, k_max: int) -> WitnessR
         # a witness is one word or zero, so the words number count iff all are distinct and nonzero
         distinct = len({word for w in witnesses for word in w.terms}) == len(witnesses)
         entries.append(WitnessEntry(k, sx_degree + k * period, pairs, witnesses, cocycles, distinct))
-    return WitnessReport(tuple(even_list), y, z, period, tuple(entries))
+    return WitnessReport(even, y, z, period, tuple(entries))
 
 
 def certify_in_window(report: WitnessReport, cocycles: Mapping[int, Cocycles]) -> WitnessReport:
@@ -383,15 +373,3 @@ def certify_in_window(report: WitnessReport, cocycles: Mapping[int, Cocycles]) -
         e._replace(independent=e.cocycles_verified and all(map(cocycles[e.degree].add, e.witnesses)))
         if e.degree in cocycles else e
         for e in report.entries))
-
-
-def vps_witnesses_for_model(loop: CDGA, k_max: int) -> WitnessReport:
-    """Witness report for a loop model (`loop_model` of a base model): split its base generators."""
-    base = [loop.algebra.generator(name) for name in _loop_base_names(loop)]
-    odd = [g.name for g in base if g.degree % 2]
-    if len(odd) < 2:
-        raise NotApplicable(
-            f"witness construction needs at least two odd generators, found {len(odd)}"
-        )
-    even = [g.name for g in base if g.degree % 2 == 0]
-    return vps_witnesses(loop, even, odd[0], odd[1], k_max)

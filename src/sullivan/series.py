@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DIGIT_LIMIT, PoleAtZero, RationalFormError, too_many_digits
+from .errors import DIGIT_LIMIT, PoleAtZero, RationalFormError, SullivanError, too_many_digits
 from .modelfile import Descent
 
 Poly = tuple[int, ...]
@@ -31,11 +31,16 @@ class RationalFunctionForm(NamedTuple):
 
 
 def expand_rational(f: RationalFunctionForm, max_degree: int) -> Poly:
-    """Power series coefficients of numerator/denominator up to max_degree."""
+    """Power series coefficients of numerator/denominator up to max_degree.
+    A window whose coefficient table cannot be allocated is refused with a
+    `SullivanError`, as `bases` refuses its count table."""
     num, den = f.numerator, f.denominator
     if not den or den[0] == 0:
         raise PoleAtZero("denominator vanishes at z = 0")
-    coeffs: list[int] = []
+    try:
+        coeffs = [0] * (max_degree + 1)
+    except (MemoryError, OverflowError):
+        raise SullivanError(f"cannot build a coefficient table for degrees 0..{max_degree}") from None
     for k in range(max_degree + 1):
         acc = num[k] if k < len(num) else 0
         for j in range(1, min(k, len(den) - 1) + 1):
@@ -47,7 +52,7 @@ def expand_rational(f: RationalFunctionForm, max_degree: int) -> Poly:
             )
         if too_many_digits(q, 1):
             raise RationalFormError(f"coefficient of z^{k} has more than {DIGIT_LIMIT} digits")
-        coeffs.append(q)
+        coeffs[k] = q
     return tuple(coeffs)
 
 

@@ -13,7 +13,6 @@ from sullivan.calculus import (
     Morphism,
     check_chain_map,
     check_differential,
-    killed_residues,
     koszul_model,
     linear_part,
     loop_model,
@@ -389,24 +388,23 @@ def test_rename_roundtrip_is_identity():
 def test_quotient_of_loop_model_by_base_generators():
     model = cpn_model(2)
     loop = loop_model(model)
-    fiber = quotient_by_generators(loop, ["v", "w"])
+    fiber, residues = quotient_by_generators(loop, ["v", "w"])
     assert {(g.name, g.degree) for g in fiber.algebra.generators} == {("sv", 1), ("sw", 4)}
     assert all(fiber.d_of(g.name).is_zero() for g in fiber.algebra.generators)
-    assert killed_residues(loop, ["v", "w"]) == {}
+    assert residues == {}
 
 
 def test_quotient_by_nothing_is_identity():
     model = cpn_model(1)
-    assert quotient_by_generators(model, []) == model
+    assert quotient_by_generators(model, []) == (model, {})
 
 
 def test_quotient_killing_relation_target_is_accepted_with_residue():
     # killing w in the truncated polynomial model loses the relation d(w)=v^(n+1)
     model = cpn_model(2)
-    result = quotient_by_generators(model, ["w"])
+    result, residues = quotient_by_generators(model, ["w"])
     assert [g.name for g in result.algebra.generators] == ["v"]
     assert result.d_of("v").is_zero()
-    residues = killed_residues(model, ["w"])
     assert set(residues) == {"w"}
     assert str(residues["w"]) == "v^3"
 
@@ -419,7 +417,7 @@ def test_fiber_of_loop_model_over_zero_differential_base():
         model = build(recipe)
         loop = loop_model(model)
         base = [g.name for g in model.algebra.generators]
-        fiber = quotient_by_generators(loop, base)
+        fiber, _ = quotient_by_generators(loop, base)
         assert all(fiber.d_of(g.name).is_zero() for g in fiber.algebra.generators)
         computed = betti(fiber, 10).betti
         expected = tuple(map(len, fiber.algebra.bases(10)))
@@ -439,9 +437,9 @@ def test_quotient_rejects_broken_differential():
         quotient_by_generators(model, ["x"])
     assert info.value.generator == "g"
     # killing x and u together leaves (Lambda(v, g), 0), with residues recorded
-    survived = quotient_by_generators(model, ["x", "u"])
+    survived, residues = quotient_by_generators(model, ["x", "u"])
     assert all(survived.d_of(g.name).is_zero() for g in survived.algebra.generators)
-    assert set(killed_residues(model, ["x", "u"])) == {"x", "u"}
+    assert set(residues) == {"x", "u"}
 
 
 # -- Koszul models -----------------------------------------------------------------------

@@ -313,6 +313,12 @@ def test_a_window_too_large_to_count_is_an_input_error(tmp_path, capsys, command
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("window", [str(2**63 - 1), str(10**12)])
+def test_a_series_window_too_large_for_its_coefficient_table_is_an_input_error(capsys, window):
+    assert main(["series", "--rational", "1/(1-z)", "--max", window]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot build a coefficient table for degrees 0..{window}\n")
+
+
 def test_mult_model_checks_the_chain_map_once(cp2_file, monkeypatch, capsys):
     from sullivan import calculus, cli
 

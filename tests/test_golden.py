@@ -63,10 +63,11 @@ def test_job_reproduces_golden_report(workload, job, form, tmp_path, capsys):
 
 # Tracer targets whose code was deleted before the tracer was pointed elsewhere;
 # each is a FOUND line of CHANGES.md.  Any other missing name is a rename that
-# would silently zero a per-layer metric.
+# would silently zero a per-layer metric, and a listed name that exists again
+# is a stale entry: the set must match exactly.
 _DEAD_TARGETS = {"linalg.rref", "linalg.kernel_basis", "linalg.solve_particular",
                  "series.series_from_report", "algebra.FreeGradedAlgebra.basis_in_degree",
-                 "homology.quasi_iso_check"}
+                 "homology.quasi_iso_check", "calculus.killed_residues", "models.vps_witnesses"}
 
 
 def test_tracer_targets_exist_but_for_the_known_dead_ones():
@@ -77,7 +78,7 @@ def test_tracer_targets_exist_but_for_the_known_dead_ones():
             owner = getattr(owner, attribute, None)
         if owner is None:
             missing.add(f"{module_name}.{path}")
-    assert missing <= _DEAD_TARGETS
+    assert missing == _DEAD_TARGETS
 
 
 def test_tracer_records_both_maps_and_restores_them(tmp_path, capsys):

@@ -520,7 +520,7 @@ def test_elimination_bound_on_quotient_pairs():
     loop = loop_model(model)
     x = "v_1"  # the even generator of the sphere factor
     degree_x = loop.algebra.generator(x).degree
-    quotient = quotient_by_generators(loop, [x])
+    quotient, _ = quotient_by_generators(loop, [x])
     full = betti(loop, 12).betti
     quo = betti(quotient, 10).betti
     for n in range(11):

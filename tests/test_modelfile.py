@@ -41,13 +41,17 @@ def test_degree_mismatch_is_rejected_with_position():
     with pytest.raises(ModelFileError) as info:
         parse("generator v 2\ngenerator w 5\nd w = v\n")
     assert info.value.line == 3
-    assert "degree" in str(info.value)
+    assert str(info.value) == "line 3, column 6: d w has degree 2, expected 6"
+    # the column is the one just past '=', counted from the line's start
+    with pytest.raises(ModelFileError) as info:
+        parse("generator v 2\ngenerator w 5\n  d w =   v\n")
+    assert str(info.value) == "line 3, column 8: d w has degree 2, expected 6"
 
 
 def test_inhomogeneous_differential_rejected():
     with pytest.raises(ModelFileError) as info:
         parse("generator v 2\ngenerator w 5\nd w = v^3 + v\n")
-    assert "homogeneous" in str(info.value)
+    assert str(info.value) == "line 3, column 6: d w is not homogeneous"
 
 
 def test_syntax_error_reports_line_and_column():

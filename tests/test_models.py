@@ -31,7 +31,6 @@ from sullivan.models import (
     multiplication_model,
     recipe_from_args,
     recipe_from_spec,
-    vps_witnesses,
     vps_witnesses_for_model,
 )
 
@@ -426,11 +425,9 @@ def test_vps_witnesses_not_applicable_for_single_odd_generator():
         vps_witnesses_for_model(loop_model(cpn_model(2)), 3)
 
 
-def test_vps_witnesses_direct_call_validates_roles():
-    loop = loop_model(s3s3_model())
-    with pytest.raises(NotApplicable):
-        vps_witnesses(loop, [], "v_1", "v_1", 2)
-    report = vps_witnesses(loop, [], "v_1", "v_2", 2)
+def test_vps_witnesses_read_their_roles_from_the_loop_model():
+    report = vps_witnesses_for_model(loop_model(s3s3_model()), 2)
+    assert (report.even_gens, report.y, report.z) == ((), "v_1", "v_2")
     assert report.entries[2].count == 3
 
 
